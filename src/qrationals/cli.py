@@ -16,19 +16,14 @@ from fractions import Fraction
 
 from . import verify as _verify
 from .cf import cf_even, cf_parse, cw_level, sb_level
-from .fence import (
-    enumerate_ideals,
-    fence_of_rational,
-    fence_to_dot,
-    fence_to_svg,
-    ideal_statistics,
-)
+from .fence import enumerate_ideals, fence_of_rational, fence_to_dot, fence_to_svg
 from .markoff import markoff_numbers_upto, markoff_row
-from .numeration import enumerate_admissible, rep, val
+from .numeration import enumerate_admissible, partition, rep, val
 from .qpoly import q_rational, q_shift_identity_check
 from .snake import (
     enumerate_matchings,
     matching_edges,
+    matching_statistics,
     prefix_suffix_table,
     snake_of_rational,
     snake_to_svg,
@@ -114,15 +109,14 @@ def _cmd_val(args):
 
 def _enum_admissible(args, x):
     a = cf_even(x)
-    rows = sorted((val(b, a), b) for b in enumerate_admissible(a))
     if args.count:
-        filled, empty = ideal_statistics(fence_of_rational(x))
-        f, e = filled.eval_at_one(), empty.eval_at_one()
+        f, e = (len(side) for side in partition(a))
         if args.format == "json":
             _emit(args, {"filled": f, "empty": e, "total": f + e})
         else:
             print("filled=%d empty=%d total=%d" % (f, e, f + e))
         return 0
+    rows = sorted((val(b, a), b) for b in enumerate_admissible(a))
     if args.format == "json":
         _emit(args, {"cf": list(a), "rows": [[n, list(b)] for n, b in rows]})
         return 0
@@ -153,10 +147,8 @@ def _enum_ideals(args, x):
 
 def _enum_matchings(args, x):
     g = snake_of_rational(x)
-    masks = enumerate_matchings(g)
     if args.count:
-        perp = sum(1 for m in masks if g.classify(m) == "perp")
-        par = len(masks) - perp
+        perp, par = (p.eval_at_one() for p in matching_statistics(g))
         if args.format == "json":
             _emit(args, {"perp": perp, "par": par, "total": perp + par})
         else:
@@ -168,7 +160,7 @@ def _enum_matchings(args, x):
             "area": g.area(m),
             "edges": matching_edges(g, m),
         }
-        for m in masks
+        for m in enumerate_matchings(g)
     ]
     if args.format == "json":
         for row in rows:

@@ -9,13 +9,14 @@ starts with a down step exactly when x < 1.
 Ideals are stored as bitmasks over the elements; bit i is element y_i.
 """
 
+from collections import Counter
+
 from .cf import cf_even, word_of
 from .qpoly import Poly
 from .words import check_word
 
 __all__ = [
     "Fence",
-    "fence_of_word",
     "fence_of_rational",
     "enumerate_ideals",
     "ideals_by_subset_filter",
@@ -30,7 +31,7 @@ __all__ = [
 ]
 
 
-class Fence(object):
+class Fence:
     """Path-shaped poset of a binary word."""
 
     __slots__ = ("word", "size", "covers")
@@ -59,10 +60,6 @@ class Fence(object):
 
     def __repr__(self):
         return "Fence(%r)" % self.word
-
-
-def fence_of_word(w):
-    return Fence(w)
 
 
 def fence_of_rational(x):
@@ -135,15 +132,10 @@ def ideal_statistics(fence):
     >>> tuple(str(p) for p in ideal_statistics(Fence("")))
     ('q', '1')
     """
-    filled = Poly()
-    empty = Poly()
-    for m in enumerate_ideals(fence):
-        term = Poly.term(1, bin(m).count("1"))
-        if m & 1:
-            filled = filled + term
-        else:
-            empty = empty + term
-    return filled, empty
+    ideals = enumerate_ideals(fence)
+    return tuple(
+        Poly(Counter(bin(m).count("1") for m in ideals if (m & 1) == first)) for first in (1, 0)
+    )
 
 
 def rank_polynomials(x):

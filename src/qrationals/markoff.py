@@ -8,6 +8,7 @@ integer matrices; mu_q deforms those matrices so that the (1,2) entry
 becomes the area polynomial of a snake graph.
 """
 
+from .cf import _mat_mul
 from .qpoly import Poly, mu_q
 from .snake import Snake, area_histogram
 from .words import check_word, gamma, is_christoffel
@@ -69,11 +70,7 @@ def mu(w, check=True):
     _check_domain(w, check)
     m = ((1, 0), (0, 1))
     for c in w:
-        n = _M0 if c == "0" else _M1
-        m = (
-            (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
-            (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
-        )
+        m = _mat_mul(m, _M0 if c == "0" else _M1)
     return m
 
 

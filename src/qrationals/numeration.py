@@ -12,6 +12,8 @@ val(b) = sum (-1)^i b_i r_i hits every integer of an interval of width
 r_k exactly once.  Digits are stored least-significant (b_0) first.
 """
 
+from collections import Counter
+
 from . import cf as _cf
 from .qpoly import Poly
 
@@ -20,7 +22,6 @@ __all__ = [
     "enumerate_admissible",
     "is_filled",
     "partition",
-    "norm1",
     "val",
     "rep",
     "z_interval",
@@ -110,10 +111,6 @@ def partition(a):
     return filled, empty
 
 
-def norm1(b):
-    return sum(b)
-
-
 def val(b, a):
     """Alternating valuation sum (-1)^i b_i r_i of an admissible vector.
 
@@ -197,15 +194,7 @@ def norm1_statistics(a):
     >>> tuple(str(p) for p in norm1_statistics((1, 1)))
     ('q^2+q', '1')
     """
-    filled = Poly()
-    empty = Poly()
-    for b in enumerate_admissible(a):
-        term = Poly.term(1, norm1(b))
-        if is_filled(b, a):
-            filled = filled + term
-        else:
-            empty = empty + term
-    return filled, empty
+    return tuple(Poly(Counter(map(sum, side))) for side in partition(a))
 
 
 def numeration_rows(a):

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-class HullSystem(object):
+class HullSystem:
     """Generator points of a hull, kept as exact integer vectors."""
 
     __slots__ = ("points", "dim", "_point_set")

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-class Poly(object):
+class Poly:
     """Sparse Laurent polynomial with integer coefficients.
 
     Stored as a dict {exponent: coefficient} with no zero coefficients.
@@ -66,10 +66,6 @@ class Poly(object):
         if not isinstance(other, Poly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
@@ -172,7 +168,7 @@ ONE = Poly.term(1)
 Q = Poly.term(1, 1)
 
 
-class Mat2(object):
+class Mat2:
     """2x2 matrix of Poly entries."""
 
     __slots__ = ("a", "b", "c", "d")
@@ -188,10 +184,6 @@ class Mat2(object):
         if not isinstance(other, Mat2):
             return NotImplemented
         return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __mul__(self, other):
         return Mat2(
@@ -269,7 +261,7 @@ def _q_product_vector(a):
     return m.apply((ONE, ZERO))
 
 
-class QRational(object):
+class QRational:
     """The exact pair (R(q), S(q)) of a q-deformed rational."""
 
     __slots__ = ("num", "den")
@@ -281,10 +273,6 @@ class QRational(object):
         if not isinstance(other, QRational):
             return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __hash__(self):
         return hash((self.num, self.den))

@@ -10,8 +10,18 @@ lattice points, each pair sorted lexicographically.  The area of a
 matching m counts the cells enclosed by the symmetric difference with
 the basic matching, and the map to the rational world goes through
 theta: the snake of x is G(theta(W(x))).
+
+Every matching statistic comes from one scan over the cells, first to
+last.  A cell meets its neighbours only through the side it shares with
+each, so its moves depend on the letter pair around it alone; the nine
+tables of moves, one per (previous letter, letter) with None at an end,
+are built once, on first use, in local corner coordinates.  The scan
+streams (mask, area) pairs, so counting never holds the list of
+matchings.
 """
 
+from collections import Counter
+from functools import cache
 from itertools import product
 
 from .cf import cf_even, word_of
@@ -20,7 +30,6 @@ from .words import check_word, theta
 
 __all__ = [
     "Snake",
-    "snake_of_word",
     "snake_word",
     "snake_of_rational",
     "enumerate_matchings",
@@ -46,7 +55,47 @@ def _square_edges(cx, cy):
     )
 
 
-class Snake(object):
+# A cell's corners in local coordinates are 0 = (0,0), 1 = (1,0),
+# 2 = (0,1), 3 = (1,1); its sides, in _square_edges order, join these pairs.
+_SIDE_CORNERS = ((0, 1), (1, 3), (2, 3), (0, 2))
+# After a 0 the next cell sits to the right, after a 1 on top: a cell is
+# left through its right or top side and the next one entered through its
+# left or bottom side.
+_EXIT_SIDE = {"0": 1, "1": 2}
+_ENTRY_SIDE = {"0": 3, "1": 0}
+
+
+@cache
+def _cell_table(prev, letter):
+    """Moves through one cell entered after letter `prev` and left by
+    `letter` (None at either end of the word): coverage of the corners
+    shared with the previous cell -> [(sides chosen, coverage of the
+    corners shared with the next cell)].  The cell owns its sides except
+    the one shared with the previous cell.  The chosen sides are
+    vertex-disjoint, avoid the covered corners, and cover every corner
+    not on the side shared with the next cell, since no later cell
+    meets it."""
+    entry = _SIDE_CORNERS[_ENTRY_SIDE[prev]] if prev else ()
+    exit_ = _SIDE_CORNERS[_EXIT_SIDE[letter]] if letter else ()
+    owned = [j for j in range(4) if not prev or j != _ENTRY_SIDE[prev]]
+    table = {}
+    for state in product((0, 1), repeat=len(entry)):
+        covered = {v for v, s in zip(entry, state) if s}
+        moves = []
+        for bits in range(1 << len(owned)):
+            sides = tuple(j for k, j in enumerate(owned) if bits >> k & 1)
+            ends = [v for j in sides for v in _SIDE_CORNERS[j]]
+            newly = covered.union(ends)
+            if len(newly) < len(covered) + len(ends):
+                continue
+            if any(v not in newly and v not in exit_ for v in range(4)):
+                continue
+            moves.append((sides, tuple(int(v in newly) for v in exit_)))
+        table[state] = moves
+    return table
+
+
+class Snake:
     """Snake graph of a binary word, with edge-indexed matchings."""
 
     def __init__(self, word):
@@ -123,22 +172,12 @@ class Snake(object):
             masks.append(m)
         return masks
 
-    def first_edge(self, mask):
-        """Index of the matching edge covering the origin vertex."""
-        bottom, _, _, left = self.squares[0]
-        has_bottom = mask >> bottom & 1
-        has_left = mask >> left & 1
-        assert has_bottom + has_left == 1
-        return bottom if has_bottom else left
-
     def classify(self, mask):
         """'perp' or 'par' by the first-edge orientation against |w| parity:
         perpendicular means horizontal first edge for even |w|, vertical
         for odd |w|; equivalently the first edge is not the basic one."""
-        horizontal = self.first_edge(mask) == self.squares[0][0]
-        if len(self.word) % 2 == 0:
-            return "perp" if horizontal else "par"
-        return "par" if horizontal else "perp"
+        horizontal = mask >> self.squares[0][0] & 1
+        return "perp" if horizontal == (len(self.word) % 2 == 0) else "par"
 
     def enclosed_cells(self, mask):
         """Cells inside the cycles of the symmetric difference with the
@@ -149,72 +188,18 @@ class Snake(object):
     def area(self, mask):
         return len(self.enclosed_cells(mask))
 
-    def _interfaces(self):
-        """Vertex pair shared between consecutive cells, per cell."""
-        out = []
-        for i in range(len(self.cells) - 1):
-            cx, cy = self.cells[i]
-            if self.word[i] == "0":
-                out.append(((cx + 1, cy), (cx + 1, cy + 1)))
-            else:
-                out.append(((cx, cy + 1), (cx + 1, cy + 1)))
-        out.append(())
-        return out
-
     def _transition_tables(self):
-        """Per cell: incoming interface coverage -> [(edge subset mask,
-        outgoing coverage)].  Each cell owns its square's edges except the
-        one shared with the previous cell; a subset is valid when it is
-        vertex-disjoint, avoids covered vertices, and covers every vertex
-        that appears in no later square."""
-        cells = self.cells
-        deadline = {}
-        corners = []
-        for i, (cx, cy) in enumerate(cells):
-            vs = ((cx, cy), (cx + 1, cy), (cx, cy + 1), (cx + 1, cy + 1))
-            corners.append(vs)
-            for v in vs:
-                deadline[v] = i
-        ifaces = self._interfaces()
-        tables = []
-        prev_iface = ()
-        for i in range(len(cells)):
-            owned = list(self.squares[i])
-            if i:
-                cx, cy = cells[i - 1]
-                shared = _square_edges(cx, cy)[1 if self.word[i - 1] == "0" else 2]
-                owned.remove(self.edge_index[shared])
-            table = {}
-            for state in product((0, 1), repeat=len(prev_iface)):
-                covered = frozenset(v for v, s in zip(prev_iface, state) if s)
-                outs = []
-                for bits in range(1 << len(owned)):
-                    chosen = [owned[j] for j in range(len(owned)) if bits >> j & 1]
-                    seen = set()
-                    ok = True
-                    for e in chosen:
-                        for v in self.edges[e]:
-                            if v in seen or v in covered:
-                                ok = False
-                                break
-                            seen.add(v)
-                        if not ok:
-                            break
-                    if not ok:
-                        continue
-                    newly = covered | seen
-                    if any(deadline[v] == i and v not in newly for v in corners[i]):
-                        continue
-                    out_state = tuple(int(v in newly) for v in ifaces[i])
-                    outs.append((sum(1 << e for e in chosen), out_state))
-                table[state] = outs
-            tables.append(table)
-            prev_iface = ifaces[i]
-        return tables
-
-
-def snake_of_word(w):
-    return Snake(w)
+        """Per cell: incoming coverage -> [(edge mask, outgoing coverage)],
+        the table of the cell's letter pair with its sides renamed to the
+        cell's edge indices."""
+        letters = (None,) + tuple(self.word) + (None,)
+        return [
+            {
+                state: [(sum(1 << square[j] for j in sides), out) for sides, out in moves]
+                for state, moves in _cell_table(letters[i], letters[i + 1]).items()
+            }
+            for i, square in enumerate(self.squares)
+        ]
 
 
 def snake_word(x):
@@ -234,29 +219,38 @@ def snake_of_rational(x):
     return Snake(snake_word(x))
 
 
+def _scan(g):
+    """Yield (mask, area) for every perfect matching, by a depth-first
+    scan over the cells, first to last, carrying only the coverage of the
+    two vertices shared with the next cell.  A cell's enclosure parity is
+    final as soon as the scan passes the cell, since its ray mask only
+    involves edges of itself and earlier cells, so the area is summed on
+    the way down."""
+    tables = g._transition_tables()
+    basic = g.basic_mask
+    rays = g.ray_masks
+    last = len(g.cells)
+    stack = [(0, (), 0, 0)]
+    while stack:
+        i, state, mask, area = stack.pop()
+        if i == last:
+            yield mask, area
+            continue
+        for tmask, nstate in tables[i][state]:
+            m2 = mask | tmask
+            par = bin((m2 ^ basic) & rays[i]).count("1") & 1
+            stack.append((i + 1, nstate, m2, area + par))
+
+
 def enumerate_matchings(g):
-    """All perfect matchings as sorted edge masks, by a first-to-last
-    scan over cells carrying only the coverage of the two vertices shared
-    with the next cell.
+    """All perfect matchings as sorted edge masks.
 
     >>> len(enumerate_matchings(Snake("0100")))
     9
     >>> len(enumerate_matchings(Snake("")))
     2
     """
-    tables = g._transition_tables()
-    last = len(g.cells)
-    out = []
-    stack = [(0, (), 0)]
-    while stack:
-        i, state, mask = stack.pop()
-        if i == last:
-            out.append(mask)
-            continue
-        for tmask, nstate in tables[i][state]:
-            stack.append((i + 1, nstate, mask | tmask))
-    out.sort()
-    return out
+    return sorted(mask for mask, _ in _scan(g))
 
 
 def matchings_by_backtracking(g):
@@ -287,43 +281,22 @@ def matchings_by_backtracking(g):
 
 
 def area_histogram(g):
-    """{area: matching count} over all matchings, streamed without
-    materializing the matchings; cell parities are final as soon as the
-    scan passes the cell, since a cell's ray mask only involves edges of
-    itself and earlier cells."""
-    tables = g._transition_tables()
-    basic = g.basic_mask
-    rays = g.ray_masks
-    last = len(g.cells)
-    hist = {}
-    stack = [(0, (), 0, 0)]
-    while stack:
-        i, state, mask, ar = stack.pop()
-        if i == last:
-            hist[ar] = hist.get(ar, 0) + 1
-            continue
-        for tmask, nstate in tables[i][state]:
-            m2 = mask | tmask
-            par = bin((m2 ^ basic) & rays[i]).count("1") & 1
-            stack.append((i + 1, nstate, m2, ar + par))
-    return hist
+    """{area: matching count} over all matchings, tallied as the scan
+    streams them."""
+    return dict(Counter(area for _, area in _scan(g)))
 
 
 def matching_statistics(g):
-    """(sum over perpendicular, sum over parallel) of q^area.
+    """(sum over perpendicular, sum over parallel) of q^area, tallied as
+    the scan streams the matchings.
 
     >>> tuple(str(p) for p in matching_statistics(Snake("0100")))
     ('q^5+q^4', 'q^4+2*q^3+2*q^2+q+1')
     """
-    perp = Poly()
-    par = Poly()
-    for m in enumerate_matchings(g):
-        t = Poly.term(1, g.area(m))
-        if g.classify(m) == "perp":
-            perp = perp + t
-        else:
-            par = par + t
-    return perp, par
+    areas = {"perp": Counter(), "par": Counter()}
+    for mask, area in _scan(g):
+        areas[g.classify(mask)][area] += 1
+    return Poly(areas["perp"]), Poly(areas["par"])
 
 
 def area_statistics(x):
@@ -376,8 +349,8 @@ def phi_by_pop(m, word):
 
 def phi(g, mask):
     """Ideal of F(theta(w)) attached to a matching of G(w): element j is
-    in the ideal iff cell j is enclosed.  The geometric reading and the
-    pop recursion must agree.
+    in the ideal iff cell j is enclosed.  `verify` checks it against the
+    pop recursion `phi_by_pop`.
 
     >>> g = Snake("0100")
     >>> phi(g, g.basic_mask)
@@ -388,7 +361,6 @@ def phi(g, mask):
     ideal = 0
     for j in g.enclosed_cells(mask):
         ideal |= 1 << j
-    assert ideal == phi_by_pop(frozenset(matching_edges(g, mask)), g.word)
     return ideal
 
 
@@ -402,14 +374,7 @@ def prefix_suffix_table(x):
     w = snake_word(x)
 
     def counts(v):
-        g = Snake(v)
-        perp = par = 0
-        for m in enumerate_matchings(g):
-            if g.classify(m) == "perp":
-                perp += 1
-            else:
-                par += 1
-        return (perp, par)
+        return tuple(p.eval_at_one() for p in matching_statistics(Snake(v)))
 
     return {
         "word": w,

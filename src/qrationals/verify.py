@@ -192,6 +192,12 @@ def _check_phi(x, r, s):
     images = set()
     for m in matchings:
         ideal = _snake.phi(g, m)
+        popped = _snake.phi_by_pop(frozenset(_snake.matching_edges(g, m)), g.word)
+        if ideal != popped:
+            _fail(
+                "phi of matching %s on the snake of %s is %s, the pop recursion gives %s"
+                % (bin(m), x, bin(ideal), bin(popped))
+            )
         if g.area(m) != bin(ideal).count("1"):
             _fail("phi does not preserve area/size on %s" % x)
         if (g.classify(m) == "perp") != bool(ideal & 1):

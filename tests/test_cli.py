@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from qrationals import qpoly, verify
+import qrationals
+from qrationals import cli, qpoly, verify
 from qrationals.cli import main
 from qrationals.qpoly import Mat2, ONE, Q, ZERO
 
@@ -36,6 +40,36 @@ def test_documented_outputs(capsys, argv, expected):
     assert out == expected + "\n"
 
 
+README_EXAMPLES = (
+    (("qrat", "7/2"), "(q^4+q^3+2q^2+2q+1)/(q+1)"),
+    (("rep", "3", "--cf", "[2;2,2]"), "2,2,1"),
+    (("val", "2,2,1", "--cf", "[2;2,2]"), "3"),
+    (("enum", "matchings", "2/7", "--count"), "perp=2 par=7 total=9"),
+    (("markoff", "--word", "00101"), "194"),
+    (("tree", "sb", "--depth", "2"), "1/3 2/3 3/2 3"),
+)
+
+
+def test_readme_examples_do_not_rest_on_asserts():
+    # python -O strips every assert, so no printed result may depend on one
+    script = (
+        "import sys\n"
+        "from qrationals.cli import main\n"
+        "for argv in %r:\n"
+        "    if main(list(argv)):\n"
+        "        sys.exit(1)\n" % ([argv for argv, _ in README_EXAMPLES],)
+    )
+    src = os.path.dirname(os.path.dirname(qrationals.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(out + "\n" for _, out in README_EXAMPLES).encode()
+
+
 def test_shift_check(capsys):
     code, out, _ = run(capsys, "qrat", "5/3", "--shift-check")
     assert code == 0
@@ -55,6 +89,16 @@ def test_enum_admissible_count(capsys):
     code, out, _ = run(capsys, "enum", "admissible", "2/7", "--count")
     assert code == 0
     assert out == "filled=2 empty=7 total=9\n"
+
+
+def test_enum_admissible_count_values_no_vector(capsys, monkeypatch):
+    def refuse(b, a):
+        raise AssertionError("--count needs no valuation")
+
+    monkeypatch.setattr(cli, "val", refuse)
+    code, out, _ = run(capsys, "enum", "admissible", "84/37", "--count")
+    assert code == 0
+    assert out == "filled=84 empty=37 total=121\n"
 
 
 def test_enum_ideals(capsys):

@@ -8,7 +8,6 @@ from qrationals.fence import (
     chains,
     enumerate_ideals,
     fence_of_rational,
-    fence_of_word,
     fence_to_dot,
     fence_to_svg,
     ideal_statistics,
@@ -29,10 +28,6 @@ def test_shape():
     assert f.size == 7
     assert f.heights() == (0, 1, 2, 3, 2, 1, 2)
     assert f.covers == [(0, 1), (1, 2), (2, 3), (4, 3), (5, 4), (5, 6)]
-
-
-def test_fence_of_word_matches_the_constructor():
-    assert fence_of_word("0111").covers == Fence("0111").covers
 
 
 def test_ideal_counts():

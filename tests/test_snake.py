@@ -4,19 +4,19 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from qrationals.cf import cf_even, word_of
+from qrationals.cf import cf_even, rational_of_word, word_of
 from qrationals.fence import Fence, enumerate_ideals
 from qrationals.snake import (
     Snake,
     area_histogram,
     enumerate_matchings,
     matching_edges,
+    matching_statistics,
     matchings_by_backtracking,
     phi,
     phi_by_pop,
     prefix_suffix_table,
     snake_of_rational,
-    snake_of_word,
     snake_to_svg,
     snake_word,
 )
@@ -25,6 +25,9 @@ from qrationals.words import complement, theta
 
 words = st.text(alphabet="01", max_size=9)
 rationals = st.builds(Fraction, st.integers(1, 20), st.integers(1, 20))
+rationals_upto_60 = st.integers(2, 60).flatmap(
+    lambda n: st.integers(1, n - 1).map(lambda r: Fraction(r, n - r))
+)
 
 
 def _edge_sets(g):
@@ -208,6 +211,17 @@ def test_histogram_agrees_with_per_matching_areas(w):
 
 @given(words)
 @settings(max_examples=60)
+def test_statistics_tally_the_backtracking_oracle(w):
+    g = Snake(w)
+    tally = {"perp": Counter(), "par": Counter()}
+    for m in matchings_by_backtracking(g):
+        tally[g.classify(m)][g.area(m)] += 1
+    perp, par = matching_statistics(g)
+    assert (perp.coeffs, par.coeffs) == (tally["perp"], tally["par"])
+
+
+@given(words)
+@settings(max_examples=60)
 def test_phi_is_a_bijection_onto_the_twisted_fence_ideals(w):
     g = Snake(w)
     ideals = set()
@@ -251,15 +265,22 @@ def test_prefix_suffix_table_golden():
     assert table["suffixes"] == SUFFIXES_84_37
 
 
+@given(rationals_upto_60)
+@settings(max_examples=40, deadline=None)
+def test_prefix_suffix_rows_are_the_rationals_of_their_words(x):
+    table = prefix_suffix_table(x)
+    w = table["word"]
+    for j in range(len(w) + 1):
+        for row, v in ((table["prefixes"][j], w[:j]), (table["suffixes"][j], w[len(w) - j:])):
+            y = rational_of_word(theta(v))
+            assert row == (y.numerator, y.denominator)
+
+
 def test_svg_emitter():
     g = Snake("0100")
     svg = snake_to_svg(g, matching=g.basic_mask)
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert "line" in svg
-
-
-def test_snake_of_word_is_the_plain_constructor():
-    assert snake_of_word("0100").cells == Snake("0100").cells
 
 
 def _total_matchings(x):
