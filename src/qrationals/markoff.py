@@ -4,12 +4,13 @@ Markoff numbers are the coordinates of positive solutions of
 x^2 + y^2 + z^2 = 3xyz, generated from (1,1,1) by the two moves
 (x,y,z) -> (x, 3xy-z, y) and (y, 3yz-x, z).  Each one is the (1,2)
 entry of mu over a Christoffel word, where mu maps 0 and 1 to fixed
-integer matrices; mu_q deforms those matrices so that the (1,2) entry
-becomes the area polynomial of a snake graph.
+integer matrices; mu_q deforms those matrices, mu_q(0) = R_q L_q and
+mu_q(1) = R_q^2 L_q^2, so that the (1,2) entry becomes the area
+polynomial of a snake graph.
 """
 
 from .cf import _mat_mul
-from .qpoly import Poly, mu_q
+from .qpoly import Poly, _q_product_vector
 from .snake import Snake, area_histogram
 from .words import check_word, gamma, is_christoffel
 
@@ -94,7 +95,8 @@ def q_markoff(w, check=True):
     '1'
     """
     _check_domain(w, check)
-    return mu_q(w).b
+    a = [e for c in w for e in ((1, 1) if c == "0" else (2, 2))]
+    return _q_product_vector(a, ([], [1]))[0]
 
 
 def verify_area_theorem(m):

@@ -91,7 +91,10 @@ def enumerate_admissible(a):
 def is_filled(b, a):
     """Membership in the distinguished half of the partition:
     either 0 < b_0, or b_0 = a_0 = 0 < b_1 = a_1."""
-    a = _cf.check_cf(a)
+    return _filled(b, _cf.check_cf(a))
+
+
+def _filled(b, a):
     if a[0] > 0:
         return b[0] > 0
     return len(a) > 1 and b[1] == a[1] and a[1] > 0
@@ -105,9 +108,10 @@ def partition(a):
     >>> [len(part) for part in partition((0, 2))]
     [1, 2]
     """
+    a = _cf.check_cf(a)
     filled, empty = [], []
     for b in enumerate_admissible(a):
-        (filled if is_filled(b, a) else empty).append(b)
+        (filled if _filled(b, a) else empty).append(b)
     return filled, empty
 
 

@@ -9,9 +9,18 @@ by
 and divides the resulting column vector by q.  Both components stay
 honest polynomials: the pair (R(q), S(q)) has S(0) = 1 and evaluates to
 (r, s) at q = 1.
+
+The powers have closed forms, R_q^n = [[q^n, [n]_q], [0, 1]] and
+L_q^n = [[q^n, 0], [q [n]_q, 1]] with [n]_q = 1 + q + ... + q^(n-1), so
+the product is applied to its vector right to left, one power at a time,
+on dense coefficient lists.  Mat2, R_q, L_q, nu_q, mu_q and
+mat2_product_vector multiply the matrices out; they are the oracle that
+verify and the tests hold the fast pair against.
 """
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, sub
 
 from . import cf as _cf
 from .words import check_word
@@ -26,6 +35,7 @@ __all__ = [
     "R_q",
     "nu_q",
     "mu_q",
+    "mat2_product_vector",
     "QRational",
     "q_rational",
     "theorem_pair",
@@ -56,6 +66,13 @@ class Poly:
     @classmethod
     def term(cls, coefficient, exponent=0):
         return cls({exponent: coefficient})
+
+    @classmethod
+    def from_dense(cls, coefficients):
+        """The polynomial c_0 + c_1 q + c_2 q^2 + ... of [c_0, c_1, c_2, ...]."""
+        p = cls()
+        p.coeffs = {e: c for e, c in enumerate(coefficients) if c}
+        return p
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -122,9 +139,6 @@ class Poly:
 
     def low_degree(self):
         return min(self.coeffs) if self.coeffs else None
-
-    def is_divisible_by_q(self):
-        return all(e >= 1 for e in self.coeffs)
 
     def _terms(self, star):
         parts = []
@@ -194,7 +208,8 @@ class Mat2:
         )
 
     def __pow__(self, n):
-        assert n >= 0
+        if n < 0:
+            raise ValueError("negative power %d of a Mat2" % n)
         out = Mat2.identity()
         for _ in range(n):
             out = out * self
@@ -253,12 +268,48 @@ def mu_q(w):
     return out
 
 
-def _q_product_vector(a):
-    """R_q^{a_0} L_q^{a_1} ... L_q^{a_{2l-1}} applied to (1, 0)^T."""
-    m = Mat2.identity()
-    for i, x in enumerate(a):
-        m = m * (R_q() if i % 2 == 0 else L_q()) ** x
-    return m.apply((ONE, ZERO))
+def mat2_product_vector(a, v):
+    """R_q^{a_0} L_q^{a_1} R_q^{a_2} ... applied to the pair v of Poly, one
+    Mat2 factor at a time from the right: the oracle that q_rational,
+    theorem_pair and q_markoff are checked against."""
+    for i in range(len(a) - 1, -1, -1):
+        m = R_q() if i % 2 == 0 else L_q()
+        for _ in range(a[i]):
+            v = m.apply(v)
+    return v
+
+
+def _times_q_integer(p, n):
+    """The dense list p times [n]_q = 1 + q + ... + q^(n-1), n >= 1: entry k
+    is the sum of p over the window (k - n, k], a difference of prefix sums."""
+    prefix = list(accumulate(p + [0] * (n - 1), initial=0))
+    return prefix[1:n] + list(map(sub, prefix[n:], prefix))
+
+
+def _plus(p, r):
+    """Sum of two dense lists."""
+    if len(p) < len(r):
+        p, r = r, p
+    return list(map(add, p, r)) + p[len(r):]
+
+
+def _q_product_vector(a, v):
+    """R_q^{a_0} L_q^{a_1} R_q^{a_2} ... applied to the column v, a pair of
+    dense coefficient lists, as a pair of Poly.
+
+    The powers act right to left by their closed forms:
+    R_q^n (x, y) = (q^n x + [n]_q y, y) and L_q^n (x, y) = (q^n x, q [n]_q x + y),
+    so each partial quotient costs a shift and one window sum."""
+    x, y = v
+    for i in range(len(a) - 1, -1, -1):
+        n = a[i]
+        if not n:
+            continue
+        if i % 2 == 0:
+            x = _plus([0] * n + x, _times_q_integer(y, n))
+        else:
+            x, y = [0] * n + x, _plus([0] + _times_q_integer(x, n), y)
+    return Poly.from_dense(x), Poly.from_dense(y)
 
 
 class QRational:
@@ -309,26 +360,12 @@ class QRational:
 def q_rational(x):
     """The q-analog of a positive rational, as the exact pair (R, S).
 
-    Both displays of the defining product are computed and must agree:
-    q^-1 times the full product on (1,0)^T, and the product with the last
-    exponent lowered by one on (1,1)^T.
+    The defining product q^-1 R_q^{a_0} ... L_q^{a_{2l-1}} (1,0)^T equals
+    the product with the last exponent lowered by one on (1,1)^T, since
+    L_q (1,0)^T = q (1,1)^T; the second display needs no division.
     """
     a = _cf.cf_even(x)
-    v1, v2 = _q_product_vector(a)
-    assert v1.is_divisible_by_q() and v2.is_divisible_by_q()
-    num, den = v1.shift(-1), v2.shift(-1)
-    alt = Mat2.identity()
-    for i, e in enumerate(a):
-        if i == len(a) - 1:
-            e -= 1
-        alt = alt * (R_q() if i % 2 == 0 else L_q()) ** e
-    assert alt.apply((ONE, ONE)) == (num, den)
-    assert den.eval_at_zero() == 1
-    assert (num.eval_at_one(), den.eval_at_one()) == (
-        Fraction(x).numerator,
-        Fraction(x).denominator,
-    )
-    return QRational(num, den)
+    return QRational(*_q_product_vector(a[:-1] + (a[-1] - 1,), ([1], [1])))
 
 
 def theorem_pair(a):
@@ -337,7 +374,7 @@ def theorem_pair(a):
     a = _cf.check_cf(a)
     if len(a) % 2:
         raise ValueError("even-length form required")
-    v1, v2 = _q_product_vector(a)
+    v1, v2 = _q_product_vector(a, ([1], []))
     return v1, v2.shift(-1)
 
 

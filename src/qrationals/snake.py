@@ -162,15 +162,20 @@ class Snake:
 
     def _ray_masks(self):
         """For each cell, the vertical snake edges a leftward ray from the
-        cell's center crosses: edges {(x,cy),(x,cy+1)} with x <= cx."""
-        masks = []
-        for cx, cy in self.cells:
+        cell's center crosses: edges {(x,cy),(x,cy+1)} with x <= cx.  The
+        vertical edges are bucketed by row and each row is swept left to
+        right with a running OR; a cell's own left edge keys its mask."""
+        rows = {}
+        for i, ((x1, y1), (x2, _)) in enumerate(self.edges):
+            if x1 == x2:
+                rows.setdefault(y1, []).append((x1, i))
+        swept = {}
+        for y, row in rows.items():
             m = 0
-            for i, ((x1, y1), (x2, y2)) in enumerate(self.edges):
-                if x1 == x2 and min(y1, y2) == cy and x1 <= cx:
-                    m |= 1 << i
-            masks.append(m)
-        return masks
+            for x, i in sorted(row):
+                m |= 1 << i
+                swept[x, y] = m
+        return [swept[cell] for cell in self.cells]
 
     def classify(self, mask):
         """'perp' or 'par' by the first-edge orientation against |w| parity:

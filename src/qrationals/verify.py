@@ -18,7 +18,7 @@ from . import polytope as _poly
 from . import qpoly as _qp
 from . import snake as _snake
 from . import words as _words
-from .markoff import markoff_numbers_upto, markoff_of, mu, verify_area_theorem
+from .markoff import markoff_numbers_upto, markoff_of, mu, q_markoff, verify_area_theorem
 
 __all__ = ["CHECKS", "run_checks", "BOUNDS"]
 
@@ -122,12 +122,23 @@ def _rationals(bound):
     return list(_cf.rationals_with_sum_upto(bound))
 
 
+def _matrix_q_rational(a):
+    """q^-1 R_q^{a_0} ... L_q^{a_{2l-1}} (1,0)^T by the Mat2 product."""
+    v1, v2 = _qp.mat2_product_vector(a, (_qp.ONE, _qp.ZERO))
+    return _qp.QRational(v1.shift(-1), v2.shift(-1))
+
+
 def check_qrational_goldens(level="desk"):
-    """Frozen q-deformations of 7/2, 2/7 and 4/5, byte for byte."""
+    """Frozen q-deformations of 7/2, 2/7 and 4/5, byte for byte, and the
+    same pairs from the Mat2 product."""
     for x, expected in QRAT_GOLDENS:
-        got = _qp.q_rational(x).fraction_str()
+        qx = _qp.q_rational(x)
+        got = qx.fraction_str()
         if got != expected:
             _fail("q-analog of %s printed %r, expected %r" % (x, got, expected))
+        oracle = _matrix_q_rational(_cf.cf_even(x))
+        if oracle != qx:
+            _fail("q-analog of %s is %s, the Mat2 product gives %s" % (x, qx, oracle))
     pair = _qp.theorem_pair(_cf.cf_even(Fraction(4, 5)))
     shown = tuple(str(p) for p in pair)
     if shown != ("q^5+q^4+q^3+q^2", "q^4+q^3+q^2+q+1"):
@@ -300,8 +311,8 @@ def _proper_christoffel_words(max_length):
 
 
 def check_markoff(level="desk"):
-    """Markoff number list, the mu goldens, and the area theorem over
-    all proper Christoffel words."""
+    """Markoff number list, the mu goldens, and q_markoff against mu_q and
+    the area theorem over all proper Christoffel words."""
     b = BOUNDS[level]
     got = markoff_numbers_upto(5000)
     if got != MARKOFF_UPTO_5000:
@@ -314,6 +325,8 @@ def check_markoff(level="desk"):
     if total != 433:
         _fail("snake of 001100001100 has %d matchings, expected 433" % total)
     for w in _proper_christoffel_words(b["christoffel_len"]):
+        if q_markoff(w) != _qp.mu_q(w).b:
+            _fail("q_markoff(%s) is %s, mu_q gives %s" % (w, q_markoff(w), _qp.mu_q(w).b))
         if not verify_area_theorem(w[1:-1]):
             _fail("area theorem fails for the Christoffel word %s" % w)
 
@@ -364,8 +377,9 @@ def _is_unimodal(seq):
 
 
 def check_properties(level="desk"):
-    """Involution laws, conjugacy, codec round trips, mirror symmetry,
-    unimodality, and the shift identity."""
+    """Involution laws, conjugacy, codec round trips, the q-analog against
+    both Mat2 displays, mirror symmetry, unimodality, and the shift
+    identity."""
     b = BOUNDS[level]
     for w in _words.all_words(b["word_len"]):
         if _words.theta(_words.theta(w)) != w:
@@ -390,6 +404,16 @@ def check_properties(level="desk"):
             _fail("codec round trip fails on %s" % x)
         if _cf.word_of(_cf.cf_even(1 / x)) != _words.complement(w):
             _fail("reciprocal/complement law fails on %s" % x)
+        qx = _qp.q_rational(x)
+        lowered = _qp.mat2_product_vector(a[:-1] + (a[-1] - 1,), (_qp.ONE, _qp.ONE))
+        for display, oracle in (
+            ("q^-1 times the product on (1,0)", _matrix_q_rational(a)),
+            ("the lowered product on (1,1)", _qp.QRational(*lowered)),
+        ):
+            if oracle != qx:
+                _fail("q-analog of %s is %s, %s gives %s" % (x, qx, display, oracle))
+        if qx.at_one() != x or qx.den.eval_at_zero() != 1:
+            _fail("q-analog %s of %s has the wrong value at q = 1 or S(0) != 1" % (qx, x))
         coeffs = _qp.theorem_pair(a)
         total = coeffs[0] + coeffs[1]
         seq = [total.coeffs.get(e, 0) for e in range(total.degree() + 1)]

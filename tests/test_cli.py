@@ -221,3 +221,14 @@ def test_corrupted_build_names_the_failing_check(monkeypatch):
     assert rows[0][0] == "q-rational goldens"
     assert rows[0][1] is False
     assert rows[0][2]
+
+
+def test_corrupted_kernel_names_the_failing_check(monkeypatch):
+    # a dense kernel that multiplies by 1 in place of [n]_q
+    monkeypatch.setattr(qpoly, "_times_q_integer", lambda p, n: list(p))
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:1])
+    passed, rows = verify.run_checks("desk")
+    assert passed is False
+    assert rows[0][0] == "q-rational goldens"
+    assert rows[0][1] is False
+    assert rows[0][2]

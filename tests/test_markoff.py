@@ -1,4 +1,6 @@
-from hypothesis import given, strategies as st
+from math import gcd
+
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from qrationals.markoff import (
@@ -76,6 +78,15 @@ def test_q_markoff_goldens():
 @given(words)
 def test_mu_q_is_nu_q_after_the_morphism(w):
     assert mu_q(w) == nu_q(gamma_prime(w))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_q_markoff_is_the_mu_q_entry(nk):
+    n, k = nk
+    assume(gcd(k, n - k) == 1)
+    w = christoffel(k, n - k)
+    assert q_markoff(w) == mu_q(w).b
 
 
 @given(st.text(alphabet="01", min_size=1, max_size=8))

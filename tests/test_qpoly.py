@@ -1,16 +1,19 @@
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 import pytest
 
-from qrationals.cf import cf_even
+from qrationals.cf import cf_even, cf_value
 from qrationals.qpoly import (
     ONE,
+    L_q,
     Mat2,
     Poly,
     Q,
+    R_q,
     ZERO,
     conjugation_check,
+    mat2_product_vector,
     nu_q,
     q_rational,
     q_shift_identity_check,
@@ -26,6 +29,19 @@ polys = st.builds(
     Poly,
     st.dictionaries(st.integers(-3, 6), st.integers(-9, 9), max_size=5),
 )
+
+
+def _even_expansions(quotients, max_size):
+    """Even-length expansions [a_0; a_1, ...] with a_0 >= 0 and later a_i
+    drawn from `quotients`."""
+    return st.tuples(
+        st.integers(0, 3),
+        st.lists(quotients, min_size=1, max_size=max_size).filter(lambda t: len(t) % 2),
+    ).map(lambda pair: (pair[0],) + tuple(pair[1]))
+
+
+long_expansions = _even_expansions(st.integers(1, 4), 39)
+tall_expansions = _even_expansions(st.integers(1, 300), 3)
 
 
 def test_poly_str_formats():
@@ -71,6 +87,40 @@ def test_mat2_power_and_transpose():
     assert m ** 0 == Mat2.identity()
     assert m ** 3 == m * m * m
     assert m.transpose().transpose() == m
+    with pytest.raises(ValueError, match="negative"):
+        m ** -1
+
+
+@given(st.lists(st.integers(0, 5), max_size=6))
+def test_mat2_product_vector_is_the_matrix_product(a):
+    m = Mat2.identity()
+    for i, e in enumerate(a):
+        m = m * (R_q() if i % 2 == 0 else L_q()) ** e
+    v = (Poly({0: 1, 2: 3}), Q)
+    assert mat2_product_vector(a, v) == m.apply(v)
+
+
+@settings(deadline=None)
+@given(st.one_of(long_expansions, tall_expansions))
+def test_q_rational_and_theorem_pair_equal_the_mat2_product(a):
+    v1, v2 = mat2_product_vector(a, (ONE, ZERO))
+    qx = q_rational(cf_value(a))
+    assert (qx.num, qx.den) == (v1.shift(-1), v2.shift(-1))
+    assert theorem_pair(a) == (v1, v2.shift(-1))
+
+
+def test_ten_thousand_sevenths_at_q_equals_two():
+    # a_0 = 1428: the integer product of the q = 2 matrices, over q = 2
+    x = Fraction(10**4, 7)
+    qx = q_rational(x)
+    a = cf_even(x)
+    v = (1, 0)
+    for i in range(len(a) - 1, -1, -1):
+        for _ in range(a[i]):
+            v = (2 * v[0] + v[1], v[1]) if i % 2 == 0 else (2 * v[0], 2 * v[0] + v[1])
+    at_two = [sum(c * 2**e for e, c in p.coeffs.items()) for p in (qx.num, qx.den)]
+    assert at_two == [v[0] // 2, v[1] // 2]
+    assert qx.at_one() == x
 
 
 @pytest.mark.parametrize(

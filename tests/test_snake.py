@@ -37,6 +37,15 @@ def _edge_sets(g):
     }
 
 
+@given(st.text(alphabet="01", max_size=12))
+def test_ray_masks_are_the_vertical_edges_left_of_each_cell(w):
+    g = Snake(w)
+    assert g.ray_masks == [
+        sum(1 << i for i, ((x1, y1), (x2, _)) in enumerate(g.edges) if x1 == x2 and y1 == cy and x1 <= cx)
+        for cx, cy in g.cells
+    ]
+
+
 def test_cells_follow_the_staircase():
     g = Snake("0100100")
     assert g.cells == [
