@@ -16,17 +16,24 @@ from fractions import Fraction
 
 from . import verify as _verify
 from .cf import cf_even, cf_parse, cw_level, sb_level
-from .fence import enumerate_ideals, fence_of_rational, fence_to_dot, fence_to_svg
-from .markoff import markoff_numbers_upto, markoff_row
-from .numeration import enumerate_admissible, partition, rep, val
+from .fence import (
+    enumerate_ideals,
+    fence_of_rational,
+    fence_to_dot,
+    fence_to_svg,
+    ideal_statistics,
+)
+from .markoff import markoff_numbers_upto, markoff_of, markoff_row
+from .numeration import enumerate_admissible, norm1_statistics, rep, val
 from .qpoly import q_rational, q_shift_identity_check
 from .snake import (
     enumerate_matchings,
+    matching_counts,
     matching_edges,
-    matching_statistics,
     prefix_suffix_table,
     snake_of_rational,
     snake_to_svg,
+    snake_word,
 )
 
 __all__ = ["main"]
@@ -107,15 +114,21 @@ def _cmd_val(args):
     return 0
 
 
+def _emit_count(args, labels, counts):
+    """One count line, or JSON object, per half and their total."""
+    (first, second), (m, n) = labels, counts
+    if args.format == "json":
+        _emit(args, {first: m, second: n, "total": m + n})
+    else:
+        print("%s=%d %s=%d total=%d" % (first, m, second, n, m + n))
+    return 0
+
+
 def _enum_admissible(args, x):
     a = cf_even(x)
     if args.count:
-        f, e = (len(side) for side in partition(a))
-        if args.format == "json":
-            _emit(args, {"filled": f, "empty": e, "total": f + e})
-        else:
-            print("filled=%d empty=%d total=%d" % (f, e, f + e))
-        return 0
+        counts = (p.eval_at_one() for p in norm1_statistics(a))
+        return _emit_count(args, ("filled", "empty"), counts)
     rows = sorted((val(b, a), b) for b in enumerate_admissible(a))
     if args.format == "json":
         _emit(args, {"cf": list(a), "rows": [[n, list(b)] for n, b in rows]})
@@ -127,16 +140,10 @@ def _enum_admissible(args, x):
 
 def _enum_ideals(args, x):
     fence = fence_of_rational(x)
-    masks = enumerate_ideals(fence)
     if args.count:
-        filled = sum(1 for m in masks if m & 1)
-        empty = len(masks) - filled
-        if args.format == "json":
-            _emit(args, {"filled": filled, "empty": empty, "total": len(masks)})
-        else:
-            print("filled=%d empty=%d total=%d" % (filled, empty, len(masks)))
-        return 0
-    elements = [[i for i in range(fence.size) if m >> i & 1] for m in masks]
+        counts = (p.eval_at_one() for p in ideal_statistics(fence))
+        return _emit_count(args, ("filled", "empty"), counts)
+    elements = [[i for i in range(fence.size) if m >> i & 1] for m in enumerate_ideals(fence)]
     if args.format == "json":
         _emit(args, {"x": _frac_str(x), "ideals": elements})
         return 0
@@ -146,14 +153,9 @@ def _enum_ideals(args, x):
 
 
 def _enum_matchings(args, x):
-    g = snake_of_rational(x)
     if args.count:
-        perp, par = (p.eval_at_one() for p in matching_statistics(g))
-        if args.format == "json":
-            _emit(args, {"perp": perp, "par": par, "total": perp + par})
-        else:
-            print("perp=%d par=%d total=%d" % (perp, par, perp + par))
-        return 0
+        return _emit_count(args, ("perp", "par"), matching_counts(snake_word(x)))
+    g = snake_of_rational(x)
     rows = [
         {
             "class": g.classify(m),
@@ -231,29 +233,30 @@ def _cmd_markoff(args):
         else:
             print(",".join(str(m) for m in numbers))
         return 0
-    row = markoff_row(args.word)
-    if args.table:
+    if not args.table:
+        number = markoff_of(args.word)
         if args.format == "json":
-            payload = dict(row)
-            payload["q_polynomial"] = row["q_polynomial"].to_json()
-            _emit(args, payload)
-            return 0
-        print("word\tnumber\tq_polynomial\tsnake_word\tmatching_count")
-        print(
-            "%s\t%d\t%s\t%s\t%s"
-            % (
-                row["word"],
-                row["number"],
-                row["q_polynomial"].compact(),
-                row["snake_word"] if row["snake_word"] is not None else "-",
-                row["matching_count"] if row["matching_count"] is not None else "-",
-            )
-        )
+            _emit(args, {"word": args.word, "number": number})
+        else:
+            print(number)
         return 0
+    row = markoff_row(args.word)
     if args.format == "json":
-        _emit(args, {"word": row["word"], "number": row["number"]})
+        payload = dict(row)
+        payload["q_polynomial"] = row["q_polynomial"].to_json()
+        _emit(args, payload)
         return 0
-    print(row["number"])
+    print("word\tnumber\tq_polynomial\tsnake_word\tmatching_count")
+    print(
+        "%s\t%d\t%s\t%s\t%s"
+        % (
+            row["word"],
+            row["number"],
+            row["q_polynomial"].compact(),
+            row["snake_word"] if row["snake_word"] is not None else "-",
+            row["matching_count"] if row["matching_count"] is not None else "-",
+        )
+    )
     return 0
 
 

@@ -9,10 +9,8 @@ starts with a down step exactly when x < 1.
 Ideals are stored as bitmasks over the elements; bit i is element y_i.
 """
 
-from collections import Counter
-
 from .cf import cf_even, word_of
-from .qpoly import Poly
+from .qpoly import Poly, _plus
 from .words import check_word
 
 __all__ = [
@@ -129,13 +127,26 @@ def ideals_by_subset_filter(fence):
 def ideal_statistics(fence):
     """(sum over ideals containing y_0, sum over the rest) of q^|I|.
 
+    One scan along the path, first element to last, keeps a dense size
+    polynomial per state (y_0 in the ideal, previous element in the
+    ideal), since only the previous element constrains the next one; no
+    ideal is listed.
+
     >>> tuple(str(p) for p in ideal_statistics(Fence("")))
     ('q', '1')
+    >>> tuple(str(p) for p in ideal_statistics(Fence("0111")))
+    ('q^5+q^4+q^3+q^2', 'q^4+q^3+q^2+q+1')
     """
-    ideals = enumerate_ideals(fence)
-    return tuple(
-        Poly(Counter(bin(m).count("1") for m in ideals if (m & 1) == first)) for first in (1, 0)
-    )
+    pair = []
+    for first in (1, 0):
+        inside, outside = ([0, 1], []) if first else ([], [1])
+        for letter in fence.word:
+            if letter == "1":  # y_i covers y_{i-1}: y_i joins only after it
+                inside, outside = [0] + inside, _plus(inside, outside)
+            else:  # y_{i-1} covers y_i: y_{i-1} in the ideal forces y_i in
+                inside, outside = [0] + _plus(inside, outside), outside
+        pair.append(Poly.from_dense(_plus(inside, outside)))
+    return tuple(pair)
 
 
 def rank_polynomials(x):

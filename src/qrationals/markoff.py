@@ -11,7 +11,7 @@ polynomial of a snake graph.
 
 from .cf import _mat_mul
 from .qpoly import Poly, _q_product_vector
-from .snake import Snake, area_histogram
+from .snake import Snake, area_histogram, matching_counts
 from .words import check_word, gamma, is_christoffel
 
 __all__ = [
@@ -101,7 +101,8 @@ def q_markoff(w, check=True):
 
 def verify_area_theorem(m):
     """Check that the q-Markoff polynomial of 0m1 equals the area
-    generating polynomial over all matchings of the snake of 0 gamma(m) 0.
+    generating polynomial over all matchings of the snake of 0 gamma(m) 0,
+    the histogram of the transfer scan.
 
     >>> verify_area_theorem("101")
     True
@@ -118,7 +119,7 @@ def verify_area_theorem(m):
 
 def markoff_row(w, check=True):
     """Table row: word, Markoff number, q-polynomial, and for proper
-    words the snake word with its matching count."""
+    words the snake word with its matching count, from the transfer scan."""
     row = {
         "word": w,
         "number": markoff_of(w, check),
@@ -129,5 +130,5 @@ def markoff_row(w, check=True):
     if len(w) >= 2:
         snake_word = "0" + gamma(w[1:-1]) + "0"
         row["snake_word"] = snake_word
-        row["matching_count"] = sum(area_histogram(Snake(snake_word)).values())
+        row["matching_count"] = sum(matching_counts(snake_word))
     return row

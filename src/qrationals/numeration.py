@@ -12,10 +12,8 @@ val(b) = sum (-1)^i b_i r_i hits every integer of an interval of width
 r_k exactly once.  Digits are stored least-significant (b_0) first.
 """
 
-from collections import Counter
-
 from . import cf as _cf
-from .qpoly import Poly
+from .qpoly import Poly, _plus, _times_q_integer
 
 __all__ = [
     "is_admissible",
@@ -180,25 +178,53 @@ def rep(n, a):
         else:
             digits[i] = (m - (r[i] - ri)) // ri
             m -= digits[i] * ri
-    assert m == 0
-    b = tuple(digits)
-    assert is_admissible(b, a) and val(b, a) == n
-    return b
+    if m:
+        raise ValueError("%d has no admissible digits for %s" % (n, a))
+    return tuple(digits)
 
 
 def norm1_statistics(a):
     """(sum over filled, sum over empty) of q^(b_0 + ... + b_{k-1}).
 
-    Computed purely by enumeration; for even-length expansions this pair
-    must match the matrix product diag(1,q)^-1 R_q^{a_0}...L_q^{a_{k-1}}
-    applied to (1,0)^T.
+    One scan over the digits, b_0 first, keeps a dense norm polynomial
+    per state (filled, b_{i-1} = a_{i-1}, b_{i-1} = 0): both admissibility
+    rules look back one digit, and b_0 settles the side, or b_1 when
+    a_0 = 0.  The digits strictly between 0 and a_i share one move,
+    q [a_i - 1]_q.  No vector is listed.  For even-length expansions the
+    pair is the matrix product diag(1,q)^-1 R_q^{a_0}...L_q^{a_{k-1}}
+    applied to (1,0)^T; verify holds both against `partition`.
 
     >>> tuple(str(p) for p in norm1_statistics((0, 1, 3, 1)))
     ('q^5+q^4+q^3+q^2', 'q^4+q^3+q^2+q+1')
     >>> tuple(str(p) for p in norm1_statistics((1, 1)))
     ('q^2+q', '1')
     """
-    return tuple(Poly(Counter(map(sum, side))) for side in partition(a))
+    a = _cf.check_cf(a)
+    settle = 0 if a[0] else 1
+    states = {(False, True, True): [1]}  # nothing constrains b_0
+    for i, n in enumerate(a):
+        nxt = {}
+        for (filled, top, zero), p in states.items():
+            # b_i = a_i (i odd) or b_i = 0 (i even) needs the previous digit's flag
+            looked_back, allowed = (n, top) if i % 2 else (0, zero)
+            moves = [(0, p)]  # (digit, polynomial with it appended)
+            if n:
+                moves.append((n, [0] * n + p))
+            if n > 1:  # 1 stands for every digit strictly between 0 and n
+                moves.append((1, [0] + _times_q_integer(p, n - 1)))
+            for b, poly in moves:
+                if b == looked_back and not allowed:
+                    continue
+                side = filled
+                if i == settle:
+                    side = b == n if i else b > 0
+                key = (side, b == n, b == 0)
+                nxt[key] = _plus(nxt[key], poly) if key in nxt else poly
+        states = nxt
+    pair = [[], []]
+    for (filled, _, _), poly in states.items():
+        pair[not filled] = _plus(pair[not filled], poly)
+    return tuple(Poly.from_dense(p) for p in pair)
 
 
 def numeration_rows(a):

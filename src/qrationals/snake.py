@@ -11,21 +11,26 @@ matching m counts the cells enclosed by the symmetric difference with
 the basic matching, and the map to the rational world goes through
 theta: the snake of x is G(theta(W(x))).
 
-Every matching statistic comes from one scan over the cells, first to
-last.  A cell meets its neighbours only through the side it shares with
-each, so its moves depend on the letter pair around it alone; the nine
-tables of moves, one per (previous letter, letter) with None at an end,
-are built once, on first use, in local corner coordinates.  The scan
-streams (mask, area) pairs, so counting never holds the list of
-matchings.
+Matchings are built one cell at a time, first to last.  A cell meets
+its neighbours only through the side it shares with each, so its moves
+depend on the letter pair around it alone; the nine tables of moves, one
+per (previous letter, letter) with None at an end, are built once, on
+first use, in local corner coordinates.  Two scans walk these tables:
+
+* the transfer scan (`_transfer`) keeps one dense area polynomial per
+  boundary state (bottom-edge bit of the first cell, coverage of the side
+  shared with the next cell, ray-crossing parity in the current row), so
+  the statistics and the counts cost time polynomial in the word length;
+* the listing scan (`_scan`) yields every matching with its area; it
+  serves `enumerate_matchings` and the oracle path in `verify` and the
+  tests, where the output itself is exponential.
 """
 
-from collections import Counter
 from functools import cache
 from itertools import product
 
 from .cf import cf_even, word_of
-from .qpoly import Poly
+from .qpoly import Poly, _plus
 from .words import check_word, theta
 
 __all__ = [
@@ -37,6 +42,7 @@ __all__ = [
     "area_histogram",
     "area_statistics",
     "matching_statistics",
+    "matching_counts",
     "phi",
     "phi_by_pop",
     "prefix_suffix_table",
@@ -117,13 +123,10 @@ class Snake:
                     self.edges.append(e)
                 idxs.append(self.edge_index[e])
             self.squares.append(tuple(idxs))
-        n = len(word)
-        assert len(self.edges) == 3 * n + 4
         self.vertex_edges = {}
         for i, e in enumerate(self.edges):
             for v in e:
                 self.vertex_edges.setdefault(v, []).append(i)
-        assert len(self.vertex_edges) == 2 * n + 4
         self.basic_mask = self._basic_mask()
         self.ray_masks = self._ray_masks()
 
@@ -142,7 +145,6 @@ class Snake:
             if cnt == 1:
                 for v in self.edges[i]:
                     adj.setdefault(v, []).append(i)
-        assert all(len(es) == 2 for es in adj.values())
         cx, cy = self.cells[-1]
         start = self.edge_index[((cx + 1, cy), (cx + 1, cy + 1))]
         seq = [start]
@@ -157,7 +159,6 @@ class Snake:
             p, r = self.edges[nxt]
             cur = r if p == cur else p
             prev = nxt
-        assert len(seq) == 2 * len(self.word) + 4
         return sum(1 << e for e in seq[0::2])
 
     def _ray_masks(self):
@@ -230,7 +231,9 @@ def _scan(g):
     two vertices shared with the next cell.  A cell's enclosure parity is
     final as soon as the scan passes the cell, since its ray mask only
     involves edges of itself and earlier cells, so the area is summed on
-    the way down."""
+    the way down.  It visits every matching, so only the listing
+    (`enumerate_matchings`) and the oracle path use it; the statistics
+    and counts come from `_transfer`."""
     tables = g._transition_tables()
     basic = g.basic_mask
     rays = g.ray_masks
@@ -285,23 +288,78 @@ def matchings_by_backtracking(g):
     return out
 
 
+def _transfer(word, left_basic=None):
+    """(perpendicular, parallel) area polynomials of G(word) as dense
+    lists, by one scan over the cells, first to last, that keeps one list
+    per state: the bottom-edge bit of the first cell, which with the
+    parity of |word| sets perp/par; the coverage of the corners shared
+    with the next cell; and the ray-crossing parity in the current row.
+
+    A row of the snake is one run of cells, and a cell's ray crosses the
+    left sides of the cells of its run up to itself, so a cell is
+    enclosed iff the parity of the row so far differs from its own left
+    side (matching against basic); the parity restarts after every 1.
+    The carried parity already holds the left side of the next cell when
+    that side is the current cell's right side.  left_basic[i] is the
+    basic matching's bit on the left side of cell i; without it no area
+    is counted, and the two lists hold the matching counts alone."""
+    letters = (None,) + tuple(word) + (None,)
+    states = {(0, (), 0): [1]}
+    for i in range(len(word) + 1):
+        prev, letter = letters[i], letters[i + 1]
+        table = _cell_table(prev, letter)
+        nxt = {}
+        for (first, cov, par), poly in states.items():
+            for sides, out in table[cov]:
+                enclosed = next_par = 0
+                if left_basic is not None:
+                    enclosed = par if prev == "0" else (3 in sides) ^ left_basic[i]
+                    if letter == "0":
+                        next_par = enclosed ^ (1 in sides) ^ left_basic[i + 1]
+                key = (int(0 in sides) if i == 0 else first, out, next_par)
+                p = [0] + poly if enclosed else poly
+                nxt[key] = _plus(nxt[key], p) if key in nxt else p
+        states = nxt
+    pair = [[], []]
+    horizontal_is_perp = len(word) % 2 == 0
+    for (first, _, _), poly in states.items():
+        side = int(first != horizontal_is_perp)
+        pair[side] = _plus(pair[side], poly)
+    return pair
+
+
 def area_histogram(g):
-    """{area: matching count} over all matchings, tallied as the scan
-    streams them."""
-    return dict(Counter(area for _, area in _scan(g)))
+    """{area: matching count} over all matchings, from the transfer scan.
+
+    >>> sorted(area_histogram(Snake("0100")).items())
+    [(0, 1), (1, 1), (2, 2), (3, 2), (4, 2), (5, 1)]
+    """
+    perp, par = matching_statistics(g)
+    return (perp + par).coeffs
 
 
 def matching_statistics(g):
-    """(sum over perpendicular, sum over parallel) of q^area, tallied as
-    the scan streams the matchings.
+    """(sum over perpendicular, sum over parallel) of q^area, from the
+    transfer scan; no matching is listed.
 
     >>> tuple(str(p) for p in matching_statistics(Snake("0100")))
     ('q^5+q^4', 'q^4+2*q^3+2*q^2+q+1')
     """
-    areas = {"perp": Counter(), "par": Counter()}
-    for mask, area in _scan(g):
-        areas[g.classify(mask)][area] += 1
-    return Poly(areas["perp"]), Poly(areas["par"])
+    left_basic = [g.basic_mask >> square[3] & 1 for square in g.squares]
+    return tuple(Poly.from_dense(p) for p in _transfer(g.word, left_basic))
+
+
+def matching_counts(w):
+    """(perpendicular, parallel) matching counts of G(w): the transfer scan
+    at q = 1, on the cell tables alone, with no Snake built.
+
+    >>> matching_counts("0100")
+    (2, 7)
+    >>> matching_counts("")
+    (1, 1)
+    """
+    check_word(w)
+    return tuple(sum(p) for p in _transfer(w))
 
 
 def area_statistics(x):
@@ -377,14 +435,10 @@ def prefix_suffix_table(x):
     {'word': '', 'prefixes': [(1, 1)], 'suffixes': [(1, 1)]}
     """
     w = snake_word(x)
-
-    def counts(v):
-        return tuple(p.eval_at_one() for p in matching_statistics(Snake(v)))
-
     return {
         "word": w,
-        "prefixes": [counts(w[:j]) for j in range(len(w) + 1)],
-        "suffixes": [counts(w[len(w) - j:]) for j in range(len(w) + 1)],
+        "prefixes": [matching_counts(w[:j]) for j in range(len(w) + 1)],
+        "suffixes": [matching_counts(w[len(w) - j:]) for j in range(len(w) + 1)],
     }
 
 

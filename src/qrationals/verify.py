@@ -9,6 +9,7 @@ The `desk` level covers every documented bound; `deep` raises them a
 notch for longer runs.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from . import cf as _cf
@@ -257,23 +258,49 @@ def check_bijections(level="desk"):
         _check_order_preservation(x)
 
 
+def _tally(rows):
+    """(sum over the first half, sum over the rest) of q^size, from rows of
+    (in the first half?, size)."""
+    return tuple(
+        _qp.Poly(Counter(size for first, size in rows if first == half)) for half in (True, False)
+    )
+
+
+def _enumerated_statistics(x, a):
+    """The three statistics of x tallied object by object, from the
+    listings: the oracle the transfer scans are held against."""
+    ideals = _fence.enumerate_ideals(_fence.fence_of_rational(x))
+    g = _snake.snake_of_rational(x)
+    matchings = _snake.enumerate_matchings(g)
+    filled, empty = _num.partition(a)
+    vectors = [(True, sum(b)) for b in filled] + [(False, sum(b)) for b in empty]
+    return {
+        "admissible vectors": _tally(vectors),
+        "order ideals": _tally([(bool(m & 1), bin(m).count("1")) for m in ideals]),
+        "matchings": _tally([(g.classify(m) == "perp", g.area(m)) for m in matchings]),
+    }
+
+
 def check_three_statistics(level="desk"):
-    """Admissible-vector, ideal and matching statistics all equal the
+    """Admissible-vector, ideal and matching statistics, each by its
+    transfer scan and tallied over its listing, all equal the
     matrix-product pair."""
     b = BOUNDS[level]
     for x in _rationals(b["stats_sum"]):
         a = _cf.cf_even(x)
         reference = _qp.theorem_pair(a)
-        for name, pair in (
-            ("admissible vectors", _num.norm1_statistics(a)),
-            ("order ideals", _fence.rank_polynomials(x)),
-            ("matchings", _snake.area_statistics(x)),
-        ):
-            if pair != reference:
-                _fail(
-                    "%s statistics of %s disagree with the matrix pair: %s vs %s"
-                    % (name, x, tuple(map(str, pair)), tuple(map(str, reference)))
-                )
+        scanned = {
+            "admissible vectors": _num.norm1_statistics(a),
+            "order ideals": _fence.rank_polynomials(x),
+            "matchings": _snake.area_statistics(x),
+        }
+        for name, listed in _enumerated_statistics(x, a).items():
+            for path, pair in (("transfer scan", scanned[name]), ("enumeration", listed)):
+                if pair != reference:
+                    _fail(
+                        "%s statistics of %s by %s disagree with the matrix pair: %s vs %s"
+                        % (name, x, path, tuple(map(str, pair)), tuple(map(str, reference)))
+                    )
 
 
 def check_prefix_suffix(level="desk"):

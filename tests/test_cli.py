@@ -8,7 +8,9 @@ import pytest
 import qrationals
 from qrationals import cli, qpoly, verify
 from qrationals.cli import main
+from qrationals.markoff import markoff_of
 from qrationals.qpoly import Mat2, ONE, Q, ZERO
+from qrationals.words import christoffel
 
 
 def run(capsys, *argv):
@@ -150,6 +152,18 @@ def test_markoff_table(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("word\tnumber")
     assert lines[1] == "01\t5\tq^3+2q^2+q+1\t00\t5"
+
+
+def test_markoff_word_of_forty_letters_is_the_integer_product(capsys, monkeypatch):
+    def refuse(w):
+        raise AssertionError("the number alone needs no table row")
+
+    monkeypatch.setattr(cli, "markoff_row", refuse)
+    w = christoffel(13, 27)
+    assert len(w) == 40
+    code, out, _ = run(capsys, "markoff", "--word", w)
+    assert code == 0
+    assert out == "%d\n" % markoff_of(w)
 
 
 def test_markoff_upto_rejects_table(capsys):

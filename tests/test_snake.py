@@ -116,6 +116,15 @@ def test_basic_matching_of_0100100():
     assert phi(g, g.basic_mask) == 0
 
 
+@given(words)
+def test_basic_matching_covers_every_vertex_with_boundary_edges(w):
+    g = Snake(w)
+    edges = matching_edges(g, g.basic_mask)
+    assert sorted(v for e in edges for v in e) == sorted(g.vertex_edges)
+    sides = Counter(i for square in g.squares for i in square)
+    assert all(sides[g.edge_index[e]] == 1 for e in edges)
+
+
 def test_twisted_matching_of_0100100():
     g = Snake("0100100")
     by_edges = _edge_sets(g)

@@ -1,0 +1,144 @@
+"""The transfer scans behind the three statistics: equal to the listings
+they replace on short words, to the matrix pair on long ones, and never
+reaching an enumerator."""
+
+from collections import Counter
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+import pytest
+
+from qrationals import cli, fence, markoff, numeration, snake, verify
+from qrationals.cf import cf_even, cf_odd, cf_value, rational_of_word
+from qrationals.qpoly import theorem_pair
+from qrationals.verify import _tally
+
+short_words = st.text(alphabet="01", max_size=12)
+long_words = st.integers(200, 400).flatmap(
+    lambda n: st.text(alphabet="01", min_size=n, max_size=n)
+)
+tall_expansions = st.tuples(
+    st.integers(0, 300), st.lists(st.integers(1, 300), min_size=1, max_size=3)
+).map(lambda t: (t[0],) + tuple(t[1]) + ((1,) if len(t[1]) % 2 == 0 else ()))
+
+
+@given(short_words)
+@settings(max_examples=80)
+def test_ideal_scan_tallies_the_listed_ideals(w):
+    f = fence.Fence(w)
+    listed = _tally([(bool(m & 1), bin(m).count("1")) for m in fence.enumerate_ideals(f)])
+    assert fence.ideal_statistics(f) == listed
+
+
+@given(short_words)
+@settings(max_examples=80)
+def test_matching_scan_tallies_the_listed_matchings(w):
+    g = snake.Snake(w)
+    rows = [(g.classify(m) == "perp", g.area(m)) for m in snake.enumerate_matchings(g)]
+    pair = _tally(rows)
+    assert snake.matching_statistics(g) == pair
+    assert snake.area_histogram(g) == dict(Counter(area for _, area in rows))
+    assert snake.matching_counts(w) == tuple(p.eval_at_one() for p in pair)
+
+
+@given(short_words)
+@settings(max_examples=80)
+def test_digit_scan_tallies_the_listed_vectors(w):
+    x = rational_of_word(w)
+    for a in (cf_even(x), cf_odd(x)):
+        filled, empty = numeration.partition(a)
+        listed = _tally([(True, sum(b)) for b in filled] + [(False, sum(b)) for b in empty])
+        assert numeration.norm1_statistics(a) == listed
+
+
+def _check_scans_against_the_matrix_pair(a):
+    x = cf_value(a)
+    reference = theorem_pair(a)
+    assert fence.rank_polynomials(x) == reference
+    assert snake.area_statistics(x) == reference
+    assert numeration.norm1_statistics(a) == reference
+    assert snake.matching_counts(snake.snake_word(x)) == (x.numerator, x.denominator)
+
+
+@given(long_words)
+@settings(max_examples=8, deadline=None)
+def test_scans_equal_the_matrix_pair_on_long_words(w):
+    _check_scans_against_the_matrix_pair(cf_even(rational_of_word(w)))
+
+
+@given(tall_expansions)
+@settings(max_examples=8, deadline=None)
+def test_scans_equal_the_matrix_pair_on_tall_partial_quotients(a):
+    _check_scans_against_the_matrix_pair(a)
+
+
+@pytest.fixture
+def no_enumerator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an enumerator was called")
+
+    for module, name in (
+        (fence, "enumerate_ideals"),
+        (fence, "ideals_by_subset_filter"),
+        (snake, "_scan"),
+        (snake, "enumerate_matchings"),
+        (snake, "matchings_by_backtracking"),
+        (numeration, "enumerate_admissible"),
+        (numeration, "partition"),
+        (cli, "enumerate_ideals"),
+        (cli, "enumerate_admissible"),
+        (cli, "enumerate_matchings"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+
+
+def test_statistics_and_counts_list_nothing(no_enumerator):
+    x = Fraction(84, 37)
+    reference = theorem_pair(cf_even(x))
+    assert fence.rank_polynomials(x) == reference
+    assert snake.area_statistics(x) == reference
+    assert numeration.norm1_statistics(cf_even(x)) == reference
+    assert snake.prefix_suffix_table(x)["prefixes"][-1] == (84, 37)
+    assert markoff.markoff_row("00101")["matching_count"] == 194
+
+
+@pytest.mark.parametrize(
+    "family, expected",
+    (
+        ("admissible", "filled=84 empty=37 total=121\n"),
+        ("ideals", "filled=84 empty=37 total=121\n"),
+        ("matchings", "perp=84 par=37 total=121\n"),
+    ),
+)
+def test_count_paths_list_nothing(no_enumerator, capsys, family, expected):
+    assert cli.main(["enum", family, "84/37", "--count"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def _swapped(original):
+    def wrong(*args):
+        first, second = original(*args)
+        return second, first
+
+    return wrong
+
+
+def _one_short(original):
+    def wrong(*args):
+        return original(*args)[:-1]
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "module, name, plant, model, path",
+    (
+        (numeration, "norm1_statistics", _swapped, "admissible vectors", "transfer scan"),
+        (fence, "enumerate_ideals", _one_short, "order ideals", "enumeration"),
+        (snake, "enumerate_matchings", _one_short, "matchings", "enumeration"),
+    ),
+)
+def test_three_statistics_check_names_model_and_path(monkeypatch, module, name, plant, model, path):
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    with pytest.raises(AssertionError, match="%s statistics of 1 by %s" % (model, path)):
+        verify.check_three_statistics("desk")
