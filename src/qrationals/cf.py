@@ -13,7 +13,7 @@ which is a bijection from positive rationals onto all binary words.
 
 from fractions import Fraction
 
-from .words import check_word, complement, hat
+from .words import check_word
 
 __all__ = [
     "check_cf",
@@ -27,7 +27,6 @@ __all__ = [
     "tau",
     "convergents",
     "r_sequence",
-    "matrix_identity_check",
     "stern_brocot_children",
     "calkin_wilf_children",
     "sb_level",
@@ -164,7 +163,6 @@ def rational_of_word(w):
         quotients.append(1)
     else:
         quotients[-1] += 1
-    assert len(quotients) % 2 == 0
     return cf_value(quotients)
 
 
@@ -182,9 +180,7 @@ def tau(a):
     a = check_cf(a)
     if len(a) % 2:
         raise ValueError("tau needs the even-length form, got %s" % cf_str(a))
-    t = (a[-1] - 1,) + tuple(reversed(a[1:-1])) + (a[0] + 1,)
-    assert word_of(t) == hat(word_of(a))
-    return t
+    return (a[-1] - 1,) + tuple(reversed(a[1:-1])) + (a[0] + 1,)
 
 
 def convergents(a):
@@ -214,51 +210,8 @@ def r_sequence(a):
     >>> r_sequence((2, 2, 2))
     (1, 1, 3, 7, 17)
     """
-    a = check_cf(a)
-    r = [1, 1]
-    for x in a:
-        r.append(x * r[-1] + r[-2])
     p, q = convergents(a)
-    assert all(r[i + 2] == p[i + 1] + q[i + 1] for i in range(len(a)))
-    return tuple(r)
-
-
-_L = ((1, 0), (1, 1))
-_R = ((1, 1), (0, 1))
-
-
-def _mat_mul(m, n):
-    return (
-        (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
-        (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
-    )
-
-
-def matrix_identity_check(a):
-    """(r, s) from the product R^{a_0} L^{a_1} ... L^{a_{2l-1}} (1,0)^T.
-
-    Also checks the variant ending in L^{a_{2l-1}-1} (1,1)^T.
-
-    >>> matrix_identity_check((0, 1, 3, 1))
-    (4, 5)
-    """
-    a = check_cf(a)
-    if len(a) % 2:
-        raise ValueError("even-length form required")
-    m = ((1, 0), (0, 1))
-    for i, x in enumerate(a):
-        base = _R if i % 2 == 0 else _L
-        for _ in range(x):
-            m = _mat_mul(m, base)
-    r, s = m[0][0], m[1][0]
-    # second display of the same product: drop one L, apply to (1,1)
-    alt = ((1, 0), (0, 1))
-    for i, x in enumerate(a):
-        base = _R if i % 2 == 0 else _L
-        for _ in range(x - 1 if i == len(a) - 1 else x):
-            alt = _mat_mul(alt, base)
-    assert (alt[0][0] + alt[0][1], alt[1][0] + alt[1][1]) == (r, s)
-    return r, s
+    return (1,) + tuple(x + y for x, y in zip(p, q))
 
 
 def stern_brocot_children(x):

@@ -6,7 +6,8 @@ combinatorial families, SVG/dot rendering, the prefix/suffix table,
 Markoff utilities, rational trees, and the verification harness.
 
 Everything is deterministic; exit codes are 0 on success, 2 on a parse
-or usage error, 3 when a verification check fails.
+or usage error or an output over its size limit, 3 when a verification
+check fails.
 """
 
 import argparse
@@ -37,6 +38,12 @@ from .snake import (
 )
 
 __all__ = ["main"]
+
+# `enum` without --count lists r + s objects of up to len(word) + 2
+# elements each, and `tree --depth d` builds 2^d rationals; both grow
+# exponentially with the input, so larger requests exit 2 before any work.
+MAX_LISTED_ELEMENTS = 10**6
+MAX_TREE_DEPTH = 16
 
 
 def _parse_rational(text):
@@ -177,6 +184,13 @@ def _enum_matchings(args, x):
 
 def _cmd_enum(args):
     x = _parse_rational(args.rational)
+    objects, length = x.numerator + x.denominator, sum(cf_even(x)) + 1
+    if not args.count and objects * length > MAX_LISTED_ELEMENTS:
+        raise ValueError(
+            "enum %s %s would list %d objects of up to %d elements, over the "
+            "limit of %d elements; use --count"
+            % (args.family, _frac_str(x), objects, length, MAX_LISTED_ELEMENTS)
+        )
     handler = {
         "admissible": _enum_admissible,
         "ideals": _enum_ideals,
@@ -263,6 +277,11 @@ def _cmd_markoff(args):
 def _cmd_tree(args):
     if args.depth < 0:
         raise ValueError("depth must be nonnegative")
+    if args.depth > MAX_TREE_DEPTH:
+        raise ValueError(
+            "depth %d would build 2^%d rationals, over the limit of depth %d"
+            % (args.depth, args.depth, MAX_TREE_DEPTH)
+        )
     level = sb_level(args.depth) if args.kind == "sb" else cw_level(args.depth)
     if args.format == "json":
         _emit(args, {"kind": args.kind, "depth": args.depth, "level": [_frac_str(x) for x in level]})

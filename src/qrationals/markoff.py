@@ -9,7 +9,6 @@ mu_q(1) = R_q^2 L_q^2, so that the (1,2) entry becomes the area
 polynomial of a snake graph.
 """
 
-from .cf import _mat_mul
 from .qpoly import Poly, _q_product_vector
 from .snake import Snake, area_histogram, matching_counts
 from .words import check_word, gamma, is_christoffel
@@ -25,6 +24,13 @@ __all__ = [
 
 _M0 = ((2, 1), (1, 1))
 _M1 = ((5, 2), (2, 1))
+
+
+def _mat_mul(m, n):
+    return (
+        (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
+        (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
+    )
 
 
 def markoff_numbers_upto(bound):

@@ -137,9 +137,6 @@ class Poly:
     def degree(self):
         return max(self.coeffs) if self.coeffs else None
 
-    def low_degree(self):
-        return min(self.coeffs) if self.coeffs else None
-
     def _terms(self, star):
         parts = []
         for e in sorted(self.coeffs, reverse=True):

@@ -15,15 +15,24 @@ Matchings are built one cell at a time, first to last.  A cell meets
 its neighbours only through the side it shares with each, so its moves
 depend on the letter pair around it alone; the nine tables of moves, one
 per (previous letter, letter) with None at an end, are built once, on
-first use, in local corner coordinates.  Two scans walk these tables:
+first use, in local corner coordinates.
+
+Both rules of the area statistic read off the word.  The basic matching
+takes each cell's boundary sides (those shared with no other cell): the
+vertical ones when the cell is an even number of cells from the last
+cell, the horizontal ones when the distance is odd.  A row of the snake
+is one run of cells, so a leftward ray from a cell's centre crosses the
+left sides of its row up to its own: a cell is enclosed iff an odd
+number of those differ from the basic matching.  Two scans walk the
+tables:
 
 * the transfer scan (`_transfer`) keeps one dense area polynomial per
   boundary state (bottom-edge bit of the first cell, coverage of the side
-  shared with the next cell, ray-crossing parity in the current row), so
+  shared with the next cell, enclosure parity in the current row), so
   the statistics and the counts cost time polynomial in the word length;
-* the listing scan (`_scan`) yields every matching with its area; it
-  serves `enumerate_matchings` and the oracle path in `verify` and the
-  tests, where the output itself is exponential.
+* the listing scan (`_scan`) yields every matching; it serves
+  `enumerate_matchings` and the oracle path in `verify` and the tests,
+  where the output itself is exponential.
 """
 
 from functools import cache
@@ -69,6 +78,20 @@ _SIDE_CORNERS = ((0, 1), (1, 3), (2, 3), (0, 2))
 # left or bottom side.
 _EXIT_SIDE = {"0": 1, "1": 2}
 _ENTRY_SIDE = {"0": 3, "1": 0}
+
+
+def _letter_pairs(word):
+    """(previous letter, letter) around each cell, None at an end."""
+    return zip((None,) + tuple(word), tuple(word) + (None,))
+
+
+def _basic_sides(prev, letter, distance):
+    """Sides of the basic matching in a cell entered after `prev`, left by
+    `letter` and `distance` cells before the last cell: the cell's
+    boundary sides, the vertical ones at an even distance and the
+    horizontal ones at an odd one."""
+    shared = (_ENTRY_SIDE.get(prev), _EXIT_SIDE.get(letter))
+    return tuple(j for j in ((0, 2) if distance % 2 else (1, 3)) if j not in shared)
 
 
 @cache
@@ -127,56 +150,14 @@ class Snake:
         for i, e in enumerate(self.edges):
             for v in e:
                 self.vertex_edges.setdefault(v, []).append(i)
-        self.basic_mask = self._basic_mask()
-        self.ray_masks = self._ray_masks()
+        self.basic_mask = sum(
+            1 << square[j]
+            for i, (square, (prev, letter)) in enumerate(zip(self.squares, _letter_pairs(word)))
+            for j in _basic_sides(prev, letter, len(word) - i)
+        )
 
     def __repr__(self):
         return "Snake(%r)" % self.word
-
-    def _basic_mask(self):
-        """Alternating boundary edges, the class through the last cell's
-        right vertical edge."""
-        hits = [0] * len(self.edges)
-        for sq in self.squares:
-            for i in sq:
-                hits[i] += 1
-        adj = {}
-        for i, cnt in enumerate(hits):
-            if cnt == 1:
-                for v in self.edges[i]:
-                    adj.setdefault(v, []).append(i)
-        cx, cy = self.cells[-1]
-        start = self.edge_index[((cx + 1, cy), (cx + 1, cy + 1))]
-        seq = [start]
-        prev = start
-        cur = self.edges[start][1]
-        while True:
-            e1, e2 = adj[cur]
-            nxt = e2 if e1 == prev else e1
-            if nxt == start:
-                break
-            seq.append(nxt)
-            p, r = self.edges[nxt]
-            cur = r if p == cur else p
-            prev = nxt
-        return sum(1 << e for e in seq[0::2])
-
-    def _ray_masks(self):
-        """For each cell, the vertical snake edges a leftward ray from the
-        cell's center crosses: edges {(x,cy),(x,cy+1)} with x <= cx.  The
-        vertical edges are bucketed by row and each row is swept left to
-        right with a running OR; a cell's own left edge keys its mask."""
-        rows = {}
-        for i, ((x1, y1), (x2, _)) in enumerate(self.edges):
-            if x1 == x2:
-                rows.setdefault(y1, []).append((x1, i))
-        swept = {}
-        for y, row in rows.items():
-            m = 0
-            for x, i in sorted(row):
-                m |= 1 << i
-                swept[x, y] = m
-        return [swept[cell] for cell in self.cells]
 
     def classify(self, mask):
         """'perp' or 'par' by the first-edge orientation against |w| parity:
@@ -187,25 +168,21 @@ class Snake:
 
     def enclosed_cells(self, mask):
         """Cells inside the cycles of the symmetric difference with the
-        basic matching, by ray-crossing parity."""
+        basic matching: those with an odd number of left sides in their
+        row, up to their own, off the basic matching."""
         d = mask ^ self.basic_mask
-        return [j for j, rm in enumerate(self.ray_masks) if bin(d & rm).count("1") & 1]
+        out = []
+        par = 0
+        for j, square in enumerate(self.squares):
+            if j and self.word[j - 1] == "1":
+                par = 0
+            par ^= d >> square[3] & 1
+            if par:
+                out.append(j)
+        return out
 
     def area(self, mask):
         return len(self.enclosed_cells(mask))
-
-    def _transition_tables(self):
-        """Per cell: incoming coverage -> [(edge mask, outgoing coverage)],
-        the table of the cell's letter pair with its sides renamed to the
-        cell's edge indices."""
-        letters = (None,) + tuple(self.word) + (None,)
-        return [
-            {
-                state: [(sum(1 << square[j] for j in sides), out) for sides, out in moves]
-                for state, moves in _cell_table(letters[i], letters[i + 1]).items()
-            }
-            for i, square in enumerate(self.squares)
-        ]
 
 
 def snake_word(x):
@@ -226,28 +203,28 @@ def snake_of_rational(x):
 
 
 def _scan(g):
-    """Yield (mask, area) for every perfect matching, by a depth-first
+    """Yield every perfect matching as an edge mask, by a depth-first
     scan over the cells, first to last, carrying only the coverage of the
-    two vertices shared with the next cell.  A cell's enclosure parity is
-    final as soon as the scan passes the cell, since its ray mask only
-    involves edges of itself and earlier cells, so the area is summed on
-    the way down.  It visits every matching, so only the listing
-    (`enumerate_matchings`) and the oracle path use it; the statistics
-    and counts come from `_transfer`."""
-    tables = g._transition_tables()
-    basic = g.basic_mask
-    rays = g.ray_masks
+    two vertices shared with the next cell; each cell's table of moves
+    has its sides renamed to the cell's edge indices.  It visits every
+    matching, so only the listing (`enumerate_matchings`) and the oracle
+    path use it; the statistics and counts come from `_transfer`."""
+    tables = [
+        {
+            state: [(sum(1 << square[j] for j in sides), out) for sides, out in moves]
+            for state, moves in _cell_table(*pair).items()
+        }
+        for square, pair in zip(g.squares, _letter_pairs(g.word))
+    ]
     last = len(g.cells)
-    stack = [(0, (), 0, 0)]
+    stack = [(0, (), 0)]
     while stack:
-        i, state, mask, area = stack.pop()
+        i, state, mask = stack.pop()
         if i == last:
-            yield mask, area
+            yield mask
             continue
         for tmask, nstate in tables[i][state]:
-            m2 = mask | tmask
-            par = bin((m2 ^ basic) & rays[i]).count("1") & 1
-            stack.append((i + 1, nstate, m2, area + par))
+            stack.append((i + 1, nstate, mask | tmask))
 
 
 def enumerate_matchings(g):
@@ -258,7 +235,7 @@ def enumerate_matchings(g):
     >>> len(enumerate_matchings(Snake("")))
     2
     """
-    return sorted(mask for mask, _ in _scan(g))
+    return sorted(_scan(g))
 
 
 def matchings_by_backtracking(g):
@@ -288,40 +265,37 @@ def matchings_by_backtracking(g):
     return out
 
 
-def _transfer(word, left_basic=None):
+def _transfer(word, area=False):
     """(perpendicular, parallel) area polynomials of G(word) as dense
     lists, by one scan over the cells, first to last, that keeps one list
     per state: the bottom-edge bit of the first cell, which with the
     parity of |word| sets perp/par; the coverage of the corners shared
-    with the next cell; and the ray-crossing parity in the current row.
+    with the next cell; and the enclosure parity in the current row.
 
-    A row of the snake is one run of cells, and a cell's ray crosses the
-    left sides of the cells of its run up to itself, so a cell is
-    enclosed iff the parity of the row so far differs from its own left
-    side (matching against basic); the parity restarts after every 1.
-    The carried parity already holds the left side of the next cell when
-    that side is the current cell's right side.  left_basic[i] is the
-    basic matching's bit on the left side of cell i; without it no area
-    is counted, and the two lists hold the matching counts alone."""
-    letters = (None,) + tuple(word) + (None,)
+    The parity restarts at the first cell of every row, whose left side
+    is a boundary side; a later cell's left side is its predecessor's
+    right side, which the basic matching never holds, so the carried
+    parity already counts it.  Without `area` no area is counted, and
+    the two lists hold the matching counts alone."""
+    n = len(word)
     states = {(0, (), 0): [1]}
-    for i in range(len(word) + 1):
-        prev, letter = letters[i], letters[i + 1]
+    for i, (prev, letter) in enumerate(_letter_pairs(word)):
         table = _cell_table(prev, letter)
+        left_basic = area and 3 in _basic_sides(prev, letter, n - i)
         nxt = {}
         for (first, cov, par), poly in states.items():
             for sides, out in table[cov]:
                 enclosed = next_par = 0
-                if left_basic is not None:
-                    enclosed = par if prev == "0" else (3 in sides) ^ left_basic[i]
+                if area:
+                    enclosed = par if prev == "0" else (3 in sides) ^ left_basic
                     if letter == "0":
-                        next_par = enclosed ^ (1 in sides) ^ left_basic[i + 1]
+                        next_par = enclosed ^ (1 in sides)
                 key = (int(0 in sides) if i == 0 else first, out, next_par)
                 p = [0] + poly if enclosed else poly
                 nxt[key] = _plus(nxt[key], p) if key in nxt else p
         states = nxt
     pair = [[], []]
-    horizontal_is_perp = len(word) % 2 == 0
+    horizontal_is_perp = n % 2 == 0
     for (first, _, _), poly in states.items():
         side = int(first != horizontal_is_perp)
         pair[side] = _plus(pair[side], poly)
@@ -345,8 +319,7 @@ def matching_statistics(g):
     >>> tuple(str(p) for p in matching_statistics(Snake("0100")))
     ('q^5+q^4', 'q^4+2*q^3+2*q^2+q+1')
     """
-    left_basic = [g.basic_mask >> square[3] & 1 for square in g.squares]
-    return tuple(Poly.from_dense(p) for p in _transfer(g.word, left_basic))
+    return tuple(Poly.from_dense(p) for p in _transfer(g.word, area=True))
 
 
 def matching_counts(w):
@@ -371,7 +344,7 @@ def area_statistics(x):
     >>> tuple(str(p) for p in area_statistics(1))
     ('q', '1')
     """
-    return matching_statistics(snake_of_rational(x))
+    return tuple(Poly.from_dense(p) for p in _transfer(snake_word(x), area=True))
 
 
 def matching_edges(g, mask):
@@ -421,10 +394,7 @@ def phi(g, mask):
     >>> len(set(phi(g, m) for m in enumerate_matchings(g)))
     9
     """
-    ideal = 0
-    for j in g.enclosed_cells(mask):
-        ideal |= 1 << j
-    return ideal
+    return sum(1 << j for j in g.enclosed_cells(mask))
 
 
 def prefix_suffix_table(x):

@@ -13,7 +13,6 @@ from qrationals.cf import (
     check_cf,
     convergents,
     cw_level,
-    matrix_identity_check,
     r_sequence,
     rational_of_word,
     rationals_with_sum_upto,
@@ -135,11 +134,6 @@ def test_tau_involution_matches_hat(x):
 def test_tau_golden():
     assert tau((1, 1)) == (0, 2)
     assert tau((3, 2, 1, 1)) == (0, 1, 2, 4)
-
-
-@given(rationals)
-def test_matrix_identity(x):
-    assert matrix_identity_check(cf_even(x))
 
 
 def test_cf_bracket_syntax():

@@ -208,12 +208,35 @@ def test_render_snake_rejects_dot(capsys):
         ("rep", "3", "--cf", "2;2"),
         ("val", "1,2,0", "--cf", "[2;2,2]"),
         ("tree", "sb", "--depth", "-1"),
+        ("tree", "cw", "--depth", "30"),
+        ("enum", "matchings", "1/100000"),
+        ("enum", "ideals", "75025/46368"),
+        ("enum", "admissible", "1000000/999999", "--format", "json"),
     ),
 )
 def test_parse_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("family", ("admissible", "ideals", "matchings"))
+def test_listing_limit_suggests_count(capsys, monkeypatch, family):
+    # 2/7 lists 9 objects of up to 6 elements: 54 is at the limit
+    monkeypatch.setattr(cli, "MAX_LISTED_ELEMENTS", 54)
+    assert run(capsys, "enum", family, "2/7")[0] == 0
+    code, out, err = run(capsys, "enum", family, "3/7")
+    assert (code, out) == (2, "")
+    assert "use --count" in err
+    assert run(capsys, "enum", family, "3/7", "--count")[0] == 0
+
+
+def test_tree_depth_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_TREE_DEPTH", 2)
+    assert run(capsys, "tree", "sb", "--depth", "2")[0] == 0
+    code, out, err = run(capsys, "tree", "sb", "--depth", "3")
+    assert (code, out) == (2, "")
+    assert "limit" in err
 
 
 def test_verify_wiring_reports_and_exits(capsys, monkeypatch):

@@ -37,13 +37,20 @@ def _edge_sets(g):
     }
 
 
-@given(st.text(alphabet="01", max_size=12))
-def test_ray_masks_are_the_vertical_edges_left_of_each_cell(w):
+@given(words)
+@settings(max_examples=60)
+def test_enclosed_cells_are_the_ray_crossing_parity(w):
+    # a cell is enclosed iff a leftward ray from its centre crosses an odd
+    # number of edges of the symmetric difference with the basic matching
     g = Snake(w)
-    assert g.ray_masks == [
-        sum(1 << i for i, ((x1, y1), (x2, _)) in enumerate(g.edges) if x1 == x2 and y1 == cy and x1 <= cx)
+    rays = [
+        [i for i, ((x1, y1), (x2, _)) in enumerate(g.edges) if x1 == x2 and y1 == cy and x1 <= cx]
         for cx, cy in g.cells
     ]
+    for m in enumerate_matchings(g):
+        d = m ^ g.basic_mask
+        crossed = [sum(d >> i & 1 for i in ray) for ray in rays]
+        assert g.enclosed_cells(m) == [j for j, c in enumerate(crossed) if c % 2]
 
 
 def test_cells_follow_the_staircase():
@@ -123,6 +130,8 @@ def test_basic_matching_covers_every_vertex_with_boundary_edges(w):
     assert sorted(v for e in edges for v in e) == sorted(g.vertex_edges)
     sides = Counter(i for square in g.squares for i in square)
     assert all(sides[g.edge_index[e]] == 1 for e in edges)
+    cx, cy = g.cells[-1]
+    assert ((cx + 1, cy), (cx + 1, cy + 1)) in edges
 
 
 def test_twisted_matching_of_0100100():

@@ -102,6 +102,16 @@ def test_statistics_and_counts_list_nothing(no_enumerator):
     assert markoff.markoff_row("00101")["matching_count"] == 194
 
 
+def test_area_statistics_build_no_snake(monkeypatch):
+    # the area scan reads the basic matching off the word
+    def refuse(word):
+        raise AssertionError("a Snake was built")
+
+    monkeypatch.setattr(snake, "Snake", refuse)
+    x = Fraction(84, 37)
+    assert snake.area_statistics(x) == theorem_pair(cf_even(x))
+
+
 @pytest.mark.parametrize(
     "family, expected",
     (
