@@ -12,8 +12,10 @@ statistics all produce the same pair of polynomials in q:
 * the matrix product of the q-deformed elementary matrices (`qpoly`).
 
 `markoff` specializes the machinery to Christoffel words and Markoff
-numbers, `polytope` checks lattice convexity of the digit sequences, and
-`cli`/`verify` expose everything as a command line tool with a
+numbers.  `polytope` writes the digit sequences' polytope as one
+inequality per admissibility rule and reads lattice convexity off those
+inequalities; a box scan with Fourier-Motzkin hull membership is its
+oracle.  `cli`/`verify` expose everything as a command line tool with a
 re-derivation harness.
 """
 

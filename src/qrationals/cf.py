@@ -231,19 +231,35 @@ def calkin_wilf_children(x):
 
 
 def sb_level(depth):
-    """Level `depth` of the prefix (Stern-Brocot) tree, left to right."""
-    words = [""]
+    """Level `depth` of the prefix (Stern-Brocot) tree, left to right.
+
+    Each node is the mediant of its bounds (p, q, p', q'), starting from
+    0/1 and 1/0; appending 0 or 1 to its word replaces the right or the
+    left bound by the node.
+
+    >>> sb_level(2)
+    [Fraction(1, 3), Fraction(2, 3), Fraction(3, 2), Fraction(3, 1)]
+    """
+    level = [(0, 1, 1, 0)]
     for _ in range(depth):
-        words = [w + c for w in words for c in "01"]
-    return [rational_of_word(w) for w in words]
+        nxt = []
+        for p, q, p2, q2 in level:
+            nxt += ((p, q, p + p2, q + q2), (p + p2, q + q2, p2, q2))
+        level = nxt
+    return [Fraction(p + p2, q + q2) for p, q, p2, q2 in level]
 
 
 def cw_level(depth):
-    """Level `depth` of the suffix (Calkin-Wilf) tree, left to right."""
-    words = [""]
+    """Level `depth` of the suffix (Calkin-Wilf) tree, left to right:
+    prepending 0 or 1 to the word of r/s gives r/(r+s) or (r+s)/s.
+
+    >>> cw_level(2)
+    [Fraction(1, 3), Fraction(3, 2), Fraction(2, 3), Fraction(3, 1)]
+    """
+    level = [(1, 1)]
     for _ in range(depth):
-        words = [c + w for w in words for c in "01"]
-    return [rational_of_word(w) for w in words]
+        level = [child for r, s in level for child in ((r, r + s), (r + s, s))]
+    return [Fraction(r, s) for r, s in level]
 
 
 def rationals_with_sum_upto(bound, minimum=2):

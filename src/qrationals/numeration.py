@@ -43,12 +43,14 @@ def is_admissible(b, a):
     for bi, ai in zip(b, a):
         if not 0 <= bi <= ai:
             return False
-    for i in range(1, len(a)):
-        if i % 2 == 1 and b[i] == a[i] and b[i - 1] != a[i - 1]:
-            return False
-        if i % 2 == 0 and b[i] == 0 and b[i - 1] != 0:
-            return False
-    return True
+    return all(_rule_holds(i, b[i - 1], b[i], a) for i in range(1, len(a)))
+
+
+def _rule_holds(i, prev, digit, a):
+    """Admissibility rule i > 0 on the digit pair (b_{i-1}, b_i) = (prev, digit)."""
+    if i % 2 == 1:
+        return digit != a[i] or prev == a[i - 1]
+    return digit != 0 or prev == 0
 
 
 def enumerate_admissible(a):

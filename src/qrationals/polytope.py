@@ -1,26 +1,33 @@
-"""Convex hull of the admissible vectors, over exact integer arithmetic.
+"""The digit polytope of an expansion, by its inequalities.
 
-The admissible vectors of an expansion a span a polytope in [0,a_0] x
-... x [0,a_{k-1}] whose lattice points are exactly the admissible
-vectors, and the B-filled/B-empty split is cut out by one open half
-space.  Decisions are made without floating point: membership of a
-point in the hull is settled by Fourier-Motzkin elimination on the
-separating-functional system {y.(c - p) > 0 for all generators p},
-which is feasible iff c lies outside.  All vectors stay integral, so no
-denominators ever appear.
+The admissible vectors B of an expansion a = (a_0, ..., a_{k-1}) are the
+lattice points of the box [0, a_0] x ... x [0, a_{k-1}] that obey k - 1
+rules, each on two consecutive digits.  Each rule is one linear
+inequality (`inequalities`), and with the box they cut out a polytope P.
+`convexity_report` certifies every inequality on its two-digit grid: the
+pairs the rule allows satisfy it and the others break it.  So
+P ∩ Z^k = B, and conv(B) ∩ Z^k = B follows without listing B.  The
+B-filled/B-empty split is cut out by one open half space (`halfspace`).
+
+The oracle is the hull itself: `_box_scan_report` scans every box point
+and settles its membership in conv(B) by Fourier-Motzkin elimination
+(`in_hull`) on the separating-functional system {y.(c - p) > 0 for all
+generators p}, which is feasible iff c lies outside.  Only `verify` and
+the tests call it.  Everything is exact integer arithmetic.
 """
 
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
-from .cf import check_cf
-from .numeration import enumerate_admissible, partition
+from .cf import check_cf, r_sequence
+from .numeration import _rule_holds, enumerate_admissible, partition
 
 __all__ = [
     "HullSystem",
     "in_hull",
     "halfspace",
     "separates",
+    "inequalities",
     "convexity_report",
     "verify_lattice_convexity",
     "verify_halfspace_split",
@@ -107,10 +114,68 @@ def in_hull(c, hull):
     return not _fm_feasible([tuple(ci - pi for ci, pi in zip(c, p)) for p in hull.points], hull.dim)
 
 
+def _dot(y, x):
+    return sum(yi * xi for yi, xi in zip(y, x))
+
+
 def separates(y, c, points):
     """Whether the functional y puts c strictly above every point."""
-    cut = sum(yi * ci for yi, ci in zip(y, c))
-    return all(sum(yi * pi for yi, pi in zip(y, p)) < cut for p in points)
+    cut = _dot(y, c)
+    return all(_dot(y, p) < cut for p in points)
+
+
+def inequalities(a):
+    """The rows (y, t), meaning y.x <= t, of the admissibility rules
+    i = 1..k-1; with the box 0 <= x_i <= a_i they cut out P.
+
+    Odd i: a_{i-1} x_i - x_{i-1} <= a_{i-1} (a_i - 1), so x_i = a_i
+    forces x_{i-1} = a_{i-1}.  Even i: x_{i-1} - a_{i-1} x_i <= 0, so
+    x_i = 0 forces x_{i-1} = 0.
+
+    >>> inequalities((2, 2, 2))
+    [((-1, 2, 0), 2), ((0, 1, -2), 0)]
+    """
+    a = check_cf(a)
+    rows = []
+    for i in range(1, len(a)):
+        y = [0] * len(a)
+        if i % 2 == 1:
+            y[i - 1], y[i] = -1, a[i - 1]
+            rows.append((tuple(y), a[i - 1] * (a[i] - 1)))
+        else:
+            y[i - 1], y[i] = 1, -a[i - 1]
+            rows.append((tuple(y), 0))
+    return rows
+
+
+def convexity_report(a):
+    """Lattice convexity of B, read off the inequalities of P.
+
+    Each row is certified on its (a_{i-1} + 1)(a_i + 1) grid of digit
+    pairs: it holds exactly on the pairs that rule i allows.  Then
+    B ⊆ P and P ∩ Z^k = B, so conv(B) has no lattice point outside B and
+    `violations` is empty.  A row that fails its certificate raises
+    ValueError naming a, i and the pair.  No vector is listed and no box
+    point visited.
+
+    >>> convexity_report((0, 1, 3, 1))
+    {'dimension': 4, 'generators': 9, 'box': 16, 'violations': []}
+    """
+    a = check_cf(a)
+    for i, (y, t) in enumerate(inequalities(a), 1):
+        for u in range(a[i - 1] + 1):
+            for v in range(a[i] + 1):
+                if (y[i - 1] * u + y[i] * v <= t) != _rule_holds(i, u, v, a):
+                    raise ValueError(
+                        "inequality %d of %s disagrees with rule %d on the digit pair %s"
+                        % (i, a, i, (u, v))
+                    )
+    return {
+        "dimension": len(a),
+        "generators": r_sequence(a)[-1],
+        "box": prod(ai + 1 for ai in a),
+        "violations": [],
+    }
 
 
 def _violation_certificate(c, a):
@@ -132,21 +197,29 @@ def _violation_certificate(c, a):
     return None
 
 
-def convexity_report(a):
-    """Scan the whole bounding box and report any lattice point where
-    hull membership and admissibility disagree."""
+def _box_scan_report(a):
+    """Oracle for `convexity_report`: scan the whole bounding box and
+    report every lattice point outside B that lies in conv(B).
+
+    A point outside B is ruled out by the functional its broken rule
+    suggests when y.c exceeds max_p y.p over the generators (which is
+    `separates(y, c, points)`); that maximum is computed once per
+    distinct y.  Any other point goes to Fourier-Motzkin."""
     a = check_cf(a)
     hull = HullSystem.of_expansion(a)
+    tops = {}
+    box = 0
     violations = []
-    box = 1
-    for ai in a:
-        box *= ai + 1
     for c in product(*(range(ai + 1) for ai in a)):
+        box += 1
         if c in hull._point_set:
             continue
         y = _violation_certificate(c, a)
-        if y is not None and separates(y, c, hull.points):
-            continue
+        if y is not None:
+            if y not in tops:
+                tops[y] = max(_dot(y, p) for p in hull.points)
+            if _dot(y, c) > tops[y]:
+                continue
         if in_hull(c, hull):
             violations.append(c)
     return {
@@ -195,8 +268,4 @@ def verify_halfspace_split(a):
     """
     filled, empty = partition(a)
     y, t = halfspace(a)
-
-    def side(b):
-        return sum(yi * bi for yi, bi in zip(y, b))
-
-    return all(side(b) < t for b in empty) and all(side(b) >= t for b in filled)
+    return all(_dot(y, b) < t for b in empty) and all(_dot(y, b) >= t for b in filled)

@@ -239,30 +239,32 @@ def enumerate_matchings(g):
 
 
 def matchings_by_backtracking(g):
-    """Independent oracle: match the smallest uncovered vertex each step."""
+    """Independent oracle: match the smallest uncovered vertex each step.
+
+    The completions of a covered-vertex set depend on that set alone, so
+    each set's list is built once and shared by every branch reaching it."""
     verts = sorted(g.vertex_edges)
     vid = {v: i for i, v in enumerate(verts)}
     incident = [g.vertex_edges[v] for v in verts]
     endpoints = [(vid[a], vid[b]) for a, b in g.edges]
-    nv = len(verts)
-    out = []
+    completions = {(1 << len(verts)) - 1: [0]}
 
-    def extend(covered, mask):
+    def complete(covered):
+        if covered in completions:
+            return completions[covered]
         v = 0
-        while v < nv and covered >> v & 1:
+        while covered >> v & 1:
             v += 1
-        if v == nv:
-            out.append(mask)
-            return
+        out = []
         for e in incident[v]:
             a, b = endpoints[e]
             u = b if a == v else a
             if not covered >> u & 1:
-                extend(covered | 1 << v | 1 << u, mask | 1 << e)
+                out += [1 << e | m for m in complete(covered | 1 << v | 1 << u)]
+        completions[covered] = out
+        return out
 
-    extend(0, 0)
-    out.sort()
-    return out
+    return sorted(complete(0))
 
 
 def _transfer(word, area=False):

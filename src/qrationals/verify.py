@@ -376,11 +376,17 @@ def _expansions(k_max, sum_max):
 
 
 def check_polytope(level="desk"):
-    """Lattice-convexity and half-space split over all small expansions."""
+    """Lattice convexity by the inequalities, field by field against the
+    box-scan oracle, and the half-space split over all small expansions."""
     b = BOUNDS[level]
     for a in _expansions(b["polytope_k"], b["polytope_sum"]):
-        if not _poly.verify_lattice_convexity(a):
-            _fail("lattice convexity fails for %s" % (a,))
+        report = _poly.convexity_report(a)
+        for field, want in _poly._box_scan_report(a).items():
+            if report.get(field) != want:
+                _fail(
+                    "convexity report of %s has %s %r, the box-scan oracle gives %r"
+                    % (a, field, report.get(field), want)
+                )
         if not _poly.verify_halfspace_split(a):
             _fail("half-space split fails for %s" % (a,))
         k = len(a)

@@ -162,6 +162,15 @@ def test_tree_levels():
     assert cw_level(2) == [Fraction(1, 3), Fraction(3, 2), Fraction(2, 3), Fraction(3)]
 
 
+def test_tree_levels_are_their_words_in_order():
+    sb, cw = [""], [""]
+    for depth in range(13):
+        assert sb_level(depth) == [rational_of_word(w) for w in sb]
+        assert cw_level(depth) == [rational_of_word(w) for w in cw]
+        sb = [w + c for w in sb for c in "01"]
+        cw = [c + w for w in cw for c in "01"]
+
+
 def test_tree_levels_agree_with_the_word_codec():
     for depth in range(7):
         level = set(sb_level(depth))

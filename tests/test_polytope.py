@@ -1,12 +1,18 @@
+from itertools import product
+
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
+from qrationals import polytope, verify
+from qrationals.cf import cf_value
 from qrationals.numeration import enumerate_admissible, is_admissible, partition
 from qrationals.polytope import (
     HullSystem,
+    _box_scan_report,
     convexity_report,
     halfspace,
     in_hull,
+    inequalities,
     separates,
     verify_halfspace_split,
     verify_lattice_convexity,
@@ -19,6 +25,15 @@ def expansions(draw):
     rest = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     a = (first,) + tuple(rest)
     assume(sum(a) <= 7)
+    return a
+
+
+@st.composite
+def wider_expansions(draw):
+    first = draw(st.integers(0, 4))
+    rest = draw(st.lists(st.integers(1, 4), min_size=0, max_size=5))
+    a = (first,) + tuple(rest)
+    assume(a != (0,) and sum(a) <= 10)
     return a
 
 
@@ -94,7 +109,54 @@ def test_halfspace_normals():
 def test_every_box_point_is_classified_correctly():
     a = (1, 2, 1, 2)
     h = HullSystem.of_expansion(a)
-    from itertools import product
-
     for c in product(*(range(ai + 1) for ai in a)):
         assert in_hull(c, h) == is_admissible(c, a)
+
+
+@given(wider_expansions())
+@settings(max_examples=60, deadline=None)
+def test_report_equals_the_box_scan_oracle(a):
+    assert convexity_report(a) == _box_scan_report(a)
+
+
+@given(expansions())
+@settings(max_examples=40, deadline=None)
+def test_lattice_points_of_the_inequalities_are_the_admissible_vectors(a):
+    rows = inequalities(a)
+    assert len(rows) == len(a) - 1
+    for c in product(*(range(ai + 1) for ai in a)):
+        inside = all(sum(u * v for u, v in zip(y, c)) <= t for y, t in rows)
+        assert inside == is_admissible(c, a)
+
+
+def test_report_lists_nothing_and_scans_no_box(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("convexity_report must not enumerate")
+
+    for name in ("enumerate_admissible", "HullSystem", "product"):
+        monkeypatch.setattr(polytope, name, refuse)
+    a = (5,) * 10
+    assert convexity_report(a) == {
+        "dimension": 10,
+        "generators": sum(cf_value(a).as_integer_ratio()),
+        "box": 6**10,
+        "violations": [],
+    }
+
+
+def test_broken_inequality_fails_the_check_naming_the_expansion(monkeypatch):
+    rows_of = polytope.inequalities
+
+    def broken(a):
+        rows = rows_of(a)
+        if tuple(a) == (2, 2, 2):
+            y, t = rows[-1]
+            rows[-1] = (y, t + 1)  # now lets (1, 0) through at i = 2
+        return rows
+
+    monkeypatch.setattr(polytope, "inequalities", broken)
+    monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c[0] == "lattice convexity"])
+    passed, rows = verify.run_checks("desk")
+    assert passed is False
+    assert rows[0][:2] == ("lattice convexity", False)
+    assert "(2, 2, 2)" in rows[0][2]

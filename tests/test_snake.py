@@ -228,6 +228,28 @@ def test_enumeration_agrees_with_backtracking(w):
 
 @given(words)
 @settings(max_examples=60)
+def test_memoised_backtracking_equals_plain_recursion(w):
+    g = Snake(w)
+    ends = [set(e) for e in g.edges]
+    out = []
+
+    def extend(covered, chosen):
+        rest = [v for v in g.vertex_edges if v not in covered]
+        if not rest:
+            out.append(sum(1 << e for e in chosen))
+            return
+        v = min(rest)
+        for e in g.vertex_edges[v]:
+            (u,) = ends[e] - {v}
+            if u not in covered:
+                extend(covered | {u, v}, chosen + [e])
+
+    extend(frozenset(), [])
+    assert matchings_by_backtracking(g) == sorted(out)
+
+
+@given(words)
+@settings(max_examples=60)
 def test_histogram_agrees_with_per_matching_areas(w):
     g = Snake(w)
     hist = Counter()
