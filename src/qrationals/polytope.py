@@ -7,7 +7,8 @@ inequality (`inequalities`), and with the box they cut out a polytope P.
 `convexity_report` certifies every inequality on its two-digit grid: the
 pairs the rule allows satisfy it and the others break it.  So
 P ∩ Z^k = B, and conv(B) ∩ Z^k = B follows without listing B.  The
-B-filled/B-empty split is cut out by one open half space (`halfspace`).
+B-filled/B-empty split is cut out by one open half space (`halfspace`),
+certified on the one digit it reads.
 
 The oracle is the hull itself: `_box_scan_report` scans every box point
 and settles its membership in conv(B) by Fourier-Motzkin elimination
@@ -20,7 +21,7 @@ from itertools import product
 from math import gcd, prod
 
 from .cf import check_cf, r_sequence
-from .numeration import _rule_holds, enumerate_admissible, partition
+from .numeration import _filled, _rule_holds, enumerate_admissible
 
 __all__ = [
     "HullSystem",
@@ -258,14 +259,26 @@ def halfspace(a):
 
 
 def verify_halfspace_split(a):
-    """True iff the enumerated partition agrees elementwise with the
-    half-space cut.
+    """True iff the half-space cut holds exactly the B-empty vectors.
+
+    The cut reads one digit, b_j, and so does the partition: b_0 when
+    a_0 > 0, b_1 otherwise.  So the cut is certified against the
+    partition's rule on the values 0..a_j of that digit, and no vector
+    is listed.
 
     >>> verify_halfspace_split((1, 1))
     True
     >>> verify_halfspace_split((2, 2, 2))
     True
     """
-    filled, empty = partition(a)
+    a = check_cf(a)
     y, t = halfspace(a)
-    return all(_dot(y, b) < t for b in empty) and all(_dot(y, b) >= t for b in filled)
+    j = next(i for i, yi in enumerate(y) if yi)
+    if any(y[j + 1:]):
+        return False
+    digits = [0] * len(a)
+    for u in range(a[j] + 1):
+        digits[j] = u
+        if (y[j] * u < t) == _filled(digits, a):
+            return False
+    return True

@@ -30,6 +30,11 @@ tables:
   boundary state (bottom-edge bit of the first cell, coverage of the side
   shared with the next cell, enclosure parity in the current row), so
   the statistics and the counts cost time polynomial in the word length;
+  run as a two-way count sweep, it gives the matching counts of every
+  prefix (forward, each prefix closed by its end-cell table) and of
+  every suffix (backward, completion counts per coverage, each suffix
+  opened by its start-cell table) in O(n) cell steps, for
+  `prefix_suffix_table`;
 * the listing scan (`_scan`) yields every matching; it serves
   `enumerate_matchings` and the oracle path in `verify` and the tests,
   where the output itself is exponential.
@@ -267,6 +272,34 @@ def matchings_by_backtracking(g):
     return sorted(complete(0))
 
 
+def _cell_step(states, i, prev, letter, left_basic):
+    """The transfer-scan states after cell i, entered after `prev` and
+    left by `letter`, from the states before it.  `left_basic` says
+    whether the cell's left side is basic; None counts no area."""
+    area = left_basic is not None
+    table = _cell_table(prev, letter)
+    nxt = {}
+    for (first, cov, par), poly in states.items():
+        for sides, out in table[cov]:
+            enclosed = next_par = 0
+            if area:
+                enclosed = par if prev == "0" else (3 in sides) ^ left_basic
+                if letter == "0":
+                    next_par = enclosed ^ (1 in sides)
+            key = (int(0 in sides) if i == 0 else first, out, next_par)
+            p = [0] + poly if enclosed else poly
+            nxt[key] = _plus(nxt[key], p) if key in nxt else p
+    return nxt
+
+
+def _side(first, n):
+    """0 (perpendicular) or 1 (parallel) for a matching of the snake of an
+    n-letter word that holds (first = 1) or leaves (first = 0) the bottom
+    edge of the first cell: perpendicular means horizontal first edge for
+    even n, vertical for odd n."""
+    return int(first != (n % 2 == 0))
+
+
 def _transfer(word, area=False):
     """(perpendicular, parallel) area polynomials of G(word) as dense
     lists, by one scan over the cells, first to last, that keeps one list
@@ -282,24 +315,11 @@ def _transfer(word, area=False):
     n = len(word)
     states = {(0, (), 0): [1]}
     for i, (prev, letter) in enumerate(_letter_pairs(word)):
-        table = _cell_table(prev, letter)
-        left_basic = area and 3 in _basic_sides(prev, letter, n - i)
-        nxt = {}
-        for (first, cov, par), poly in states.items():
-            for sides, out in table[cov]:
-                enclosed = next_par = 0
-                if area:
-                    enclosed = par if prev == "0" else (3 in sides) ^ left_basic
-                    if letter == "0":
-                        next_par = enclosed ^ (1 in sides)
-                key = (int(0 in sides) if i == 0 else first, out, next_par)
-                p = [0] + poly if enclosed else poly
-                nxt[key] = _plus(nxt[key], p) if key in nxt else p
-        states = nxt
+        left_basic = 3 in _basic_sides(prev, letter, n - i) if area else None
+        states = _cell_step(states, i, prev, letter, left_basic)
     pair = [[], []]
-    horizontal_is_perp = n % 2 == 0
     for (first, _, _), poly in states.items():
-        side = int(first != horizontal_is_perp)
+        side = _side(first, n)
         pair[side] = _plus(pair[side], poly)
     return pair
 
@@ -399,19 +419,62 @@ def phi(g, mask):
     return sum(1 << j for j in g.enclosed_cells(mask))
 
 
+def _prefix_rows(w):
+    """(perpendicular, parallel) counts of w[:j] for j = 0..n, from one
+    forward transfer scan.  The cells of w[:j] but the last carry the same
+    letter pairs as in w, so row j is the scan's states after j cells,
+    closed by the end-cell table."""
+    rows = []
+    states = {(0, (), 0): [1]}
+    for i, (prev, letter) in enumerate(_letter_pairs(w)):
+        row = [0, 0]
+        for (first, _, _), poly in _cell_step(states, i, prev, None, None).items():
+            row[_side(first, i)] += sum(poly)
+        rows.append(tuple(row))
+        states = _cell_step(states, i, prev, letter, None)
+    return rows
+
+
+def _suffix_rows(w):
+    """(perpendicular, parallel) counts of w[len(w)-j:] for j = 0..n, from
+    one backward scan.  Going from the last cell to the first, `ahead`
+    maps the coverage of the corners that cell k shares with cell k + 1
+    to the number of ways to complete cells k + 1..n.  Suffix w[k:] opens
+    with the start-cell table in place of cell k's; its first cell's
+    bottom-edge bit and the parity of n - k pick perp or par."""
+    n = len(w)
+    pairs = list(_letter_pairs(w))
+    rows = []
+    ahead = {(): 1}
+    for k in range(n, -1, -1):
+        prev, letter = pairs[k]
+        row = [0, 0]
+        for sides, out in _cell_table(None, letter)[()]:
+            row[_side(int(0 in sides), n - k)] += ahead[out]
+        rows.append(tuple(row))
+        ahead = {
+            cov: sum(ahead[out] for _, out in moves)
+            for cov, moves in _cell_table(prev, letter).items()
+        }
+    return rows
+
+
 def prefix_suffix_table(x):
     """(perpendicular count, parallel count) for the snakes of every
     prefix and every suffix of the word of x, by length 0..n.
 
+    One forward transfer scan gives the prefix rows and one backward scan
+    the suffix rows, so the table costs O(n) cell steps; `verify` holds it
+    against a fresh `matching_counts` scan per row.
+
+    >>> from fractions import Fraction
     >>> prefix_suffix_table(1)
     {'word': '', 'prefixes': [(1, 1)], 'suffixes': [(1, 1)]}
+    >>> prefix_suffix_table(Fraction(5, 2))["suffixes"]
+    [(1, 1), (1, 2), (3, 2), (5, 2)]
     """
     w = snake_word(x)
-    return {
-        "word": w,
-        "prefixes": [matching_counts(w[:j]) for j in range(len(w) + 1)],
-        "suffixes": [matching_counts(w[len(w) - j:]) for j in range(len(w) + 1)],
-    }
+    return {"word": w, "prefixes": _prefix_rows(w), "suffixes": _suffix_rows(w)}
 
 
 def snake_to_svg(g, matching=None):

@@ -11,6 +11,7 @@ notch for longer runs.
 
 from collections import Counter
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import cf as _cf
 from . import fence as _fence
@@ -34,6 +35,7 @@ BOUNDS = {
         "polytope_k": 5,
         "property_sum": 40,
         "mirror_sum": 30,
+        "table_sum": 12,
         "word_len": 10,
     },
     "deep": {
@@ -46,6 +48,7 @@ BOUNDS = {
         "polytope_k": 5,
         "property_sum": 44,
         "mirror_sum": 32,
+        "table_sum": 14,
         "word_len": 11,
     },
 }
@@ -303,9 +306,29 @@ def check_three_statistics(level="desk"):
                     )
 
 
+def _counted_table(w):
+    """Oracle for the prefix/suffix sweep: one fresh `matching_counts`
+    scan per prefix and per suffix of w."""
+    return {
+        "prefix": [_snake.matching_counts(w[:j]) for j in range(len(w) + 1)],
+        "suffix": [_snake.matching_counts(w[len(w) - j:]) for j in range(len(w) + 1)],
+    }
+
+
 def check_prefix_suffix(level="desk"):
-    """Frozen 84/37 table; prefixes meet the convergents, suffixes walk
-    the subtractive Euclid chain."""
+    """The sweep, row by row, against a per-row scan on every small
+    rational; the frozen 84/37 table; prefixes meet the convergents,
+    suffixes walk the subtractive Euclid chain."""
+    for x in _rationals(BOUNDS[level]["table_sum"]):
+        table = _snake.prefix_suffix_table(x)
+        w = table["word"]
+        for side, want in _counted_table(w).items():
+            for j, (got, row) in enumerate(zip_longest(table[side + "es"], want)):
+                if got != row:
+                    _fail(
+                        "%s row %d of %s (word %r) is %s, the per-row scan gives %s"
+                        % (side, j, x, w, got, row)
+                    )
     table = _snake.prefix_suffix_table(Fraction(84, 37))
     if table["prefixes"] != PREFIXES_84_37:
         _fail("84/37 prefix column %s" % (table["prefixes"],))
@@ -377,7 +400,9 @@ def _expansions(k_max, sum_max):
 
 def check_polytope(level="desk"):
     """Lattice convexity by the inequalities, field by field against the
-    box-scan oracle, and the half-space split over all small expansions."""
+    box-scan oracle, and the half-space split over all small expansions:
+    certified on its digit, and held against the listed partition where
+    the side counts list it."""
     b = BOUNDS[level]
     for a in _expansions(b["polytope_k"], b["polytope_sum"]):
         report = _poly.convexity_report(a)
@@ -392,6 +417,11 @@ def check_polytope(level="desk"):
         k = len(a)
         if k % 2 == 0:
             filled, empty = _num.partition(a)
+            y, t = _poly.halfspace(a)
+            if any(_poly._dot(y, v) >= t for v in empty) or any(
+                _poly._dot(y, v) < t for v in filled
+            ):
+                _fail("half-space cut of %s disagrees with the listed partition" % (a,))
             p, q = _cf.convergents(a)
             if (len(filled), len(empty)) != (p[k], q[k]):
                 _fail(

@@ -7,10 +7,11 @@ import pytest
 
 import qrationals
 from qrationals import cli, qpoly, verify
+from qrationals.cf import rational_of_word
 from qrationals.cli import main
 from qrationals.markoff import markoff_of
 from qrationals.qpoly import Mat2, ONE, Q, ZERO
-from qrationals.words import christoffel
+from qrationals.words import christoffel, theta
 
 
 def run(capsys, *argv):
@@ -138,6 +139,33 @@ def test_table_text(capsys):
     assert lines[2] == "0\t1\t1\t1\t1"
     assert lines[-1] == "10\t84\t37\t84\t37"
     assert len(lines) == 13
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_table_of_a_long_word(capsys):
+    r, s = _fibonacci(151), _fibonacci(150)
+    code, text, _ = run(capsys, "table", "%d/%d" % (r, s))
+    assert code == 0
+    lines = text.splitlines()
+    w = lines[0].split("\t")[1]
+    rows = [tuple(int(c) for c in line.split("\t")) for line in lines[2:]]
+    code, out, _ = run(capsys, "table", "%d/%d" % (r, s), "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["word"] == w and len(w) == 149
+    assert [[pre, par] for _, pre, par, _, _ in rows] == data["prefixes"]
+    assert [[suf, par] for _, _, _, suf, par in rows] == data["suffixes"]
+    assert data["prefixes"][-1] == data["suffixes"][-1] == [r, s]
+    for j in (0, 1, 2, 37, 74, 111, 148):
+        for row, v in ((data["prefixes"][j], w[:j]), (data["suffixes"][j], w[len(w) - j:])):
+            y = rational_of_word(theta(v))
+            assert row == [y.numerator, y.denominator]
 
 
 def test_markoff_upto(capsys):

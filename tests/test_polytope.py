@@ -3,7 +3,7 @@ from itertools import product
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from qrationals import polytope, verify
+from qrationals import numeration, polytope, verify
 from qrationals.cf import cf_value
 from qrationals.numeration import enumerate_admissible, is_admissible, partition
 from qrationals.polytope import (
@@ -99,6 +99,22 @@ def test_halfspace_splits_the_partition(a):
         assert sum(u * v for u, v in zip(y, b)) >= t
     for b in empty:
         assert sum(u * v for u, v in zip(y, b)) < t
+
+
+def test_halfspace_split_lists_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the half-space split must not enumerate")
+
+    monkeypatch.setattr(numeration, "enumerate_admissible", refuse)
+    assert verify_halfspace_split((5,) * 10)
+    assert verify_halfspace_split((0, 7, 3))
+
+
+@pytest.mark.parametrize("a", ((2, 2, 2), (0, 3, 1, 1)))
+def test_halfspace_split_refuses_a_shifted_cut(monkeypatch, a):
+    cut = polytope.halfspace
+    monkeypatch.setattr(polytope, "halfspace", lambda b: (cut(b)[0], cut(b)[1] + 1))
+    assert not verify_halfspace_split(a)
 
 
 def test_halfspace_normals():

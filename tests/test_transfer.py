@@ -11,7 +11,8 @@ import pytest
 from qrationals import cli, fence, markoff, numeration, snake, verify
 from qrationals.cf import cf_even, cf_odd, cf_value, rational_of_word
 from qrationals.qpoly import theorem_pair
-from qrationals.verify import _tally
+from qrationals.verify import PREFIXES_84_37, SUFFIXES_84_37, _tally
+from qrationals.words import theta
 
 short_words = st.text(alphabet="01", max_size=12)
 long_words = st.integers(200, 400).flatmap(
@@ -100,6 +101,48 @@ def test_statistics_and_counts_list_nothing(no_enumerator):
     assert numeration.norm1_statistics(cf_even(x)) == reference
     assert snake.prefix_suffix_table(x)["prefixes"][-1] == (84, 37)
     assert markoff.markoff_row("00101")["matching_count"] == 194
+
+
+@given(st.text(alphabet="01", max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_table_sweep_equals_a_scan_per_row(w):
+    table = snake.prefix_suffix_table(rational_of_word(theta(w)))
+    assert table["word"] == w
+    assert table["prefixes"] == [snake.matching_counts(w[:j]) for j in range(len(w) + 1)]
+    assert table["suffixes"] == [snake.matching_counts(w[len(w) - j:]) for j in range(len(w) + 1)]
+
+
+def test_table_is_one_sweep_each_way(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a per-row scan was run")
+
+    steps = []
+    step = snake._cell_step
+    monkeypatch.setattr(snake, "matching_counts", refuse)
+    monkeypatch.setattr(snake, "_transfer", refuse)
+    monkeypatch.setattr(snake, "_cell_step", lambda *args: steps.append(1) or step(*args))
+    table = snake.prefix_suffix_table(Fraction(84, 37))
+    assert table["prefixes"] == PREFIXES_84_37
+    assert table["suffixes"] == SUFFIXES_84_37
+    # each of the 11 cells is stepped once and closed once, going forward
+    assert len(steps) == 2 * 11
+
+
+def _rows_swapped(original):
+    def wrong(w):
+        return [(par, perp) for perp, par in original(w)]
+
+    return wrong
+
+
+def test_table_check_names_the_rational_side_and_row(monkeypatch):
+    # the backward pass with perp and par exchanged
+    monkeypatch.setattr(snake, "_suffix_rows", _rows_swapped(snake._suffix_rows))
+    monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c[0] == "prefix/suffix table"])
+    passed, rows = verify.run_checks("desk")
+    assert passed is False
+    assert rows[0][:2] == ("prefix/suffix table", False)
+    assert rows[0][2] == "suffix row 1 of 1/2 (word '1') is (2, 1), the per-row scan gives (1, 2)"
 
 
 def test_area_statistics_build_no_snake(monkeypatch):
