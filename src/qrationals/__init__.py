@@ -14,9 +14,12 @@ statistics all produce the same pair of polynomials in q:
 `markoff` specializes the machinery to Christoffel words and Markoff
 numbers.  `polytope` writes the digit sequences' polytope as one
 inequality per admissibility rule and reads lattice convexity off those
-inequalities; a box scan with Fourier-Motzkin hull membership is its
-oracle.  `cli`/`verify` expose everything as a command line tool with a
-re-derivation harness.
+inequalities.  `cli`/`verify` expose everything as a command line tool
+with a re-derivation harness; `verify` holds the production paths
+against the brute-force oracles of the private module `_oracle` (the
+Mat2 matrix product, the pop recursion for matchings, and a box scan
+with Fourier-Motzkin hull membership), which no production module
+imports.
 """
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .fence import (
     ideal_statistics,
 )
 from .markoff import markoff_numbers_upto, markoff_of, markoff_row
-from .numeration import enumerate_admissible, norm1_statistics, rep, val
+from .numeration import norm1_statistics, numeration_rows, rep, val
 from .qpoly import q_rational, q_shift_identity_check
 from .snake import (
     enumerate_matchings,
@@ -44,9 +44,22 @@ __all__ = ["main"]
 # exponentially with the input, so larger requests exit 2 before any work.
 MAX_LISTED_ELEMENTS = 10**6
 MAX_TREE_DEPTH = 16
+# `qrat`, `enum --count`, `table` and `markoff --word --table` take time
+# quadratic in the length of the word they work on: at 2,000 letters
+# `qrat` on a Fibonacci ratio takes 0.6 s and `enum ideals --count`
+# 0.34 s on a 2-core Xeon.  Longer words exit 2 before any work.
+MAX_WORD_LENGTH = 2000
+
+
+def _check_word_length(what, letters):
+    if letters > MAX_WORD_LENGTH:
+        raise ValueError(
+            "%s has %d letters, over the limit of %d letters" % (what, letters, MAX_WORD_LENGTH)
+        )
 
 
 def _parse_rational(text):
+    """A positive rational whose word is at most MAX_WORD_LENGTH letters."""
     try:
         if "/" in text:
             num, den = text.split("/", 1)
@@ -57,6 +70,7 @@ def _parse_rational(text):
         raise ValueError("not a rational: %r" % text)
     if x <= 0:
         raise ValueError("need a positive rational, got %s" % x)
+    _check_word_length("the word of %s" % _frac_str(x), sum(cf_even(x)) - 1)
     return x
 
 
@@ -136,7 +150,7 @@ def _enum_admissible(args, x):
     if args.count:
         counts = (p.eval_at_one() for p in norm1_statistics(a))
         return _emit_count(args, ("filled", "empty"), counts)
-    rows = sorted((val(b, a), b) for b in enumerate_admissible(a))
+    rows = numeration_rows(a)
     if args.format == "json":
         _emit(args, {"cf": list(a), "rows": [[n, list(b)] for n, b in rows]})
         return 0
@@ -254,6 +268,10 @@ def _cmd_markoff(args):
         else:
             print(number)
         return 0
+    if len(args.word) >= 2:
+        # the snake word is 0 gamma(inner) 0, and gamma sends 0 to 00 and 1 to 0110
+        inner = args.word[1:-1]
+        _check_word_length("the snake word of %s" % args.word, 2 + 2 * len(inner) + 2 * inner.count("1"))
     row = markoff_row(args.word)
     if args.format == "json":
         payload = dict(row)

@@ -102,6 +102,8 @@ def enumerate_ideals(fence):
 
 def ideals_by_subset_filter(fence):
     """Same set of ideals by testing every subset; cross-check oracle only.
+    It lives here, not in `_oracle`, because the benchmark
+    (`bench/workloads.py`) calls it by this module.
 
     The cover relations are folded into two bitmasks up front so the
     scan over all 2^size subsets stays a handful of integer operations

@@ -102,7 +102,7 @@ def q_markoff(w, check=True):
     """
     _check_domain(w, check)
     a = [e for c in w for e in ((1, 1) if c == "0" else (2, 2))]
-    return _q_product_vector(a, ([], [1]))[0]
+    return Poly.from_dense(_q_product_vector(a, ([], [1]))[0])
 
 
 def verify_area_theorem(m):

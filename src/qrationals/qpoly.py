@@ -1,4 +1,4 @@
-"""Laurent polynomials in q, 2x2 matrices of them, and q-rationals.
+"""Polynomials in q with integer coefficients, and q-rationals.
 
 The q-analog of a positive rational r/s replaces the elementary matrices
 L = [[1,0],[1,1]] and R = [[1,1],[0,1]] in the continued-fraction product
@@ -13,9 +13,7 @@ honest polynomials: the pair (R(q), S(q)) has S(0) = 1 and evaluates to
 The powers have closed forms, R_q^n = [[q^n, [n]_q], [0, 1]] and
 L_q^n = [[q^n, 0], [q [n]_q, 1]] with [n]_q = 1 + q + ... + q^(n-1), so
 the product is applied to its vector right to left, one power at a time,
-on dense coefficient lists.  Mat2, R_q, L_q, nu_q, mu_q and
-mat2_product_vector multiply the matrices out; they are the oracle that
-verify and the tests hold the fast pair against.
+on dense coefficient lists.
 """
 
 from fractions import Fraction
@@ -23,49 +21,32 @@ from itertools import accumulate
 from operator import add, sub
 
 from . import cf as _cf
-from .words import check_word
 
 __all__ = [
     "Poly",
-    "Mat2",
     "ZERO",
     "ONE",
     "Q",
-    "L_q",
-    "R_q",
-    "nu_q",
-    "mu_q",
-    "mat2_product_vector",
     "QRational",
     "q_rational",
     "theorem_pair",
     "q_shift_identity_check",
-    "xy_pair",
-    "xy_recurrence_check",
-    "conjugation_check",
 ]
 
 
 class Poly:
-    """Sparse Laurent polynomial with integer coefficients.
+    """Polynomial in q with integer coefficients.
 
-    Stored as a dict {exponent: coefficient} with no zero coefficients.
-    Exponents may be negative.
+    Stored as a dict {exponent: coefficient} with no zero coefficients
+    and no negative exponent.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for e, c in dict(coeffs).items():
-                if c:
-                    data[int(e)] = c
-        self.coeffs = data
-
-    @classmethod
-    def term(cls, coefficient, exponent=0):
-        return cls({exponent: coefficient})
+        self.coeffs = {e: c for e, c in dict(coeffs).items() if c} if coeffs else {}
+        if self.coeffs and min(self.coeffs) < 0:
+            raise ValueError("negative exponent %d in a polynomial" % min(self.coeffs))
 
     @classmethod
     def from_dense(cls, coefficients):
@@ -78,8 +59,6 @@ class Poly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = Poly.term(other)
         if not isinstance(other, Poly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -88,50 +67,20 @@ class Poly:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Poly.term(other)
         data = dict(self.coeffs)
         for e, c in other.coeffs.items():
             data[e] = data.get(e, 0) + c
         return Poly(data)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = Poly.term(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = Poly.term(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        data = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                data[e] = data.get(e, 0) + c1 * c2
-        return Poly(data)
-
-    __rmul__ = __mul__
-
     def shift(self, k):
-        """Multiply by q**k (k may be negative)."""
+        """Multiply by q**k.  A negative k divides, and raises ValueError
+        unless q**-k divides the polynomial."""
         return Poly({e + k: c for e, c in self.coeffs.items()})
 
     def eval_at_one(self):
         return sum(self.coeffs.values())
 
     def eval_at_zero(self):
-        if any(e < 0 for e in self.coeffs):
-            raise ValueError("negative exponents: undefined at q=0")
         return self.coeffs.get(0, 0)
 
     def degree(self):
@@ -175,105 +124,8 @@ class Poly:
 
 
 ZERO = Poly()
-ONE = Poly.term(1)
-Q = Poly.term(1, 1)
-
-
-class Mat2:
-    """2x2 matrix of Poly entries."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    @classmethod
-    def identity(cls):
-        return cls(ONE, ZERO, ZERO, ONE)
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __mul__(self, other):
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power %d of a Mat2" % n)
-        out = Mat2.identity()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def apply(self, v):
-        """Matrix times column vector (pair of Poly)."""
-        x, y = v
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
-
-    def transpose(self):
-        return Mat2(self.a, self.c, self.b, self.d)
-
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def __repr__(self):
-        return "Mat2[[%s, %s], [%s, %s]]" % (self.a, self.b, self.c, self.d)
-
-
-def L_q():
-    return Mat2(Q, ZERO, Q, ONE)
-
-
-def R_q():
-    return Mat2(Q, ONE, ZERO, ONE)
-
-
-def _diag_1_q():
-    return Mat2(ONE, ZERO, ZERO, Q)
-
-
-def nu_q(w):
-    """Monoid homomorphism 0 -> L_q, 1 -> R_q."""
-    check_word(w)
-    out = Mat2.identity()
-    for c in w:
-        out = out * (L_q() if c == "0" else R_q())
-    return out
-
-
-_MU0_ENTRIES = (Poly({1: 1, 2: 1}), ONE, Q, ONE)
-_MU1_ENTRIES = (Poly({1: 1, 2: 2, 3: 1, 4: 1}), Poly({0: 1, 1: 1}), Poly({1: 1, 2: 1}), ONE)
-
-
-def mu_q(w):
-    """Monoid homomorphism with mu_q(0) = R_q L_q, mu_q(1) = R_q^2 L_q^2.
-
-    Coded from the displayed single-letter matrices, independently of
-    nu_q; the identity mu_q(w) == nu_q(gamma_prime(w)) is a test.
-    """
-    check_word(w)
-    out = Mat2.identity()
-    for c in w:
-        out = out * Mat2(*(_MU0_ENTRIES if c == "0" else _MU1_ENTRIES))
-    return out
-
-
-def mat2_product_vector(a, v):
-    """R_q^{a_0} L_q^{a_1} R_q^{a_2} ... applied to the pair v of Poly, one
-    Mat2 factor at a time from the right: the oracle that q_rational,
-    theorem_pair and q_markoff are checked against."""
-    for i in range(len(a) - 1, -1, -1):
-        m = R_q() if i % 2 == 0 else L_q()
-        for _ in range(a[i]):
-            v = m.apply(v)
-    return v
+ONE = Poly({0: 1})
+Q = Poly({1: 1})
 
 
 def _times_q_integer(p, n):
@@ -292,7 +144,7 @@ def _plus(p, r):
 
 def _q_product_vector(a, v):
     """R_q^{a_0} L_q^{a_1} R_q^{a_2} ... applied to the column v, a pair of
-    dense coefficient lists, as a pair of Poly.
+    dense coefficient lists, as a pair of dense lists.
 
     The powers act right to left by their closed forms:
     R_q^n (x, y) = (q^n x + [n]_q y, y) and L_q^n (x, y) = (q^n x, q [n]_q x + y),
@@ -306,7 +158,7 @@ def _q_product_vector(a, v):
             x = _plus([0] * n + x, _times_q_integer(y, n))
         else:
             x, y = [0] * n + x, _plus([0] + _times_q_integer(x, n), y)
-    return Poly.from_dense(x), Poly.from_dense(y)
+    return x, y
 
 
 class QRational:
@@ -362,17 +214,20 @@ def q_rational(x):
     L_q (1,0)^T = q (1,1)^T; the second display needs no division.
     """
     a = _cf.cf_even(x)
-    return QRational(*_q_product_vector(a[:-1] + (a[-1] - 1,), ([1], [1])))
+    num, den = _q_product_vector(a[:-1] + (a[-1] - 1,), ([1], [1]))
+    return QRational(Poly.from_dense(num), Poly.from_dense(den))
 
 
 def theorem_pair(a):
     """diag(1,q)^-1 R_q^{a_0} ... L_q^{a_{2l-1}} (1,0)^T, the common pair
-    that the three enumeration statistics must reproduce: (q R(q), S(q))."""
+    that the three enumeration statistics must reproduce: (q R(q), S(q)).
+    The last factor is a power of L_q, so the second component starts
+    with a zero coefficient, and dropping it divides by q."""
     a = _cf.check_cf(a)
     if len(a) % 2:
         raise ValueError("even-length form required")
     v1, v2 = _q_product_vector(a, ([1], []))
-    return v1, v2.shift(-1)
+    return Poly.from_dense(v1), Poly.from_dense(v2[1:])
 
 
 def q_shift_identity_check(x):
@@ -381,31 +236,3 @@ def q_shift_identity_check(x):
     lhs = q_rational(x + 1)
     rhs = q_rational(x)
     return lhs.num == rhs.num.shift(1) + rhs.den and lhs.den == rhs.den
-
-
-def xy_pair(w):
-    """(X(w), Y(w)) = diag(1,q)^-1 nu_q(w) (q, q)^T."""
-    v1, v2 = nu_q(w).apply((Q, Q))
-    return v1, v2.shift(-1)
-
-
-def xy_recurrence_check(w):
-    """Check the one-letter recurrences on top of w:
-    X(1w) = qX + qY, Y(1w) = Y, X(0w) = qX, Y(0w) = X + Y."""
-    x, y = xy_pair(w)
-    x1, y1 = xy_pair("1" + w)
-    x0, y0 = xy_pair("0" + w)
-    return (
-        x1 == (x + y).shift(1)
-        and y1 == y
-        and x0 == x.shift(1)
-        and y0 == x + y
-    )
-
-
-def conjugation_check(w):
-    """nu_q(w) diag(1,q) == diag(1,q) nu_q(hat(w))^T."""
-    from .words import hat
-
-    d = _diag_1_q()
-    return nu_q(w) * d == d * nu_q(hat(w)).transpose()

@@ -58,7 +58,6 @@ __all__ = [
     "matching_statistics",
     "matching_counts",
     "phi",
-    "phi_by_pop",
     "prefix_suffix_table",
     "matching_edges",
     "snake_to_svg",
@@ -244,7 +243,9 @@ def enumerate_matchings(g):
 
 
 def matchings_by_backtracking(g):
-    """Independent oracle: match the smallest uncovered vertex each step.
+    """Independent oracle for `enumerate_matchings`: match the smallest
+    uncovered vertex each step.  It lives here, not in `_oracle`, because
+    the benchmark (`bench/workloads.py`) calls it by this module.
 
     The completions of a covered-vertex set depend on that set alone, so
     each set's list is built once and shared by every branch reaching it."""
@@ -374,41 +375,9 @@ def matching_edges(g, mask):
     return tuple(e for i, e in enumerate(g.edges) if mask >> i & 1)
 
 
-_UNIT_VERTICALS = frozenset({((0, 0), (0, 1)), ((1, 0), (1, 1))})
-
-
-def _pop_first_cell(m, letter):
-    """Erase the first cell from a matching given as an edge set, and
-    translate the rest back to the origin."""
-    uh = ((0, 0), (1, 0))
-    uv = ((0, 0), (0, 1))
-    square = frozenset(_square_edges(0, 0))
-    if letter == "0":
-        out = m - {uv} if uv in m else (m ^ square) - {uv}
-        dx, dy = -1, 0
-    else:
-        out = m - {uh} if uh in m else (m ^ square) - {uh}
-        dx, dy = 0, -1
-    return frozenset(
-        (((x1 + dx, y1 + dy), (x2 + dx, y2 + dy))) for (x1, y1), (x2, y2) in out
-    )
-
-
-def phi_by_pop(m, word):
-    """Ideal of a matching by the one-cell recursion: record whether the
-    matching is perpendicular, pop the first cell, shift the rest up."""
-    if not word:
-        return 0 if m == _UNIT_VERTICALS else 1
-    horizontal = ((0, 0), (1, 0)) in m
-    perp = horizontal if len(word) % 2 == 0 else not horizontal
-    rest = phi_by_pop(_pop_first_cell(m, word[0]), word[1:])
-    return rest << 1 | int(perp)
-
-
 def phi(g, mask):
     """Ideal of F(theta(w)) attached to a matching of G(w): element j is
-    in the ideal iff cell j is enclosed.  `verify` checks it against the
-    pop recursion `phi_by_pop`.
+    in the ideal iff cell j is enclosed.
 
     >>> g = Snake("0100")
     >>> phi(g, g.basic_mask)

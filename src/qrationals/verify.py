@@ -1,9 +1,11 @@
 """Verification harness: re-derives the library's claims at desk scale.
 
 Nine named checks, each comparing independent computation paths or
-frozen golden values.  `run_checks` executes them in order and collects
-(name, passed, message) rows; the CLI exposes this as `verify` and the
-test suite calls the same functions one per acceptance criterion.
+frozen golden values.  The slow reference paths that no production code
+needs live in `_oracle`, which only this module and the tests import.
+`run_checks` executes them in order and collects (name, passed,
+message) rows; the CLI exposes this as `verify` and the test suite
+calls the same functions one per acceptance criterion.
 
 The `desk` level covers every documented bound; `deep` raises them a
 notch for longer runs.
@@ -13,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 
+from . import _oracle
 from . import cf as _cf
 from . import fence as _fence
 from . import numeration as _num
@@ -126,12 +129,6 @@ def _rationals(bound):
     return list(_cf.rationals_with_sum_upto(bound))
 
 
-def _matrix_q_rational(a):
-    """q^-1 R_q^{a_0} ... L_q^{a_{2l-1}} (1,0)^T by the Mat2 product."""
-    v1, v2 = _qp.mat2_product_vector(a, (_qp.ONE, _qp.ZERO))
-    return _qp.QRational(v1.shift(-1), v2.shift(-1))
-
-
 def check_qrational_goldens(level="desk"):
     """Frozen q-deformations of 7/2, 2/7 and 4/5, byte for byte, and the
     same pairs from the Mat2 product."""
@@ -140,7 +137,7 @@ def check_qrational_goldens(level="desk"):
         got = qx.fraction_str()
         if got != expected:
             _fail("q-analog of %s printed %r, expected %r" % (x, got, expected))
-        oracle = _matrix_q_rational(_cf.cf_even(x))
+        oracle = _oracle.matrix_q_rational(_cf.cf_even(x))
         if oracle != qx:
             _fail("q-analog of %s is %s, the Mat2 product gives %s" % (x, qx, oracle))
     pair = _qp.theorem_pair(_cf.cf_even(Fraction(4, 5)))
@@ -207,7 +204,7 @@ def _check_phi(x, r, s):
     images = set()
     for m in matchings:
         ideal = _snake.phi(g, m)
-        popped = _snake.phi_by_pop(frozenset(_snake.matching_edges(g, m)), g.word)
+        popped = _oracle.phi_by_pop(frozenset(_snake.matching_edges(g, m)), g.word)
         if ideal != popped:
             _fail(
                 "phi of matching %s on the snake of %s is %s, the pop recursion gives %s"
@@ -237,7 +234,7 @@ def _check_order_preservation(x):
     matchings = _snake.enumerate_matchings(g)
     region = {m: frozenset(g.enclosed_cells(m)) for m in matchings}
     popped = {
-        m: _snake.phi_by_pop(frozenset(_snake.matching_edges(g, m)), g.word)
+        m: _oracle.phi_by_pop(frozenset(_snake.matching_edges(g, m)), g.word)
         for m in matchings
     }
     for m1 in matchings:
@@ -375,8 +372,8 @@ def check_markoff(level="desk"):
     if total != 433:
         _fail("snake of 001100001100 has %d matchings, expected 433" % total)
     for w in _proper_christoffel_words(b["christoffel_len"]):
-        if q_markoff(w) != _qp.mu_q(w).b:
-            _fail("q_markoff(%s) is %s, mu_q gives %s" % (w, q_markoff(w), _qp.mu_q(w).b))
+        if q_markoff(w) != _oracle.mu_q(w).b:
+            _fail("q_markoff(%s) is %s, mu_q gives %s" % (w, q_markoff(w), _oracle.mu_q(w).b))
         if not verify_area_theorem(w[1:-1]):
             _fail("area theorem fails for the Christoffel word %s" % w)
 
@@ -406,7 +403,7 @@ def check_polytope(level="desk"):
     b = BOUNDS[level]
     for a in _expansions(b["polytope_k"], b["polytope_sum"]):
         report = _poly.convexity_report(a)
-        for field, want in _poly._box_scan_report(a).items():
+        for field, want in _oracle.box_scan_report(a).items():
             if report.get(field) != want:
                 _fail(
                     "convexity report of %s has %s %r, the box-scan oracle gives %r"
@@ -418,8 +415,8 @@ def check_polytope(level="desk"):
         if k % 2 == 0:
             filled, empty = _num.partition(a)
             y, t = _poly.halfspace(a)
-            if any(_poly._dot(y, v) >= t for v in empty) or any(
-                _poly._dot(y, v) < t for v in filled
+            if any(_oracle.dot(y, v) >= t for v in empty) or any(
+                _oracle.dot(y, v) < t for v in filled
             ):
                 _fail("half-space cut of %s disagrees with the listed partition" % (a,))
             p, q = _cf.convergents(a)
@@ -468,9 +465,9 @@ def check_properties(level="desk"):
         if _cf.word_of(_cf.cf_even(1 / x)) != _words.complement(w):
             _fail("reciprocal/complement law fails on %s" % x)
         qx = _qp.q_rational(x)
-        lowered = _qp.mat2_product_vector(a[:-1] + (a[-1] - 1,), (_qp.ONE, _qp.ONE))
+        lowered = _oracle.mat2_product_vector(a[:-1] + (a[-1] - 1,), (_qp.ONE, _qp.ONE))
         for display, oracle in (
-            ("q^-1 times the product on (1,0)", _matrix_q_rational(a)),
+            ("q^-1 times the product on (1,0)", _oracle.matrix_q_rational(a)),
             ("the lowered product on (1,1)", _qp.QRational(*lowered)),
         ):
             if oracle != qx:

@@ -151,7 +151,9 @@ def christoffel_closure(max_length):
 
     Brute-force fixpoint of: 0, 1, 01 are Christoffel words, and whenever
     u, v and uv are all Christoffel words, so are uuv and uvv.  Used as an
-    oracle to validate `christoffel`/`is_christoffel`.
+    oracle to validate `christoffel`/`is_christoffel`; it lives here, not
+    in `_oracle`, because the benchmark (`bench/workloads.py`) calls it by
+    this module.
     """
     closure = {"0", "1", "01"}
     closure = {w for w in closure if len(w) <= max_length}

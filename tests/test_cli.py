@@ -6,11 +6,12 @@ import sys
 import pytest
 
 import qrationals
-from qrationals import cli, qpoly, verify
+from qrationals import _oracle, cli, qpoly, verify
+from qrationals._oracle import Mat2
 from qrationals.cf import rational_of_word
 from qrationals.cli import main
 from qrationals.markoff import markoff_of
-from qrationals.qpoly import Mat2, ONE, Q, ZERO
+from qrationals.qpoly import Q, ZERO
 from qrationals.words import christoffel, theta
 
 
@@ -259,6 +260,36 @@ def test_listing_limit_suggests_count(capsys, monkeypatch, family):
     assert run(capsys, "enum", family, "3/7", "--count")[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("qrat", "%s"),
+        ("enum", "ideals", "%s", "--count"),
+        ("enum", "admissible", "%s", "--count", "--format", "json"),
+        ("render", "snake", "%s"),
+        ("table", "%s"),
+    ),
+)
+def test_word_length_limit(capsys, monkeypatch, argv):
+    # 7/2 = [3; 2] has the 4-letter word 1110, and 9/2 = [4; 2] the 5-letter 11110
+    monkeypatch.setattr(cli, "MAX_WORD_LENGTH", 4)
+    assert run(capsys, *(arg.replace("%s", "7/2") for arg in argv))[0] == 0
+    code, out, err = run(capsys, *(arg.replace("%s", "9/2") for arg in argv))
+    assert (code, out) == (2, "")
+    assert "the word of 9/2 has 5 letters, over the limit of 4 letters" in err
+
+
+def test_markoff_table_word_length_limit(capsys, monkeypatch):
+    # the snake word of 001 is 0 gamma(0) 0 = 0000, and that of 011 is 001100
+    monkeypatch.setattr(cli, "MAX_WORD_LENGTH", 4)
+    assert run(capsys, "markoff", "--word", "001", "--table")[0] == 0
+    monkeypatch.setattr(cli, "markoff_row", None)
+    code, out, err = run(capsys, "markoff", "--word", "011", "--table")
+    assert (code, out) == (2, "")
+    assert "the snake word of 011 has 6 letters, over the limit of 4 letters" in err
+    assert run(capsys, "markoff", "--word", "011")[0] == 0
+
+
 def test_tree_depth_limit(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_TREE_DEPTH", 2)
     assert run(capsys, "tree", "sb", "--depth", "2")[0] == 0
@@ -279,7 +310,7 @@ def test_verify_wiring_reports_and_exits(capsys, monkeypatch):
 
 def test_corrupted_build_names_the_failing_check(monkeypatch):
     # a wrong lower matrix must be caught by the first golden check
-    monkeypatch.setattr(qpoly, "L_q", lambda: Mat2(Q, ZERO, Q, Q))
+    monkeypatch.setattr(_oracle, "L_q", lambda: Mat2(Q, ZERO, Q, Q))
     monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:1])
     passed, rows = verify.run_checks("desk")
     assert passed is False

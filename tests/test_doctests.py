@@ -3,10 +3,12 @@
 import ast
 import doctest
 import inspect
+from pathlib import Path
 
 import pytest
 
 import qrationals
+import qrationals._oracle
 import qrationals.cf
 import qrationals.cli
 import qrationals.fence
@@ -20,6 +22,7 @@ import qrationals.words
 
 MODULES = [
     qrationals,
+    qrationals._oracle,
     qrationals.cf,
     qrationals.cli,
     qrationals.fence,
@@ -46,3 +49,21 @@ def test_no_assert_statements(module):
     tree = ast.parse(inspect.getsource(module), path)
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, "assert statements in %s at lines %s" % (path, lines)
+
+
+def test_only_verify_imports_the_oracle():
+    # the production path never leans on the brute-force oracles
+    found = []
+    for path in sorted(Path(qrationals.__file__).parent.glob("*.py")):
+        if path.stem == "verify":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "_oracle" in (name.split(".")[-1] for name in names):
+                found.append("%s:%d" % (path, node.lineno))
+    assert not found, "production modules import _oracle at %s" % ", ".join(found)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
+from qrationals._oracle import xy_pair
 from qrationals.cf import cf_even
 from qrationals.fence import (
     Fence,
@@ -17,7 +18,6 @@ from qrationals.fence import (
     psi_inverse,
 )
 from qrationals.numeration import enumerate_admissible, is_filled
-from qrationals.qpoly import xy_pair
 
 words = st.text(alphabet="01", max_size=10)
 rationals = st.builds(Fraction, st.integers(1, 25), st.integers(1, 25))

@@ -3,6 +3,7 @@ from math import gcd
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
+from qrationals._oracle import mu_q, nu_q
 from qrationals.markoff import (
     markoff_numbers_upto,
     markoff_of,
@@ -11,7 +12,6 @@ from qrationals.markoff import (
     q_markoff,
     verify_area_theorem,
 )
-from qrationals.qpoly import mu_q, nu_q
 from qrationals.verify import MARKOFF_UPTO_5000
 from qrationals.words import christoffel, christoffel_closure, gamma_prime
 

@@ -3,20 +3,11 @@ from itertools import product
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from qrationals import numeration, polytope, verify
+from qrationals import _oracle, numeration, polytope, verify
+from qrationals._oracle import HullSystem, box_scan_report, in_hull, separates
 from qrationals.cf import cf_value
 from qrationals.numeration import enumerate_admissible, is_admissible, partition
-from qrationals.polytope import (
-    HullSystem,
-    _box_scan_report,
-    convexity_report,
-    halfspace,
-    in_hull,
-    inequalities,
-    separates,
-    verify_halfspace_split,
-    verify_lattice_convexity,
-)
+from qrationals.polytope import convexity_report, halfspace, inequalities, verify_halfspace_split
 
 
 @st.composite
@@ -86,7 +77,6 @@ def test_lattice_points_of_the_hull_are_the_admissible_vectors(a):
     assert report["violations"] == []
     assert report["dimension"] == len(a)
     assert report["generators"] == len(enumerate_admissible(a))
-    assert verify_lattice_convexity(a)
 
 
 @given(expansions())
@@ -132,7 +122,17 @@ def test_every_box_point_is_classified_correctly():
 @given(wider_expansions())
 @settings(max_examples=60, deadline=None)
 def test_report_equals_the_box_scan_oracle(a):
-    assert convexity_report(a) == _box_scan_report(a)
+    assert convexity_report(a) == box_scan_report(a)
+
+
+@pytest.mark.parametrize("slack", (-100, 100))
+def test_box_scan_tests_each_row_as_a_separator(monkeypatch, slack):
+    # rows that every point or no point breaks change which points reach
+    # Fourier-Motzkin, never the report
+    rows_of = _oracle.inequalities
+    monkeypatch.setattr(_oracle, "inequalities", lambda a: [(y, t + slack) for y, t in rows_of(a)])
+    for a in ((2, 2, 2), (0, 1, 3, 1), (1, 2, 1, 2)):
+        assert box_scan_report(a) == convexity_report(a)
 
 
 @given(expansions())
@@ -150,7 +150,8 @@ def test_report_lists_nothing_and_scans_no_box(monkeypatch):
         raise AssertionError("convexity_report must not enumerate")
 
     for name in ("enumerate_admissible", "HullSystem", "product"):
-        monkeypatch.setattr(polytope, name, refuse)
+        assert not hasattr(polytope, name)
+    monkeypatch.setattr(numeration, "enumerate_admissible", refuse)
     a = (5,) * 10
     assert convexity_report(a) == {
         "dimension": 10,

@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
+from qrationals._oracle import phi_by_pop
 from qrationals.cf import cf_even, rational_of_word, word_of
 from qrationals.fence import Fence, enumerate_ideals
 from qrationals.snake import (
@@ -14,7 +15,6 @@ from qrationals.snake import (
     matching_statistics,
     matchings_by_backtracking,
     phi,
-    phi_by_pop,
     prefix_suffix_table,
     snake_of_rational,
     snake_to_svg,

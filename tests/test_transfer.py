@@ -87,7 +87,7 @@ def no_enumerator(monkeypatch):
         (numeration, "enumerate_admissible"),
         (numeration, "partition"),
         (cli, "enumerate_ideals"),
-        (cli, "enumerate_admissible"),
+        (cli, "numeration_rows"),
         (cli, "enumerate_matchings"),
     ):
         monkeypatch.setattr(module, name, refuse)
