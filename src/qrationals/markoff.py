@@ -102,7 +102,8 @@ def q_markoff(w, check=True):
     """
     _check_domain(w, check)
     a = [e for c in w for e in ((1, 1) if c == "0" else (2, 2))]
-    return Poly.from_dense(_q_product_vector(a, ([], [1]))[0])
+    x, _, width = _q_product_vector(a, (0, 1))
+    return Poly.from_packed(x, width)
 
 
 def verify_area_theorem(m):

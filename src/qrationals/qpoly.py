@@ -12,8 +12,16 @@ honest polynomials: the pair (R(q), S(q)) has S(0) = 1 and evaluates to
 
 The powers have closed forms, R_q^n = [[q^n, [n]_q], [0, 1]] and
 L_q^n = [[q^n, 0], [q [n]_q, 1]] with [n]_q = 1 + q + ... + q^(n-1), so
-the product is applied to its vector right to left, one power at a time,
-on dense coefficient lists.
+the product is applied to its vector right to left, one power at a time.
+Each component is packed into one integer, its value at q = 2^B
+(Kronecker substitution), so a power costs a few big-integer shifts and
+additions rather than one operation per coefficient.  The width B is
+exact: the matrices and the start vector have nonnegative entries, so
+every polynomial met along the product, partial sums included, has
+nonnegative coefficients, each at most the polynomial's value at q = 1,
+and those values only grow along the product.  B bits that hold the
+largest final value at q = 1 therefore hold every coefficient, and no
+addition carries into the next one.
 """
 
 from fractions import Fraction
@@ -54,6 +62,15 @@ class Poly:
         p = cls()
         p.coeffs = {e: c for e, c in enumerate(coefficients) if c}
         return p
+
+    @classmethod
+    def from_packed(cls, x, width):
+        """The polynomial whose coefficient of q^e is bits e*width up to
+        (e+1)*width of the integer x >= 0, for width a multiple of 8."""
+        size = width // 8
+        data = x.to_bytes(-(-x.bit_length() // width) * size, "little")
+        fields = range(0, len(data), size)
+        return cls.from_dense(int.from_bytes(data[i:i + size], "little") for i in fields)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -142,23 +159,51 @@ def _plus(p, r):
     return list(map(add, p, r)) + p[len(r):]
 
 
+def _packed_times_q_integer(p, n, width):
+    """The packed polynomial p times [n]_q, n >= 1, in O(log n) shift-adds:
+    [2m]_q = [m]_q (1 + q^m) and [m+1]_q = 1 + q [m]_q."""
+    t, m = p, 1
+    for bit in bin(n)[3:]:
+        t += t << m * width
+        m *= 2
+        if bit == "1":
+            t = p + (t << width)
+            m += 1
+    return t
+
+
 def _q_product_vector(a, v):
     """R_q^{a_0} L_q^{a_1} R_q^{a_2} ... applied to the column v, a pair of
-    dense coefficient lists, as a pair of dense lists.
+    nonnegative integers not both 0, as a pair of packed polynomials and
+    their width.
 
     The powers act right to left by their closed forms:
-    R_q^n (x, y) = (q^n x + [n]_q y, y) and L_q^n (x, y) = (q^n x, q [n]_q x + y),
-    so each partial quotient costs a shift and one window sum."""
+    R_q^n (x, y) = (q^n x + [n]_q y, y) and L_q^n (x, y) = (q^n x, q [n]_q x + y).
+    Run first in integers, at q = 1, the product gives the largest value
+    M that an entry reaches.  Every coefficient met, in the partial sums
+    of [n]_q y and [n]_q x too, is nonnegative and at most its
+    polynomial's value at q = 1, so at most M, and fits in `width` bits,
+    the least multiple of 8 with M < 2^width.  The product then runs at
+    q = 2^width, where a constant is its own packing and each power costs
+    O(log n) shifts and additions of whole integers; `Poly.from_packed`
+    unpacks the result."""
+    x1, y1 = v
+    for i in range(len(a) - 1, -1, -1):
+        if i % 2:
+            y1 += a[i] * x1
+        else:
+            x1 += a[i] * y1
+    width = (max(x1, y1).bit_length() + 7) // 8 * 8
     x, y = v
     for i in range(len(a) - 1, -1, -1):
         n = a[i]
         if not n:
             continue
         if i % 2 == 0:
-            x = _plus([0] * n + x, _times_q_integer(y, n))
+            x = (x << n * width) + _packed_times_q_integer(y, n, width)
         else:
-            x, y = [0] * n + x, _plus([0] + _times_q_integer(x, n), y)
-    return x, y
+            x, y = x << n * width, (_packed_times_q_integer(x, n, width) << width) + y
+    return x, y, width
 
 
 class QRational:
@@ -214,20 +259,21 @@ def q_rational(x):
     L_q (1,0)^T = q (1,1)^T; the second display needs no division.
     """
     a = _cf.cf_even(x)
-    num, den = _q_product_vector(a[:-1] + (a[-1] - 1,), ([1], [1]))
-    return QRational(Poly.from_dense(num), Poly.from_dense(den))
+    num, den, width = _q_product_vector(a[:-1] + (a[-1] - 1,), (1, 1))
+    return QRational(Poly.from_packed(num, width), Poly.from_packed(den, width))
 
 
 def theorem_pair(a):
     """diag(1,q)^-1 R_q^{a_0} ... L_q^{a_{2l-1}} (1,0)^T, the common pair
     that the three enumeration statistics must reproduce: (q R(q), S(q)).
     The last factor is a power of L_q, so the second component starts
-    with a zero coefficient, and dropping it divides by q."""
+    with a zero coefficient; shifting its packing down one field divides
+    by q."""
     a = _cf.check_cf(a)
     if len(a) % 2:
         raise ValueError("even-length form required")
-    v1, v2 = _q_product_vector(a, ([1], []))
-    return Poly.from_dense(v1), Poly.from_dense(v2[1:])
+    v1, v2, width = _q_product_vector(a, (1, 0))
+    return Poly.from_packed(v1, width), Poly.from_packed(v2 >> width, width)
 
 
 def q_shift_identity_check(x):

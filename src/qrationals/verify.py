@@ -4,7 +4,7 @@ Nine named checks, each comparing independent computation paths or
 frozen golden values.  The slow reference paths that no production code
 needs live in `_oracle`, which only this module and the tests import.
 `run_checks` executes them in order and collects (name, passed,
-message) rows; the CLI exposes this as `verify` and the test suite
+message, seconds) rows; the CLI exposes this as `verify` and the test suite
 calls the same functions one per acceptance criterion.
 
 The `desk` level covers every documented bound; `deep` raises them a
@@ -14,6 +14,7 @@ notch for longer runs.
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
+from time import perf_counter
 
 from . import _oracle
 from . import cf as _cf
@@ -518,20 +519,23 @@ CHECKS = (
 
 
 def run_checks(level="desk", report=None):
-    """Run every check; return (all passed, rows of (name, ok, message))."""
+    """Run every check; return (all passed, rows of (name, ok, message,
+    seconds)), seconds being the check's wall time."""
     if level not in BOUNDS:
         raise ValueError("unknown level %r" % level)
     rows = []
     for name, func in CHECKS:
+        start = perf_counter()
         try:
             func(level)
         except AssertionError as exc:
-            rows.append((name, False, str(exc) or "internal invariant failed"))
+            ok, msg = False, str(exc) or "internal invariant failed"
         except Exception as exc:
-            rows.append((name, False, "%s: %s" % (type(exc).__name__, exc)))
+            ok, msg = False, "%s: %s" % (type(exc).__name__, exc)
         else:
-            rows.append((name, True, ""))
+            ok, msg = True, ""
+        seconds = perf_counter() - start
+        rows.append((name, ok, msg, seconds))
         if report is not None:
-            name_, ok, msg = rows[-1]
-            report("%s %s%s" % ("PASS" if ok else "FAIL", name_, ": " + msg if msg else ""))
-    return all(ok for _, ok, _ in rows), rows
+            report("%s %s (%.2f s)%s" % ("PASS" if ok else "FAIL", name, seconds, ": " + msg if msg else ""))
+    return all(row[1] for row in rows), rows

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -290,6 +291,30 @@ def test_markoff_table_word_length_limit(capsys, monkeypatch):
     assert run(capsys, "markoff", "--word", "011")[0] == 0
 
 
+@pytest.mark.parametrize("word", ("00101", "11011"))
+@pytest.mark.parametrize("table", ((), ("--table",)))
+def test_markoff_word_length_limit(capsys, monkeypatch, word, table):
+    # 00101 is a Christoffel word and 11011 is not; neither is echoed
+    monkeypatch.setattr(cli, "MAX_WORD_LENGTH", 4)
+    assert run(capsys, "markoff", "--word", "001", *table)[0] == 0
+    monkeypatch.setattr(cli, "markoff_of", None)
+    monkeypatch.setattr(cli, "markoff_row", None)
+    code, out, err = run(capsys, "markoff", "--word", word, *table)
+    assert (code, out) == (2, "")
+    assert err == "error: the Markoff word has 5 letters, over the limit of 4 letters\n"
+
+
+def test_markoff_upto_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_MARKOFF_DIGITS", 3)
+    code, out, _ = run(capsys, "markoff", "--upto", "999", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["numbers"][-1] == 985
+    monkeypatch.setattr(cli, "markoff_numbers_upto", None)
+    code, out, err = run(capsys, "markoff", "--upto", "1000")
+    assert (code, out) == (2, "")
+    assert err == "error: markoff --upto takes a bound of at most 3 digits, got 4 digits\n"
+
+
 def test_tree_depth_limit(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_TREE_DEPTH", 2)
     assert run(capsys, "tree", "sb", "--depth", "2")[0] == 0
@@ -299,13 +324,23 @@ def test_tree_depth_limit(capsys, monkeypatch):
 
 
 def test_verify_wiring_reports_and_exits(capsys, monkeypatch):
-    rows = [("alpha", True, ""), ("beta", False, "broke")]
+    rows = [("alpha", True, "", 0.25), ("beta", False, "broke", 1.23456)]
     monkeypatch.setattr(verify, "run_checks", lambda level, report=None: (False, rows))
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == 3
     data = json.loads(out)
     assert data["ok"] is False
-    assert data["checks"][1] == {"name": "beta", "ok": False, "message": "broke"}
+    assert data["checks"][1] == {"name": "beta", "ok": False, "message": "broke", "seconds": 1.235}
+
+
+def test_verify_text_reports_each_check_and_its_seconds(capsys, monkeypatch):
+    def broken(level):
+        raise ValueError("broke")
+
+    monkeypatch.setattr(verify, "CHECKS", (("alpha", lambda level: None), ("beta", broken)))
+    code, out, _ = run(capsys, "verify")
+    assert code == 3
+    assert re.fullmatch(r"PASS alpha \(\d+\.\d\d s\)\nFAIL beta \(\d+\.\d\d s\): ValueError: broke\n", out)
 
 
 def test_corrupted_build_names_the_failing_check(monkeypatch):
@@ -320,8 +355,8 @@ def test_corrupted_build_names_the_failing_check(monkeypatch):
 
 
 def test_corrupted_kernel_names_the_failing_check(monkeypatch):
-    # a dense kernel that multiplies by 1 in place of [n]_q
-    monkeypatch.setattr(qpoly, "_times_q_integer", lambda p, n: list(p))
+    # a packed kernel that multiplies by 1 in place of [n]_q
+    monkeypatch.setattr(qpoly, "_packed_times_q_integer", lambda p, n, width: p)
     monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:1])
     passed, rows = verify.run_checks("desk")
     assert passed is False

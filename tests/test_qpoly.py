@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, isqrt
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
@@ -9,12 +10,14 @@ from qrationals._oracle import (
     R_q,
     conjugation_check,
     mat2_product_vector,
+    mu_q,
     nu_q,
     times,
     xy_pair,
     xy_recurrence_check,
 )
 from qrationals.cf import cf_even, cf_value
+from qrationals.markoff import markoff_of, q_markoff
 from qrationals.qpoly import ONE, Poly, Q, ZERO, q_rational, q_shift_identity_check, theorem_pair
 from qrationals.words import hat
 
@@ -115,6 +118,56 @@ def test_q_rational_and_theorem_pair_equal_the_mat2_product(a):
     qx = q_rational(cf_value(a))
     assert (qx.num, qx.den) == (v1.shift(-1), v2.shift(-1))
     assert theorem_pair(a) == (v1, v2.shift(-1))
+
+
+def _golden_partner(r):
+    """The s coprime to r nearest r/phi, so r/s has a long expansion of
+    small partial quotients."""
+    s = (isqrt(5 * r * r) - r) // 2
+    while gcd(r, s) != 1:
+        s += 1
+    return s
+
+
+# The kernel packs each coefficient into the fewest whole bytes that hold
+# the largest value at q = 1; these inputs put that value on either side
+# of 2^k for k = 7, 8, 15, 16, 64, and the Markoff words on either side of
+# 2^8, 2^16, 2^24 and 2^32.
+WIDTH_EDGE_RATIONALS = (
+    [Fraction(r) for r in (127, 128, 129, 255, 256, 257)]
+    + [Fraction(1, r) for r in (255, 256, 257)]
+    + [
+        x
+        for k in (7, 8, 15, 16, 64)
+        for r in (2**k - 1, 2**k, 2**k + 1)
+        for x in (Fraction(r, _golden_partner(r)), Fraction(_golden_partner(r), r))
+    ]
+    + [cf_value(a) for a in ((0, 299, 300, 1), (301, 1), (1, 300, 2, 1), (298, 2, 299, 1))]
+)
+WIDTH_EDGE_WORDS = (
+    ("000001", 233),
+    ("01011", 433),
+    ("00000100001", 62210),
+    ("000000000001", 75025),
+    ("0000010000100001", 16609837),
+    ("01111011111", 16964653),
+    ("011011101110111", 3778847945),
+    ("000001000010000100001", 4434764269),
+)
+
+
+def test_packing_width_edges_equal_the_mat2_products():
+    for x in WIDTH_EDGE_RATIONALS:
+        a = cf_even(x)
+        v1, v2 = mat2_product_vector(a, (ONE, ZERO))
+        qx = q_rational(x)
+        assert (qx.num, qx.den) == (v1.shift(-1), v2.shift(-1)), x
+        assert theorem_pair(a) == (v1, v2.shift(-1)), x
+    # an integer n is [n - 1; 1], so q_rational lowers its last exponent to 0
+    assert all(cf_even(x)[-1] == 1 for x in WIDTH_EDGE_RATIONALS[:6])
+    for w, m in WIDTH_EDGE_WORDS:
+        assert markoff_of(w) == m
+        assert q_markoff(w) == mu_q(w).b, w
 
 
 def test_ten_thousand_sevenths_at_q_equals_two():
