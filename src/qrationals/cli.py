@@ -28,7 +28,7 @@ from .fence import (
     fence_to_svg,
     ideal_statistics,
 )
-from .markoff import markoff_numbers_upto, markoff_of, markoff_row
+from .markoff import markoff_numbers_upto, markoff_of, markoff_row, markoff_snake_word
 from .numeration import norm1_statistics, numeration_rows, rep, val
 from .qpoly import q_rational, q_shift_identity_check
 from .snake import (
@@ -96,94 +96,60 @@ def _frac_str(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def _emit(args, payload):
-    print(json.dumps(payload, indent=2))
-
-
 def _cmd_qrat(args):
     x = _parse_rational(args.rational)
     qx = q_rational(x)
-    if args.format == "json":
-        payload = {"x": _frac_str(x)}
-        payload.update(qx.to_json())
-        if args.shift_check:
-            payload["shift_check"] = q_shift_identity_check(x)
-            if not payload["shift_check"]:
-                _emit(args, payload)
-                return 3
-        _emit(args, payload)
-        return 0
-    print(qx.fraction_str())
-    if args.shift_check:
-        if not q_shift_identity_check(x):
-            print("FAIL shift identity for %s" % _frac_str(x), file=sys.stderr)
-            return 3
-        print("shift-check ok")
-    return 0
+    payload = {"x": _frac_str(x)}
+    payload.update(qx.to_json())
+    lines = [qx.fraction_str()]
+    if not args.shift_check:
+        return payload, lines, None
+    payload["shift_check"] = q_shift_identity_check(x)
+    if not payload["shift_check"]:
+        return payload, lines, "FAIL shift identity for %s" % _frac_str(x)
+    return payload, lines + ["shift-check ok"], None
 
 
 def _cmd_rep(args):
     a = cf_parse(args.cf)
     digits = rep(args.n, a)
-    if args.format == "json":
-        _emit(args, {"cf": list(a), "n": args.n, "digits": list(digits)})
-        return 0
-    print(",".join(str(d) for d in digits))
-    return 0
+    return {"cf": a, "n": args.n, "digits": digits}, [",".join(str(d) for d in digits)], None
 
 
 def _cmd_val(args):
     a = cf_parse(args.cf)
     digits = _parse_digits(args.digits)
     n = val(digits, a)
-    if args.format == "json":
-        _emit(args, {"cf": list(a), "digits": list(digits), "n": n})
-        return 0
-    print(n)
-    return 0
+    return {"cf": a, "digits": digits, "n": n}, [str(n)], None
 
 
-def _emit_count(args, labels, counts):
-    """One count line, or JSON object, per half and their total."""
+def _count_result(labels, counts):
+    """The two halves of a count and their total, as one JSON object or one line."""
     (first, second), (m, n) = labels, counts
-    if args.format == "json":
-        _emit(args, {first: m, second: n, "total": m + n})
-    else:
-        print("%s=%d %s=%d total=%d" % (first, m, second, n, m + n))
-    return 0
+    return {first: m, second: n, "total": m + n}, ["%s=%d %s=%d total=%d" % (first, m, second, n, m + n)], None
 
 
 def _enum_admissible(args, x):
     a = cf_even(x)
     if args.count:
-        counts = (p.eval_at_one() for p in norm1_statistics(a))
-        return _emit_count(args, ("filled", "empty"), counts)
+        return _count_result(("filled", "empty"), (p.eval_at_one() for p in norm1_statistics(a)))
     rows = numeration_rows(a)
-    if args.format == "json":
-        _emit(args, {"cf": list(a), "rows": [[n, list(b)] for n, b in rows]})
-        return 0
-    for n, b in rows:
-        print("%d\t%s" % (n, ",".join(str(d) for d in b)))
-    return 0
+    lines = ("%d\t%s" % (n, ",".join(str(d) for d in b)) for n, b in rows)
+    return {"cf": a, "rows": rows}, lines, None
 
 
 def _enum_ideals(args, x):
     fence = fence_of_rational(x)
     if args.count:
-        counts = (p.eval_at_one() for p in ideal_statistics(fence))
-        return _emit_count(args, ("filled", "empty"), counts)
+        return _count_result(("filled", "empty"), (p.eval_at_one() for p in ideal_statistics(fence)))
     elements = [[i for i in range(fence.size) if m >> i & 1] for m in enumerate_ideals(fence)]
-    if args.format == "json":
-        _emit(args, {"x": _frac_str(x), "ideals": elements})
-        return 0
-    for ideal in elements:
-        print("{%s}" % ",".join(str(i) for i in ideal))
-    return 0
+    lines = ("{%s}" % ",".join(str(i) for i in ideal) for ideal in elements)
+    return {"x": _frac_str(x), "ideals": elements}, lines, None
 
 
 def _enum_matchings(args, x):
     if args.count:
-        return _emit_count(args, ("perp", "par"), matching_counts(snake_word(x)))
+        return _count_result(("perp", "par"), matching_counts(snake_word(x)))
     g = snake_of_rational(x)
     rows = [
         {
@@ -193,15 +159,12 @@ def _enum_matchings(args, x):
         }
         for m in enumerate_matchings(g)
     ]
-    if args.format == "json":
-        for row in rows:
-            row["edges"] = [[list(u), list(v)] for u, v in row["edges"]]
-        _emit(args, {"x": _frac_str(x), "matchings": rows})
-        return 0
-    for row in rows:
-        edges = ",".join("(%d,%d)-(%d,%d)" % (u + v) for u, v in row["edges"])
-        print("class=%s area=%d edges=%s" % (row["class"], row["area"], edges))
-    return 0
+    lines = (
+        "class=%s area=%d edges=%s"
+        % (row["class"], row["area"], ",".join("(%d,%d)-(%d,%d)" % (u + v) for u, v in row["edges"]))
+        for row in rows
+    )
+    return {"x": _frac_str(x), "matchings": rows}, lines, None
 
 
 def _cmd_enum(args):
@@ -223,40 +186,23 @@ def _cmd_enum(args):
 
 def _cmd_render(args):
     x = _parse_rational(args.rational)
-    fmt = args.format or "svg"
     if args.shape == "fence":
         fence = fence_of_rational(x)
-        if fmt == "svg":
-            print(fence_to_svg(fence))
-            return 0
-        if fmt == "dot":
-            print(fence_to_dot(fence))
-            return 0
-        raise ValueError("render supports svg or dot, not %r" % fmt)
-    if fmt == "svg":
-        print(snake_to_svg(snake_of_rational(x)))
-        return 0
-    raise ValueError("snake graphs render as svg only, not %r" % fmt)
+        return None, [fence_to_svg(fence) if args.format == "svg" else fence_to_dot(fence)], None
+    if args.format != "svg":
+        raise ValueError("snake graphs render as svg only, not %r" % args.format)
+    return None, [snake_to_svg(snake_of_rational(x))], None
 
 
 def _cmd_table(args):
     x = _parse_rational(args.rational)
     table = prefix_suffix_table(x)
-    if args.format == "json":
-        _emit(
-            args,
-            {
-                "word": table["word"],
-                "prefixes": [list(p) for p in table["prefixes"]],
-                "suffixes": [list(p) for p in table["suffixes"]],
-            },
-        )
-        return 0
-    print("word\t%s" % table["word"])
-    print("len\tprefix_perp\tprefix_par\tsuffix_perp\tsuffix_par")
-    for j, (pre, suf) in enumerate(zip(table["prefixes"], table["suffixes"])):
-        print("%d\t%d\t%d\t%d\t%d" % (j, pre[0], pre[1], suf[0], suf[1]))
-    return 0
+    lines = ["word\t%s" % table["word"], "len\tprefix_perp\tprefix_par\tsuffix_perp\tsuffix_par"]
+    lines += (
+        "%d\t%d\t%d\t%d\t%d" % (j, pre[0], pre[1], suf[0], suf[1])
+        for j, (pre, suf) in enumerate(zip(table["prefixes"], table["suffixes"]))
+    )
+    return table, lines, None
 
 
 def _cmd_markoff(args):
@@ -269,31 +215,18 @@ def _cmd_markoff(args):
                 % (MAX_MARKOFF_DIGITS, len(str(args.upto)))
             )
         numbers = markoff_numbers_upto(args.upto)
-        if args.format == "json":
-            _emit(args, {"bound": args.upto, "numbers": numbers})
-        else:
-            print(",".join(str(m) for m in numbers))
-        return 0
+        return {"bound": args.upto, "numbers": numbers}, [",".join(str(m) for m in numbers)], None
     _check_word_length("the Markoff word", len(args.word))
     if not args.table:
         number = markoff_of(args.word)
-        if args.format == "json":
-            _emit(args, {"word": args.word, "number": number})
-        else:
-            print(number)
-        return 0
+        return {"word": args.word, "number": number}, [str(number)], None
     if len(args.word) >= 2:
-        # the snake word is 0 gamma(inner) 0, and gamma sends 0 to 00 and 1 to 0110
-        inner = args.word[1:-1]
-        _check_word_length("the snake word of %s" % args.word, 2 + 2 * len(inner) + 2 * inner.count("1"))
+        _check_word_length("the snake word of the Markoff word", len(markoff_snake_word(args.word)))
     row = markoff_row(args.word)
-    if args.format == "json":
-        payload = dict(row)
-        payload["q_polynomial"] = row["q_polynomial"].to_json()
-        _emit(args, payload)
-        return 0
-    print("word\tnumber\tq_polynomial\tsnake_word\tmatching_count")
-    print(
+    payload = dict(row)
+    payload["q_polynomial"] = row["q_polynomial"].to_json()
+    lines = [
+        "word\tnumber\tq_polynomial\tsnake_word\tmatching_count",
         "%s\t%d\t%s\t%s\t%s"
         % (
             row["word"],
@@ -301,9 +234,9 @@ def _cmd_markoff(args):
             row["q_polynomial"].compact(),
             row["snake_word"] if row["snake_word"] is not None else "-",
             row["matching_count"] if row["matching_count"] is not None else "-",
-        )
-    )
-    return 0
+        ),
+    ]
+    return payload, lines, None
 
 
 def _cmd_tree(args):
@@ -314,30 +247,15 @@ def _cmd_tree(args):
             "depth %d would build 2^%d rationals, over the limit of depth %d"
             % (args.depth, args.depth, MAX_TREE_DEPTH)
         )
-    level = sb_level(args.depth) if args.kind == "sb" else cw_level(args.depth)
-    if args.format == "json":
-        _emit(args, {"kind": args.kind, "depth": args.depth, "level": [_frac_str(x) for x in level]})
-        return 0
-    print(" ".join(_frac_str(x) for x in level))
-    return 0
+    level = [_frac_str(x) for x in (sb_level(args.depth) if args.kind == "sb" else cw_level(args.depth))]
+    return {"kind": args.kind, "depth": args.depth, "level": level}, [" ".join(level)], None
 
 
 def _cmd_verify(args):
-    if args.format == "json":
-        ok, rows = _verify.run_checks(args.level)
-        _emit(
-            args,
-            {
-                "level": args.level,
-                "ok": ok,
-                "checks": [
-                    {"name": n, "ok": o, "message": m, "seconds": round(t, 3)} for n, o, m, t in rows
-                ],
-            },
-        )
-    else:
-        ok, _ = _verify.run_checks(args.level, report=print)
-    return 0 if ok else 3
+    # text mode prints each row as its check finishes, so no lines are left
+    ok, rows = _verify.run_checks(args.level, report=print if args.format == "text" else None)
+    checks = [{"name": n, "ok": o, "message": m, "seconds": round(t, 3)} for n, o, m, t in rows]
+    return {"level": args.level, "ok": ok, "checks": checks}, (), None if ok else ""
 
 
 def _build_parser():
@@ -378,7 +296,7 @@ def _build_parser():
     p = sub.add_parser("render", help="draw a snake graph or fence poset")
     p.add_argument("shape", choices=("snake", "fence"))
     p.add_argument("rational")
-    p.add_argument("--format", choices=("svg", "dot"), default=None)
+    add_format(p, ("svg", "dot"), "svg")
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("table", help="prefix/suffix matching counts")
@@ -409,13 +327,27 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and write its result.
+
+    Each subcommand returns (payload, lines, failure): the JSON payload,
+    the text lines, and None on success or, for a failed check, the line
+    (possibly empty) that text output writes to stderr before exit 3."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, failure = args.func(args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    if failure is None:
+        return 0
+    if failure and args.format != "json":
+        print(failure, file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

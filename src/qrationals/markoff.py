@@ -10,7 +10,7 @@ polynomial of a snake graph.
 """
 
 from .qpoly import Poly, _q_product_vector
-from .snake import Snake, area_histogram, matching_counts
+from .snake import Snake, matching_counts, matching_statistics
 from .words import check_word, gamma, is_christoffel
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "mu",
     "markoff_of",
     "q_markoff",
+    "markoff_snake_word",
     "verify_area_theorem",
     "markoff_row",
 ]
@@ -60,28 +61,33 @@ def markoff_numbers_upto(bound):
     return sorted(found)
 
 
-def _check_domain(w, check):
-    check_word(w)
+def _check_domain(w):
+    """Refuse all but a Christoffel word, naming it by its length alone."""
     if not w:
         raise ValueError("empty word")
-    if check and not is_christoffel(w):
-        raise ValueError("%r is not a Christoffel word (pass check=False to force)" % w)
+    if not is_christoffel(w):
+        raise ValueError("the Markoff word of %d letters is not a Christoffel word" % len(w))
 
 
-def mu(w, check=True):
-    """Integer matrix product over the word, 0 and 1 each a fixed matrix.
+def mu(w):
+    """Integer matrix product over a nonempty binary word, 0 and 1 each a
+    fixed matrix; a monoid map, so any word will do.
 
     >>> mu("00101")
     ((463, 194), (284, 119))
+    >>> mu("10")
+    ((12, 7), (5, 3))
     """
-    _check_domain(w, check)
+    check_word(w)
+    if not w:
+        raise ValueError("empty word")
     m = ((1, 0), (0, 1))
     for c in w:
         m = _mat_mul(m, _M0 if c == "0" else _M1)
     return m
 
 
-def markoff_of(w, check=True):
+def markoff_of(w):
     """The Markoff number of a Christoffel word: entry (1,2) of mu.
 
     >>> markoff_of("00101")
@@ -89,10 +95,11 @@ def markoff_of(w, check=True):
     >>> markoff_of("0")
     1
     """
-    return mu(w, check)[0][1]
+    _check_domain(w)
+    return mu(w)[0][1]
 
 
-def q_markoff(w, check=True):
+def q_markoff(w):
     """Entry (1,2) of the q-deformed product; value markoff_of(w) at q=1.
 
     >>> str(q_markoff("1"))
@@ -100,16 +107,27 @@ def q_markoff(w, check=True):
     >>> str(q_markoff("0"))
     '1'
     """
-    _check_domain(w, check)
+    _check_domain(w)
     a = [e for c in w for e in ((1, 1) if c == "0" else (2, 2))]
     x, _, width = _q_product_vector(a, (0, 1))
     return Poly.from_packed(x, width)
 
 
+def markoff_snake_word(w):
+    """The snake word 0 gamma(w[1:-1]) 0 of a word of at least two letters:
+    gamma sends 0 to 00 and 1 to 0110.
+
+    >>> markoff_snake_word("00101")
+    '0000110000'
+    """
+    check_word(w)
+    return "0" + gamma(w[1:-1]) + "0"
+
+
 def verify_area_theorem(m):
     """Check that the q-Markoff polynomial of 0m1 equals the area
     generating polynomial over all matchings of the snake of 0 gamma(m) 0,
-    the histogram of the transfer scan.
+    from the transfer scan.
 
     >>> verify_area_theorem("101")
     True
@@ -118,24 +136,22 @@ def verify_area_theorem(m):
     """
     check_word(m)
     word = "0" + m + "1"
-    if not is_christoffel(word):
-        raise ValueError("0%s1 is not a Christoffel word" % m)
-    hist = area_histogram(Snake("0" + gamma(m) + "0"))
-    return q_markoff(word) == Poly(hist)
+    q_polynomial = q_markoff(word)
+    perp, par = matching_statistics(Snake(markoff_snake_word(word)))
+    return q_polynomial == perp + par
 
 
-def markoff_row(w, check=True):
+def markoff_row(w):
     """Table row: word, Markoff number, q-polynomial, and for proper
     words the snake word with its matching count, from the transfer scan."""
     row = {
         "word": w,
-        "number": markoff_of(w, check),
-        "q_polynomial": q_markoff(w, check),
+        "number": markoff_of(w),
+        "q_polynomial": q_markoff(w),
         "snake_word": None,
         "matching_count": None,
     }
     if len(w) >= 2:
-        snake_word = "0" + gamma(w[1:-1]) + "0"
-        row["snake_word"] = snake_word
-        row["matching_count"] = sum(matching_counts(snake_word))
+        row["snake_word"] = markoff_snake_word(w)
+        row["matching_count"] = sum(matching_counts(row["snake_word"]))
     return row

@@ -53,7 +53,6 @@ __all__ = [
     "snake_of_rational",
     "enumerate_matchings",
     "matchings_by_backtracking",
-    "area_histogram",
     "area_statistics",
     "matching_statistics",
     "matching_counts",
@@ -323,16 +322,6 @@ def _transfer(word, area=False):
         side = _side(first, n)
         pair[side] = _plus(pair[side], poly)
     return pair
-
-
-def area_histogram(g):
-    """{area: matching count} over all matchings, from the transfer scan.
-
-    >>> sorted(area_histogram(Snake("0100")).items())
-    [(0, 1), (1, 1), (2, 2), (3, 2), (4, 2), (5, 1)]
-    """
-    perp, par = matching_statistics(g)
-    return (perp + par).coeffs
 
 
 def matching_statistics(g):

@@ -369,7 +369,7 @@ def check_markoff(level="desk"):
         _fail("mu(00101) = %s" % (mu("00101"),))
     if markoff_of("00101") != 194:
         _fail("markoff_of(00101) = %d" % markoff_of("00101"))
-    total = sum(_snake.area_histogram(_snake.Snake("001100001100")).values())
+    total = sum(_snake.matching_counts("001100001100"))
     if total != 433:
         _fail("snake of 001100001100 has %d matchings, expected 433" % total)
     for w in _proper_christoffel_words(b["christoffel_len"]):

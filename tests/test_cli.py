@@ -75,6 +75,42 @@ def test_readme_examples_do_not_rest_on_asserts():
     assert proc.stdout == "".join(out + "\n" for _, out in README_EXAMPLES).encode()
 
 
+# Each golden is written compact; the CLI prints it at indent 2.
+@pytest.mark.parametrize(
+    "argv, golden",
+    (
+        (("rep", "3", "--cf", "[2;2,2]"), '{"cf": [2, 2, 2], "n": 3, "digits": [2, 2, 1]}'),
+        (("val", "2,2,1", "--cf", "[2;2,2]"), '{"cf": [2, 2, 2], "digits": [2, 2, 1], "n": 3}'),
+        (("enum", "ideals", "3/2"), '{"x": "3/2", "ideals": [[], [0], [2], [0, 2], [0, 1, 2]]}'),
+        (("enum", "ideals", "3/2", "--count"), '{"filled": 3, "empty": 2, "total": 5}'),
+        (
+            ("enum", "matchings", "2"),
+            '{"x": "2", "matchings": ['
+            '{"class": "par", "area": 0, "edges": [[[0, 0], [1, 0]], [[0, 1], [1, 1]], [[2, 0], [2, 1]]]}, '
+            '{"class": "perp", "area": 1, "edges": [[[1, 0], [1, 1]], [[0, 0], [0, 1]], [[2, 0], [2, 1]]]}, '
+            '{"class": "perp", "area": 2, "edges": [[[0, 0], [0, 1]], [[1, 0], [2, 0]], [[1, 1], [2, 1]]]}]}',
+        ),
+        (("enum", "matchings", "3/2", "--count"), '{"perp": 3, "par": 2, "total": 5}'),
+        (("tree", "cw", "--depth", "2"), '{"kind": "cw", "depth": 2, "level": ["1/3", "3/2", "2/3", "3"]}'),
+        (("markoff", "--word", "01"), '{"word": "01", "number": 5}'),
+        (
+            ("markoff", "--word", "01", "--table"),
+            '{"word": "01", "number": 5, "q_polynomial": {"0": 1, "1": 1, "2": 2, "3": 1}, '
+            '"snake_word": "00", "matching_count": 5}',
+        ),
+        (
+            ("qrat", "5/3", "--shift-check"),
+            '{"x": "5/3", "num": {"0": 1, "1": 1, "2": 2, "3": 1}, "den": {"0": 1, "1": 1, "2": 1}, '
+            '"shift_check": true}',
+        ),
+    ),
+)
+def test_json_goldens(capsys, argv, golden):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(golden), indent=2) + "\n"
+
+
 def test_shift_check(capsys):
     code, out, _ = run(capsys, "qrat", "5/3", "--shift-check")
     assert code == 0
@@ -287,7 +323,7 @@ def test_markoff_table_word_length_limit(capsys, monkeypatch):
     monkeypatch.setattr(cli, "markoff_row", None)
     code, out, err = run(capsys, "markoff", "--word", "011", "--table")
     assert (code, out) == (2, "")
-    assert "the snake word of 011 has 6 letters, over the limit of 4 letters" in err
+    assert err == "error: the snake word of the Markoff word has 6 letters, over the limit of 4 letters\n"
     assert run(capsys, "markoff", "--word", "011")[0] == 0
 
 

@@ -67,3 +67,19 @@ def test_only_verify_imports_the_oracle():
             if "_oracle" in (name.split(".")[-1] for name in names):
                 found.append("%s:%d" % (path, node.lineno))
     assert not found, "production modules import _oracle at %s" % ", ".join(found)
+
+
+def test_only_main_prints_in_the_cli():
+    # subcommands return their result; main alone writes it out
+    path = inspect.getsourcefile(qrationals.cli)
+    tree = ast.parse(inspect.getsource(qrationals.cli), path)
+    lines = sorted(
+        {
+            call.lineno
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name != "main"
+            for call in ast.walk(func)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "print"
+        }
+    )
+    assert not lines, "print called outside main in %s at lines %s" % (path, lines)

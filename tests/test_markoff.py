@@ -60,12 +60,12 @@ def test_words_up_to_length_nine_give_every_small_markoff_number():
 
 
 def test_markoff_of_rejects_non_christoffel_words():
-    with pytest.raises(ValueError, match="Christoffel"):
+    with pytest.raises(ValueError, match="^the Markoff word of 2 letters is not a Christoffel word$"):
         markoff_of("10")
     with pytest.raises(ValueError, match="empty"):
         markoff_of("")
-    # forcing skips the domain check but keeps the arithmetic
-    assert markoff_of("10", check=False) == mu("10", check=False)[0][1]
+    # mu is a monoid map, so it takes any nonempty binary word
+    assert mu("10") == ((12, 7), (5, 3))
 
 
 def test_q_markoff_goldens():
@@ -92,7 +92,7 @@ def test_q_markoff_is_the_mu_q_entry(nk):
 @given(st.text(alphabet="01", min_size=1, max_size=8))
 def test_q_markoff_specializes_to_the_integer_matrix(w):
     entries = mu_q(w).entries()
-    ints = mu(w, check=False)
+    ints = mu(w)
     assert tuple(
         tuple(p.eval_at_one() for p in row) for row in
         (entries[:2], entries[2:])

@@ -9,7 +9,6 @@ from qrationals.cf import cf_even, rational_of_word, word_of
 from qrationals.fence import Fence, enumerate_ideals
 from qrationals.snake import (
     Snake,
-    area_histogram,
     enumerate_matchings,
     matching_edges,
     matching_statistics,
@@ -246,16 +245,6 @@ def test_memoised_backtracking_equals_plain_recursion(w):
 
     extend(frozenset(), [])
     assert matchings_by_backtracking(g) == sorted(out)
-
-
-@given(words)
-@settings(max_examples=60)
-def test_histogram_agrees_with_per_matching_areas(w):
-    g = Snake(w)
-    hist = Counter()
-    for m in enumerate_matchings(g):
-        hist[g.area(m)] += 1
-    assert area_histogram(g) == dict(hist)
 
 
 @given(words)

@@ -2,7 +2,6 @@
 they replace on short words, to the matrix pair on long ones, and never
 reaching an enumerator."""
 
-from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -38,7 +37,6 @@ def test_matching_scan_tallies_the_listed_matchings(w):
     rows = [(g.classify(m) == "perp", g.area(m)) for m in snake.enumerate_matchings(g)]
     pair = _tally(rows)
     assert snake.matching_statistics(g) == pair
-    assert snake.area_histogram(g) == dict(Counter(area for _, area in rows))
     assert snake.matching_counts(w) == tuple(p.eval_at_one() for p in pair)
 
 
