@@ -13,7 +13,7 @@ which is a bijection from positive rationals onto all binary words.
 
 from fractions import Fraction
 
-from .words import check_word
+from .words import _summary, check_word
 
 __all__ = [
     "check_cf",
@@ -24,11 +24,8 @@ __all__ = [
     "cf_parse",
     "word_of",
     "rational_of_word",
-    "tau",
     "convergents",
     "r_sequence",
-    "stern_brocot_children",
-    "calkin_wilf_children",
     "sb_level",
     "cw_level",
     "rationals_with_sum_upto",
@@ -111,15 +108,14 @@ def cf_str(a):
 def cf_parse(text):
     """Parse "[a0;a1,...,ak-1]" (or "[a0]") back to a tuple."""
     s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError("expected [a0;a1,...], got %r" % text)
-    s = s[1:-1]
-    head, _, tail = s.partition(";")
-    parts = [head] + (tail.split(",") if tail else [])
-    try:
-        return check_cf(int(p) for p in parts)
-    except ValueError:
-        raise ValueError("expected [a0;a1,...], got %r" % text)
+    if s.startswith("[") and s.endswith("]"):
+        head, _, tail = s[1:-1].partition(";")
+        parts = [head] + (tail.split(",") if tail else [])
+        try:
+            return check_cf(int(p) for p in parts)
+        except ValueError:
+            pass
+    raise ValueError("expected [a0;a1,...], got %s" % _summary(text, "0123456789[;,] "))
 
 
 def word_of(a):
@@ -166,23 +162,6 @@ def rational_of_word(w):
     return cf_value(quotients)
 
 
-def tau(a):
-    """The involution [a_0;...;a_{2l-1}] -> [a_{2l-1}-1; ...; a_1, a_0+1].
-
-    Conjugate of the hat involution through the word codec:
-    word_of(tau(a)) == hat(word_of(a)).
-
-    >>> tau((0, 1, 3, 1))
-    (0, 3, 1, 1)
-    >>> tau((1, 1))
-    (0, 2)
-    """
-    a = check_cf(a)
-    if len(a) % 2:
-        raise ValueError("tau needs the even-length form, got %s" % cf_str(a))
-    return (a[-1] - 1,) + tuple(reversed(a[1:-1])) + (a[0] + 1,)
-
-
 def convergents(a):
     """Numerators and denominators p_i, q_i of the truncations of a.
 
@@ -212,22 +191,6 @@ def r_sequence(a):
     """
     p, q = convergents(a)
     return (1,) + tuple(x + y for x, y in zip(p, q))
-
-
-def stern_brocot_children(x):
-    """Children of x in the tree that appends one letter to its word.
-
-    >>> stern_brocot_children(Fraction(1))
-    (Fraction(1, 2), Fraction(2, 1))
-    """
-    w = word_of(cf_even(x))
-    return rational_of_word(w + "0"), rational_of_word(w + "1")
-
-
-def calkin_wilf_children(x):
-    """Children of x in the tree that prepends one letter to its word."""
-    w = word_of(cf_even(x))
-    return rational_of_word("0" + w), rational_of_word("1" + w)
 
 
 def sb_level(depth):

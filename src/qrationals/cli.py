@@ -40,6 +40,7 @@ from .snake import (
     snake_to_svg,
     snake_word,
 )
+from .words import _summary
 
 __all__ = ["main"]
 
@@ -75,9 +76,9 @@ def _parse_rational(text):
         else:
             x = Fraction(int(text))
     except (ValueError, ZeroDivisionError):
-        raise ValueError("not a rational: %r" % text)
+        raise ValueError("not a rational: %s" % _summary(text, "0123456789/"))
     if x <= 0:
-        raise ValueError("need a positive rational, got %s" % x)
+        raise ValueError("need a positive rational, got %s" % ("0" if x == 0 else "a negative one"))
     _check_word_length("the word of %s" % _frac_str(x), sum(cf_even(x)) - 1)
     return x
 
@@ -86,7 +87,7 @@ def _parse_digits(text):
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError("digits must be comma-separated integers: %r" % text)
+        raise ValueError("digits must be comma-separated integers, got %s" % _summary(text, "0123456789,"))
 
 
 def _frac_str(x):

@@ -7,7 +7,13 @@ on 0's, and the fence of a rational (through the even-length expansion)
 starts with a down step exactly when x < 1.
 
 Ideals are stored as bitmasks over the elements; bit i is element y_i.
+One scan along the path (`_path_scan`) runs on lists of bitmasks to list
+the ideals and on dense size polynomials to count them by size.  The
+subset filter (`ideals_by_subset_filter`) shares no code with it and is
+the listing's independent reference.
 """
+
+from operator import concat
 
 from .cf import cf_even, word_of
 from .qpoly import Poly, _plus
@@ -73,31 +79,35 @@ def is_ideal(mask, fence):
     return True
 
 
-def enumerate_ideals(fence):
-    """All order ideals, by a left-to-right frontier scan over the path.
+def _path_scan(word, one, add, join):
+    """(value over the ideals containing y_0, value over the rest), by one
+    scan along the path, first element to last, that keeps one value per
+    membership of the previous element, since only it constrains the next
+    one.  `one` is the value of the empty ideal, `add(value, i)` puts y_i
+    into every ideal a value stands for, and `join` unites two values."""
+    pair = []
+    for first in (1, 0):
+        inside, outside = (add(one, 0), []) if first else ([], one)
+        for i, letter in enumerate(word, start=1):
+            if letter == "1":  # y_i covers y_{i-1}: y_i joins only after it
+                inside, outside = add(inside, i), join(inside, outside)
+            else:  # y_{i-1} covers y_i: y_{i-1} in the ideal forces y_i in
+                inside, outside = add(join(inside, outside), i), outside
+        pair.append(join(inside, outside))
+    return pair
 
-    Only the membership of the previous element constrains the next one,
-    so partial ideals are extended one element at a time; no subset
-    filtering.  Canonical order: by (size, mask).
+
+def enumerate_ideals(fence):
+    """All order ideals, by the path scan on lists of bitmasks.
+    Canonical order: by (size, mask).
 
     >>> len(enumerate_ideals(Fence("0111")))
     9
     >>> enumerate_ideals(Fence(""))
     [0, 1]
     """
-    states = [(0, 0), (1, 1)]
-    for i in range(1, fence.size):
-        rising = fence.word[i - 1] == "1"
-        nxt = []
-        for mask, prev_in in states:
-            for take in (0, 1):
-                if rising and take and not prev_in:
-                    continue
-                if not rising and prev_in and not take:
-                    continue
-                nxt.append((mask | (1 << i) if take else mask, take))
-        states = nxt
-    return sorted((m for m, _ in states), key=lambda m: (bin(m).count("1"), m))
+    first, rest = _path_scan(fence.word, [0], lambda masks, i: [m | 1 << i for m in masks], concat)
+    return sorted(first + rest, key=lambda m: (bin(m).count("1"), m))
 
 
 def ideals_by_subset_filter(fence):
@@ -129,26 +139,15 @@ def ideals_by_subset_filter(fence):
 def ideal_statistics(fence):
     """(sum over ideals containing y_0, sum over the rest) of q^|I|.
 
-    One scan along the path, first element to last, keeps a dense size
-    polynomial per state (y_0 in the ideal, previous element in the
-    ideal), since only the previous element constrains the next one; no
-    ideal is listed.
+    The path scan on dense size polynomials; no ideal is listed.
 
     >>> tuple(str(p) for p in ideal_statistics(Fence("")))
     ('q', '1')
     >>> tuple(str(p) for p in ideal_statistics(Fence("0111")))
     ('q^5+q^4+q^3+q^2', 'q^4+q^3+q^2+q+1')
     """
-    pair = []
-    for first in (1, 0):
-        inside, outside = ([0, 1], []) if first else ([], [1])
-        for letter in fence.word:
-            if letter == "1":  # y_i covers y_{i-1}: y_i joins only after it
-                inside, outside = [0] + inside, _plus(inside, outside)
-            else:  # y_{i-1} covers y_i: y_{i-1} in the ideal forces y_i in
-                inside, outside = [0] + _plus(inside, outside), outside
-        pair.append(Poly.from_dense(_plus(inside, outside)))
-    return tuple(pair)
+    pair = _path_scan(fence.word, [1], lambda poly, i: [0] + poly, _plus)
+    return tuple(Poly.from_dense(p) for p in pair)
 
 
 def rank_polynomials(x):

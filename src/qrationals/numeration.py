@@ -56,7 +56,10 @@ def _rule_holds(i, prev, digit, a):
 def enumerate_admissible(a):
     """All admissible vectors for a, lexicographic in (b_{k-1}, ..., b_0).
 
-    Digits are emitted ls-first; the list has exactly r_k entries.
+    Digits are emitted ls-first; the list has exactly r_k entries.  This
+    digit descent is the digit model's reference lister: no production
+    path calls it, and `verify` and the tests hold `val`, `rep` and the
+    digit scan (`norm1_statistics`) against it.
 
     >>> len(enumerate_admissible((2, 2, 2)))
     17
@@ -101,7 +104,8 @@ def _filled(b, a):
 
 
 def partition(a):
-    """(filled, empty) sublists of enumerate_admissible(a), order kept.
+    """(filled, empty) sublists of enumerate_admissible(a), order kept:
+    the reference lister's split, for `verify` and the tests.
 
     >>> [len(part) for part in partition((0, 1, 3, 1))]
     [4, 5]

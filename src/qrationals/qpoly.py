@@ -243,10 +243,6 @@ class QRational:
 
         return "%s/%s" % (side(self.num), side(self.den))
 
-    def qinv_str(self):
-        """The q^-1 (q R(q)) / S(q) display used alongside the plain pair."""
-        return "q^-1*(%s)/(%s)" % (self.num.shift(1), self.den)
-
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 

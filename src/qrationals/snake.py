@@ -13,9 +13,9 @@ theta: the snake of x is G(theta(W(x))).
 
 Matchings are built one cell at a time, first to last.  A cell meets
 its neighbours only through the side it shares with each, so its moves
-depend on the letter pair around it alone; the nine tables of moves, one
-per (previous letter, letter) with None at an end, are built once, on
-first use, in local corner coordinates.
+depend on the letter pair around it alone (None at an end) and, for the
+area, on whether its left side is basic; each table of moves is built
+once, on first use, in local corner coordinates.
 
 Both rules of the area statistic read off the word.  The basic matching
 takes each cell's boundary sides (those shared with no other cell): the
@@ -23,25 +23,26 @@ vertical ones when the cell is an even number of cells from the last
 cell, the horizontal ones when the distance is odd.  A row of the snake
 is one run of cells, so a leftward ray from a cell's centre crosses the
 left sides of its row up to its own: a cell is enclosed iff an odd
-number of those differ from the basic matching.  Two scans walk the
-tables:
+number of those differ from the basic matching.
 
-* the transfer scan (`_transfer`) keeps one dense area polynomial per
-  boundary state (bottom-edge bit of the first cell, coverage of the side
-  shared with the next cell, enclosure parity in the current row), so
-  the statistics and the counts cost time polynomial in the word length;
-  run as a two-way count sweep, it gives the matching counts of every
-  prefix (forward, each prefix closed by its end-cell table) and of
-  every suffix (backward, completion counts per coverage, each suffix
-  opened by its start-cell table) in O(n) cell steps, for
-  `prefix_suffix_table`;
-* the listing scan (`_scan`) yields every matching; it serves
-  `enumerate_matchings` and the oracle path in `verify` and the tests,
-  where the output itself is exponential.
+One transfer scan (`_transfer`) walks the tables, keeping one value per
+boundary state (bottom-edge bit of the first cell, coverage of the side
+shared with the next cell, enclosure parity in the current row).  On
+dense area polynomials it gives the statistics and the counts in time
+polynomial in the word length; on lists of edge masks it lists the
+matchings for `enumerate_matchings`, where the output itself is
+exponential.  Run as a two-way count sweep, it gives the matching counts
+of every prefix (forward, each prefix closed by its end-cell table) and
+of every suffix (backward, completion counts per coverage, each suffix
+opened by its start-cell table) in O(n) cell steps, for
+`prefix_suffix_table`.  The backtracking matcher
+(`matchings_by_backtracking`) shares no code with the scan and is the
+listing's independent reference.
 """
 
 from functools import cache
 from itertools import product
+from operator import concat
 
 from .cf import cf_even, word_of
 from .qpoly import Poly, _plus
@@ -127,6 +128,34 @@ def _cell_table(prev, letter):
     return table
 
 
+@cache
+def _cell_moves(prev, letter, left_basic):
+    """The transfer scan's moves through one cell: `_cell_table(prev,
+    letter)` for a cell whose left side is basic iff `left_basic` (None
+    counts no area), as state -> [(sides chosen, next state, 1 if the cell
+    is enclosed else 0)], for every state the scan can reach.
+
+    A state is (bottom-edge bit of the first cell, coverage of the corners
+    shared with the next cell, enclosure parity in the current row).  The
+    first cell sets the bottom-edge bit.  A cell after a 0 carries the
+    row's parity, since its left side is its predecessor's right side,
+    which the basic matching never holds; any other cell starts a row, and
+    its left side, a boundary side, sets the parity."""
+    firsts = (0, 1) if prev else (0,)
+    parities = (0, 1) if prev == "0" and left_basic is not None else (0,)
+    table = {}
+    for first, (cov, moves), par in product(firsts, _cell_table(prev, letter).items(), parities):
+        table[(first, cov, par)] = out = []
+        for sides, next_cov in moves:
+            enclosed = next_par = 0
+            if left_basic is not None:
+                enclosed = par if prev == "0" else int((3 in sides) != left_basic)
+                if letter == "0":
+                    next_par = enclosed ^ (1 in sides)
+            out.append((sides, (first if prev else int(0 in sides), next_cov, next_par), enclosed))
+    return table
+
+
 class Snake:
     """Snake graph of a binary word, with edge-indexed matchings."""
 
@@ -205,31 +234,6 @@ def snake_of_rational(x):
     return Snake(snake_word(x))
 
 
-def _scan(g):
-    """Yield every perfect matching as an edge mask, by a depth-first
-    scan over the cells, first to last, carrying only the coverage of the
-    two vertices shared with the next cell; each cell's table of moves
-    has its sides renamed to the cell's edge indices.  It visits every
-    matching, so only the listing (`enumerate_matchings`) and the oracle
-    path use it; the statistics and counts come from `_transfer`."""
-    tables = [
-        {
-            state: [(sum(1 << square[j] for j in sides), out) for sides, out in moves]
-            for state, moves in _cell_table(*pair).items()
-        }
-        for square, pair in zip(g.squares, _letter_pairs(g.word))
-    ]
-    last = len(g.cells)
-    stack = [(0, (), 0)]
-    while stack:
-        i, state, mask = stack.pop()
-        if i == last:
-            yield mask
-            continue
-        for tmask, nstate in tables[i][state]:
-            stack.append((i + 1, nstate, mask | tmask))
-
-
 def enumerate_matchings(g):
     """All perfect matchings as sorted edge masks.
 
@@ -238,7 +242,11 @@ def enumerate_matchings(g):
     >>> len(enumerate_matchings(Snake("")))
     2
     """
-    return sorted(_scan(g))
+    def add(masks, i, sides, enclosed):
+        bits = sum(1 << g.squares[i][j] for j in sides)
+        return [m | bits for m in masks]
+
+    return sorted(concat(*_transfer(g.word, False, [0], add, concat)))
 
 
 def matchings_by_backtracking(g):
@@ -272,24 +280,22 @@ def matchings_by_backtracking(g):
     return sorted(complete(0))
 
 
-def _cell_step(states, i, prev, letter, left_basic):
-    """The transfer-scan states after cell i, entered after `prev` and
-    left by `letter`, from the states before it.  `left_basic` says
-    whether the cell's left side is basic; None counts no area."""
-    area = left_basic is not None
-    table = _cell_table(prev, letter)
+def _cell_step(states, i, moves, add, join):
+    """The transfer-scan states after cell i, whose moves are `moves`,
+    from the states before it: `add(value, i, sides, enclosed)` takes a
+    value along a move and `join` unites the values that reach one
+    state."""
     nxt = {}
-    for (first, cov, par), poly in states.items():
-        for sides, out in table[cov]:
-            enclosed = next_par = 0
-            if area:
-                enclosed = par if prev == "0" else (3 in sides) ^ left_basic
-                if letter == "0":
-                    next_par = enclosed ^ (1 in sides)
-            key = (int(0 in sides) if i == 0 else first, out, next_par)
-            p = [0] + poly if enclosed else poly
-            nxt[key] = _plus(nxt[key], p) if key in nxt else p
+    for state, value in states.items():
+        for sides, key, enclosed in moves[state]:
+            v = add(value, i, sides, enclosed)
+            nxt[key] = join(nxt[key], v) if key in nxt else v
     return nxt
+
+
+def _times_q_if_enclosed(poly, i, sides, enclosed):
+    """A dense area polynomial along a move: times q if the cell is enclosed."""
+    return [0] + poly if enclosed else poly
 
 
 def _side(first, n):
@@ -300,27 +306,22 @@ def _side(first, n):
     return int(first != (n % 2 == 0))
 
 
-def _transfer(word, area=False):
-    """(perpendicular, parallel) area polynomials of G(word) as dense
-    lists, by one scan over the cells, first to last, that keeps one list
-    per state: the bottom-edge bit of the first cell, which with the
-    parity of |word| sets perp/par; the coverage of the corners shared
-    with the next cell; and the enclosure parity in the current row.
-
-    The parity restarts at the first cell of every row, whose left side
-    is a boundary side; a later cell's left side is its predecessor's
-    right side, which the basic matching never holds, so the carried
-    parity already counts it.  Without `area` no area is counted, and
-    the two lists hold the matching counts alone."""
+def _transfer(word, area, one, add, join):
+    """(value over the perpendicular matchings, value over the parallel
+    ones) of G(word), by one scan over the cells, first to last, that keeps
+    one value per state of `_cell_moves`.  `one` is the value of the empty
+    matching, and `add` and `join` are as in `_cell_step`; on dense area
+    polynomials (`_times_q_if_enclosed`, `_plus`) without `area`, the
+    values are the matching counts alone."""
     n = len(word)
-    states = {(0, (), 0): [1]}
+    states = {(0, (), 0): one}
     for i, (prev, letter) in enumerate(_letter_pairs(word)):
         left_basic = 3 in _basic_sides(prev, letter, n - i) if area else None
-        states = _cell_step(states, i, prev, letter, left_basic)
+        states = _cell_step(states, i, _cell_moves(prev, letter, left_basic), add, join)
     pair = [[], []]
-    for (first, _, _), poly in states.items():
+    for (first, _, _), value in states.items():
         side = _side(first, n)
-        pair[side] = _plus(pair[side], poly)
+        pair[side] = join(pair[side], value)
     return pair
 
 
@@ -331,7 +332,8 @@ def matching_statistics(g):
     >>> tuple(str(p) for p in matching_statistics(Snake("0100")))
     ('q^5+q^4', 'q^4+2*q^3+2*q^2+q+1')
     """
-    return tuple(Poly.from_dense(p) for p in _transfer(g.word, area=True))
+    pair = _transfer(g.word, True, [1], _times_q_if_enclosed, _plus)
+    return tuple(Poly.from_dense(p) for p in pair)
 
 
 def matching_counts(w):
@@ -344,7 +346,7 @@ def matching_counts(w):
     (1, 1)
     """
     check_word(w)
-    return tuple(sum(p) for p in _transfer(w))
+    return tuple(sum(p) for p in _transfer(w, False, [1], _times_q_if_enclosed, _plus))
 
 
 def area_statistics(x):
@@ -356,7 +358,8 @@ def area_statistics(x):
     >>> tuple(str(p) for p in area_statistics(1))
     ('q', '1')
     """
-    return tuple(Poly.from_dense(p) for p in _transfer(snake_word(x), area=True))
+    pair = _transfer(snake_word(x), True, [1], _times_q_if_enclosed, _plus)
+    return tuple(Poly.from_dense(p) for p in pair)
 
 
 def matching_edges(g, mask):
@@ -386,10 +389,11 @@ def _prefix_rows(w):
     states = {(0, (), 0): [1]}
     for i, (prev, letter) in enumerate(_letter_pairs(w)):
         row = [0, 0]
-        for (first, _, _), poly in _cell_step(states, i, prev, None, None).items():
+        closed = _cell_step(states, i, _cell_moves(prev, None, None), _times_q_if_enclosed, _plus)
+        for (first, _, _), poly in closed.items():
             row[_side(first, i)] += sum(poly)
         rows.append(tuple(row))
-        states = _cell_step(states, i, prev, letter, None)
+        states = _cell_step(states, i, _cell_moves(prev, letter, None), _times_q_if_enclosed, _plus)
     return rows
 
 

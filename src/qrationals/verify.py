@@ -269,7 +269,7 @@ def _tally(rows):
 
 def _enumerated_statistics(x, a):
     """The three statistics of x tallied object by object, from the
-    listings: the oracle the transfer scans are held against."""
+    listings."""
     ideals = _fence.enumerate_ideals(_fence.fence_of_rational(x))
     g = _snake.snake_of_rational(x)
     matchings = _snake.enumerate_matchings(g)
@@ -285,7 +285,13 @@ def _enumerated_statistics(x, a):
 def check_three_statistics(level="desk"):
     """Admissible-vector, ideal and matching statistics, each by its
     transfer scan and tallied over its listing, all equal the
-    matrix-product pair."""
+    matrix-product pair.
+
+    Fence and snake list their objects by the scan that computes their
+    statistics, so the two paths share one scan per model.  The listings
+    are held by references that share no code with it: `theorem_pair`
+    here, the subset filter and the backtracking matcher in
+    `check_oracles`, and `phi_by_pop` in `check_bijections`."""
     b = BOUNDS[level]
     for x in _rationals(b["stats_sum"]):
         a = _cf.cf_even(x)
@@ -494,7 +500,8 @@ def check_properties(level="desk"):
 
 
 def check_oracles(level="desk"):
-    """Frontier scans versus brute-force enumeration, word by word."""
+    """The transfer-scan listings versus the subset filter and the
+    backtracking matcher, which share no code with them, word by word."""
     b = BOUNDS[level]
     for w in _words.all_words(b["oracle_word_len"]):
         g = _snake.Snake(w)

@@ -24,10 +24,25 @@ __all__ = [
 _COMPLEMENT = str.maketrans("01", "10")
 
 
+def _summary(text, allowed):
+    """A text, which can be arbitrarily long, named in an error message by
+    its length and its first character outside `allowed`.
+
+    >>> _summary("0120", "01")
+    "'2' at position 3 of 4"
+    """
+    for i, c in enumerate(text):
+        if c not in allowed:
+            return "%r at position %d of %d" % (c, i + 1, len(text))
+    return "a text of length %d" % len(text)
+
+
 def check_word(w):
     """Reject anything that is not a 0/1 string."""
-    if not isinstance(w, str) or w.strip("01"):
-        raise ValueError("not a binary word: %r" % (w,))
+    if not isinstance(w, str):
+        raise ValueError("not a binary word: a %s" % type(w).__name__)
+    if w.strip("01"):
+        raise ValueError("not a binary word: %s" % _summary(w, "01"))
     return w
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 import pytest
 
 from qrationals.cf import (
-    calkin_wilf_children,
     cf_even,
     cf_odd,
     cf_parse,
@@ -17,11 +16,9 @@ from qrationals.cf import (
     rational_of_word,
     rationals_with_sum_upto,
     sb_level,
-    stern_brocot_children,
-    tau,
     word_of,
 )
-from qrationals.words import all_words, complement, hat
+from qrationals.words import all_words, complement
 
 rationals = st.builds(Fraction, st.integers(1, 400), st.integers(1, 400))
 short_words = st.text(alphabet="01", max_size=12)
@@ -124,18 +121,6 @@ def test_word_of_needs_even_length():
         word_of((3, 7, 1))
 
 
-@given(rationals)
-def test_tau_involution_matches_hat(x):
-    a = cf_even(x)
-    assert tau(tau(a)) == a
-    assert word_of(tau(a)) == hat(word_of(a))
-
-
-def test_tau_golden():
-    assert tau((1, 1)) == (0, 2)
-    assert tau((3, 2, 1, 1)) == (0, 1, 2, 4)
-
-
 def test_cf_bracket_syntax():
     assert cf_parse("[2;2,2]") == (2, 2, 2)
     assert cf_parse("[0;3,1,1]") == (0, 3, 1, 1)
@@ -176,17 +161,6 @@ def test_tree_levels_agree_with_the_word_codec():
         level = set(sb_level(depth))
         assert level == set(cw_level(depth))
         assert level == {rational_of_word(w) for w in all_words(depth, depth)}
-
-
-@given(rationals)
-def test_children(x):
-    left, right = stern_brocot_children(x)
-    w = word_of(cf_even(x))
-    assert rational_of_word(w + "0") == left
-    assert rational_of_word(w + "1") == right
-    left, right = calkin_wilf_children(x)
-    assert left == x / (x + 1)
-    assert right == x + 1
 
 
 def test_rationals_with_sum_upto():

@@ -286,6 +286,33 @@ def test_parse_errors_exit_2(capsys, argv):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (("markoff", "--word", "0a1"), "not a binary word: 'a' at position 2 of 3"),
+        (("markoff", "--word", "0" * 1999 + "a"), "not a binary word: 'a' at position 2000 of 2000"),
+        (("qrat", "7/x"), "not a rational: 'x' at position 3 of 3"),
+        (("qrat", "x" * 5000), "not a rational: 'x' at position 1 of 5000"),
+        (("qrat", "7/0"), "not a rational: a text of length 3"),
+        (("qrat", "--", "-3/2"), "need a positive rational, got a negative one"),
+        (("qrat", "--", "-" + "9" * 4000), "need a positive rational, got a negative one"),
+        (("qrat", "0"), "need a positive rational, got 0"),
+        (("val", "1,x", "--cf", "[2;2,2]"), "digits must be comma-separated integers, got 'x' at position 3 of 3"),
+        (
+            ("val", "1," * 2499 + "x,", "--cf", "[2;2,2]"),
+            "digits must be comma-separated integers, got 'x' at position 4999 of 5000",
+        ),
+        (("rep", "3", "--cf", "2;2"), "expected [a0;a1,...], got a text of length 3"),
+        (("rep", "3", "--cf", "[2;a]"), "expected [a0;a1,...], got 'a' at position 4 of 5"),
+        (("rep", "3", "--cf", "[" + "1," * 2498 + "x]"), "expected [a0;a1,...], got 'x' at position 4998 of 4999"),
+    ),
+)
+def test_parse_errors_name_the_input_by_length_and_first_bad_position(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+    assert len(err.encode()) < 120
+
+
 @pytest.mark.parametrize("family", ("admissible", "ideals", "matchings"))
 def test_listing_limit_suggests_count(capsys, monkeypatch, family):
     # 2/7 lists 9 objects of up to 6 elements: 54 is at the limit

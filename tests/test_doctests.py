@@ -83,3 +83,26 @@ def test_only_main_prints_in_the_cli():
         }
     )
     assert not lines, "print called outside main in %s at lines %s" % (path, lines)
+
+
+def test_benchmark_entry_points_exist():
+    # the benchmark reads the package by module attribute; a name deleted
+    # from the package would crash it while every other test stays green
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    tree = ast.parse(path.read_text(), str(path))
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "qrationals"
+        for alias in node.names
+    }
+    assert modules, "%s imports no qrationals module" % path
+    missing = sorted(
+        "%s:%d %s.%s" % (path, node.lineno, node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and not hasattr(getattr(qrationals, node.value.id), node.attr)
+    )
+    assert not missing, "the benchmark reads names the package lacks: %s" % ", ".join(missing)

@@ -46,7 +46,7 @@ def test_is_ideal_on_a_vee():
 
 
 @given(words)
-def test_frontier_scan_agrees_with_subset_filter(w):
+def test_path_scan_agrees_with_subset_filter(w):
     f = Fence(w)
     assert enumerate_ideals(f) == ideals_by_subset_filter(f)
 

@@ -79,7 +79,6 @@ def no_enumerator(monkeypatch):
     for module, name in (
         (fence, "enumerate_ideals"),
         (fence, "ideals_by_subset_filter"),
-        (snake, "_scan"),
         (snake, "enumerate_matchings"),
         (snake, "matchings_by_backtracking"),
         (numeration, "enumerate_admissible"),
@@ -110,20 +109,43 @@ def test_table_sweep_equals_a_scan_per_row(w):
     assert table["suffixes"] == [snake.matching_counts(w[len(w) - j:]) for j in range(len(w) + 1)]
 
 
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
 def test_table_is_one_sweep_each_way(monkeypatch):
     def refuse(*args):
         raise AssertionError("a per-row scan was run")
 
-    steps = []
-    step = snake._cell_step
     monkeypatch.setattr(snake, "matching_counts", refuse)
     monkeypatch.setattr(snake, "_transfer", refuse)
-    monkeypatch.setattr(snake, "_cell_step", lambda *args: steps.append(1) or step(*args))
+    steps = _counting(monkeypatch, snake, "_cell_step")
     table = snake.prefix_suffix_table(Fraction(84, 37))
     assert table["prefixes"] == PREFIXES_84_37
     assert table["suffixes"] == SUFFIXES_84_37
     # each of the 11 cells is stepped once and closed once, going forward
     assert len(steps) == 2 * 11
+
+
+@given(st.text(alphabet="01", max_size=12))
+@settings(max_examples=30)
+def test_listings_run_the_statistics_scan(w):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        steps = _counting(monkeypatch, snake, "_cell_step")
+        scans = _counting(monkeypatch, fence, "_path_scan")
+        g, f = snake.Snake(w), fence.Fence(w)
+        assert snake.enumerate_matchings(g) == snake.matchings_by_backtracking(g)
+        # one step per cell of the snake, for the listing and the statistics alike
+        assert len(steps) == len(w) + 1
+        snake.matching_statistics(g)
+        assert len(steps) == 2 * (len(w) + 1)
+        assert fence.enumerate_ideals(f) == fence.ideals_by_subset_filter(f)
+        assert len(scans) == 1
+        fence.ideal_statistics(f)
+        assert len(scans) == 2
 
 
 def _rows_swapped(original):

@@ -126,5 +126,8 @@ def test_non_christoffel_words():
 def test_check_word_rejects_non_binary():
     with pytest.raises(ValueError, match="binary word"):
         check_word("012")
-    with pytest.raises(ValueError, match="binary word"):
+    with pytest.raises(ValueError, match="^not a binary word: a NoneType$"):
         check_word(None)
+    # a long word is named by its length and first bad letter, not echoed
+    with pytest.raises(ValueError, match="^not a binary word: '2' at position 4000 of 5000$"):
+        check_word("0" * 3999 + "2" * 1001)
