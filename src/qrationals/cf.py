@@ -37,7 +37,8 @@ def check_cf(a):
     if not a:
         raise ValueError("empty expansion")
     if a[0] < 0 or any(x < 1 for x in a[1:]):
-        raise ValueError("invalid partial quotients: %r" % (a,))
+        i = next(i for i, x in enumerate(a) if x < min(i, 1))
+        raise ValueError("invalid partial quotients: a_%d < %d in an expansion of length %d" % (i, min(i, 1), len(a)))
     if a == (0,):
         raise ValueError("[0] does not expand a positive rational")
     return a

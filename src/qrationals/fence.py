@@ -24,7 +24,6 @@ __all__ = [
     "fence_of_rational",
     "enumerate_ideals",
     "ideals_by_subset_filter",
-    "is_ideal",
     "ideal_statistics",
     "rank_polynomials",
     "chains",
@@ -71,14 +70,6 @@ def fence_of_rational(x):
     return Fence(word_of(cf_even(x)))
 
 
-def is_ideal(mask, fence):
-    """True iff the masked element set is downward closed."""
-    for lo, up in fence.covers:
-        if mask >> up & 1 and not mask >> lo & 1:
-            return False
-    return True
-
-
 def _path_scan(word, one, add, join):
     """(value over the ideals containing y_0, value over the rest), by one
     scan along the path, first element to last, that keeps one value per
@@ -117,7 +108,7 @@ def ideals_by_subset_filter(fence):
 
     The cover relations are folded into two bitmasks up front so the
     scan over all 2^size subsets stays a handful of integer operations
-    per subset; `is_ideal` itself would make long sweeps too slow.
+    per subset; testing the covers one by one would make long sweeps too slow.
     """
     rising = falling = 0
     for i, letter in enumerate(fence.word, start=1):

@@ -36,14 +36,23 @@ def is_admissible(b, a):
     >>> is_admissible((0, 1, 0, 0), (0, 1, 3, 1))
     False
     """
-    a = _cf.check_cf(a)
+    return _violation(b, _cf.check_cf(a)) is None
+
+
+def _violation(b, a):
+    """None if b is admissible for a, else the first rule that b breaks,
+    named by digit indices alone, since b and a can be arbitrarily long."""
     b = tuple(int(x) for x in b)
     if len(b) != len(a):
         raise ValueError("digit vector has length %d, expansion %d" % (len(b), len(a)))
-    for bi, ai in zip(b, a):
+    for i, (bi, ai) in enumerate(zip(b, a)):
         if not 0 <= bi <= ai:
-            return False
-    return all(_rule_holds(i, b[i - 1], b[i], a) for i in range(1, len(a)))
+            return "b_%d is outside [0, a_%d]" % (i, i)
+        if i and not _rule_holds(i, b[i - 1], bi, a):
+            if i % 2:
+                return "b_%d = a_%d but b_%d != a_%d" % (i, i, i - 1, i - 1)
+            return "b_%d = 0 but b_%d != 0" % (i, i - 1)
+    return None
 
 
 def _rule_holds(i, prev, digit, a):
@@ -128,8 +137,9 @@ def val(b, a):
     -24
     """
     a = _cf.check_cf(a)
-    if not is_admissible(b, a):
-        raise ValueError("%s is not admissible for %s" % (b, a))
+    broken = _violation(b, a)
+    if broken:
+        raise ValueError("digits not admissible for an expansion of length %d: %s" % (len(a), broken))
     r = _cf.r_sequence(a)
     return sum((-1) ** i * bi * r[i + 1] for i, bi in enumerate(b))
 
@@ -146,12 +156,14 @@ def z_interval(a):
     >>> z_interval((1, 1, 1, 1, 1, 1))
     (-8, 13)
     """
-    a = _cf.check_cf(a)
-    k = len(a)
-    r = _cf.r_sequence(a)
-    if k % 2 == 1:
-        return (0, r[k + 1])
-    return (r[k] - r[k + 1], r[k])
+    return _interval(_cf.r_sequence(a))
+
+
+def _interval(r):
+    """z_interval from the weights r = r_sequence(a)."""
+    if len(r) % 2 == 1:  # k = len(r) - 2 odd
+        return (0, r[-1])
+    return (r[-2] - r[-1], r[-2])
 
 
 def rep(n, a):
@@ -169,14 +181,18 @@ def rep(n, a):
     >>> rep(0, (2, 2, 2, 2))
     (0, 0, 0, 0)
     """
-    a = _cf.check_cf(a)
-    lo, hi = z_interval(a)
-    if not lo <= n < hi:
-        raise ValueError("%d outside [%d, %d)" % (n, lo, hi))
     r = _cf.r_sequence(a)
+    lo, hi = _interval(r)
+    if not lo <= n < hi:
+        raise ValueError("%s outside [%s, %s)" % (_integer(n), _integer(lo), _integer(hi)))
+    return _digits(n, r)
+
+
+def _digits(n, r):
+    """rep's digit extraction against the weights r = r_sequence(a)."""
     m = n
-    digits = [0] * len(a)
-    for i in range(len(a) - 1, -1, -1):
+    digits = [0] * (len(r) - 2)
+    for i in range(len(digits) - 1, -1, -1):
         ri = r[i + 1]
         if i % 2 == 1:
             digits[i] = -(m // ri)
@@ -185,8 +201,24 @@ def rep(n, a):
             digits[i] = (m - (r[i] - ri)) // ri
             m -= digits[i] * ri
     if m:
-        raise ValueError("%d has no admissible digits for %s" % (n, a))
+        raise ValueError("%s has no admissible digits for these weights" % _integer(n))
     return tuple(digits)
+
+
+def _integer(n):
+    """An integer, which can be arbitrarily long, named in an error message:
+    in full up to 20 digits, else by its sign and its number of digits,
+    counted without str(), which refuses more than 4,300 digits.
+
+    >>> _integer(-17), _integer(-10**5000)
+    ('-17', 'a negative 5001-digit integer')
+    """
+    if -(10**20) < n < 10**20:
+        return str(n)
+    # (bits - 1) log10(2) gives the digit count or one less
+    digits = int((abs(n).bit_length() - 1) * 0.30102999566398120) + 1
+    digits += abs(n) >= 10**digits
+    return "a %s%d-digit integer" % ("negative " if n < 0 else "", digits)
 
 
 def norm1_statistics(a):
@@ -235,5 +267,5 @@ def norm1_statistics(a):
 
 def numeration_rows(a):
     """[(n, rep(n, a))] for every n in the valuation interval, ascending."""
-    lo, hi = z_interval(a)
-    return [(n, rep(n, a)) for n in range(lo, hi)]
+    r = _cf.r_sequence(a)
+    return [(n, _digits(n, r)) for n in range(*_interval(r))]

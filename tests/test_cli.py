@@ -1,9 +1,11 @@
+import argparse
 import json
 import os
 import re
 import subprocess
 import sys
 
+from hypothesis import given, strategies as st
 import pytest
 
 import qrationals
@@ -109,6 +111,46 @@ def test_json_goldens(capsys, argv, golden):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert (code, err) == (0, "")
     assert out == json.dumps(json.loads(golden), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in README_EXAMPLES])
+def test_json_output_is_json_dumps_of_the_payload(capsys, argv):
+    args = cli._build_parser().parse_args(list(argv) + ["--format", "json"])
+    payload, _, _ = args.func(args)
+    assert run(capsys, *argv, "--format", "json") == (0, json.dumps(payload, indent=2) + "\n", "")
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.text()
+    | st.text(alphabet='"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+)
+
+
+@given(json_values)
+def test_json_writer_is_json_dumps_at_indent_2(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_two_calls_build_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "qrat", "7/2")[0] == 0
+    one_tree = len(built)
+    assert run(capsys, "tree", "sb", "--depth", "1")[0] == 0
+    assert one_tree > 0 and len(built) == one_tree
 
 
 def test_shift_check(capsys):
@@ -308,6 +350,51 @@ def test_parse_errors_exit_2(capsys, argv):
     ),
 )
 def test_parse_errors_name_the_input_by_length_and_first_bad_position(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+    assert len(err.encode()) < 120
+
+
+def _ones(k):
+    """[1;1,...,1] with k partial quotients, 2k - 1 characters."""
+    return "[1;" + ",".join(["1"] * (k - 1)) + "]"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (
+            ("qrat", "1" * 2500 + "/" + "1" * 2499),
+            "the word of a 2500/2499-digit rational has more than 10^9 letters, over the limit of 2000 letters",
+        ),
+        (
+            ("enum", "ideals", "1" + "0" * 3000, "--count"),
+            "the word of a 3001/1-digit rational has more than 10^9 letters, over the limit of 2000 letters",
+        ),
+        (
+            ("rep", "9" * 4300, "--cf", _ones(2500)),
+            "a 4300-digit integer outside [a negative 523-digit integer, a 523-digit integer)",
+        ),
+        (
+            ("rep", "-" + "9" * 4299, "--cf", _ones(2499)),
+            "a negative 4299-digit integer outside [0, a 523-digit integer)",
+        ),
+        (("rep", "17", "--cf", "[2;2,2]"), "17 outside [0, 17)"),
+        (
+            ("val", ",".join(["7"] * 2500), "--cf", _ones(2500)),
+            "digits not admissible for an expansion of length 2500: b_0 is outside [0, a_0]",
+        ),
+        (
+            ("val", "1,2,1", "--cf", "[2;2,2]"),
+            "digits not admissible for an expansion of length 3: b_1 = a_1 but b_0 != a_0",
+        ),
+        (
+            ("val", "1,1,0", "--cf", "[2;2,2]"),
+            "digits not admissible for an expansion of length 3: b_2 = 0 but b_1 != 0",
+        ),
+    ),
+)
+def test_refusals_name_long_numbers_by_their_digit_counts(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
     assert len(err.encode()) < 120

@@ -13,7 +13,6 @@ from qrationals.fence import (
     fence_to_svg,
     ideal_statistics,
     ideals_by_subset_filter,
-    is_ideal,
     psi,
     psi_inverse,
 )
@@ -37,12 +36,8 @@ def test_ideal_counts():
 
 
 def test_is_ideal_on_a_vee():
-    f = Fence("01")
     # y1 below both ends: {1} closed, {0} and {2} are not
-    assert is_ideal(0b010, f)
-    assert not is_ideal(0b001, f)
-    assert not is_ideal(0b100, f)
-    assert is_ideal(0b111, f)
+    assert enumerate_ideals(Fence("01")) == [0b000, 0b010, 0b011, 0b110, 0b111]
 
 
 @given(words)

@@ -1,8 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import assume, given, strategies as st
 import pytest
 
+from qrationals import cf, numeration
 from qrationals.cf import cf_even, cf_odd, convergents, r_sequence
 from qrationals.numeration import (
     enumerate_admissible,
@@ -15,7 +17,7 @@ from qrationals.numeration import (
     val,
     z_interval,
 )
-from qrationals.verify import TABLE_222, TABLE_2222, TABLE_NEGAFIB
+from qrationals.verify import BOUNDS, TABLE_222, TABLE_2222, TABLE_NEGAFIB, _expansions
 
 rationals = st.builds(Fraction, st.integers(1, 80), st.integers(1, 80))
 
@@ -115,6 +117,27 @@ def test_published_tables(a, table):
     assert numeration_rows(a) == list(table)
 
 
+def test_numeration_rows_compute_the_weights_once(monkeypatch):
+    desk = BOUNDS["desk"]
+    expansions = _expansions(desk["polytope_k"], desk["polytope_sum"])
+    expected = [[(n, rep(n, a)) for n in range(*z_interval(a))] for a in expansions]
+    calls = Counter()
+
+    def counting(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(numeration, "rep", counting("rep", rep))
+    monkeypatch.setattr(cf, "r_sequence", counting("r_sequence", r_sequence))
+    for a, rows in zip(expansions, expected):
+        calls.clear()
+        assert numeration_rows(a) == rows
+        assert calls == {"r_sequence": 1}
+
+
 def test_rep_goldens():
     assert rep(10, (2, 2, 2)) == (2, 2, 2)
     assert rep(3, (2, 2, 2)) == (2, 2, 1)
@@ -148,6 +171,28 @@ def test_rep_rejects_out_of_range():
 def test_val_rejects_inadmissible_digits():
     with pytest.raises(ValueError):
         val((1, 2, 0), (2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (lambda: rep(0, (1,) * 4999 + (0,)), "invalid partial quotients: a_4999 < 1 in an expansion of length 5000"),
+        (lambda: val((0,), (-(10**4000),)), "invalid partial quotients: a_0 < 0 in an expansion of length 1"),
+        (
+            lambda: rep(10**5000, (1,) * 5000),
+            "a 5001-digit integer outside [a negative 1045-digit integer, a 1045-digit integer)",
+        ),
+        (
+            lambda: val((1,) * 4999 + (2,), (1,) * 5000),
+            "digits not admissible for an expansion of length 5000: b_4999 is outside [0, a_4999]",
+        ),
+    ),
+)
+def test_errors_name_long_inputs_by_length_and_first_bad_index(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+    assert len(message) < 120
 
 
 @given(rationals)
