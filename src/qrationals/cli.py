@@ -7,8 +7,12 @@ Markoff utilities, rational trees, and the verification harness.
 
 Each subcommand returns its JSON payload and its text lines, and `main`
 alone prints one or the other.  `_json` writes the payload, in the same
-bytes as `json.dumps(payload, indent=2)`.  The argument parser is built
-on the first call to `main` and reused by later calls in the process.
+bytes as `json.dumps(payload, indent=2)`.  It renders each tuple object
+once per dump and indent, so an edge shared by many matchings of an
+`enum matchings` listing is written once.  Tuples are memoised by
+identity, not by equality: (True, 2) == (1, 2), yet they are written
+differently.  The argument parser is built on the first call to `main`
+and reused by later calls in the process.
 
 Everything is deterministic; exit codes are 0 on success, 2 on a parse
 or usage error or an input or output over its size limit, 3 when a
@@ -36,7 +40,7 @@ from .fence import (
     ideal_statistics,
 )
 from .markoff import markoff_numbers_upto, markoff_of, markoff_row, markoff_snake_word
-from .numeration import norm1_statistics, numeration_rows, rep, val
+from .numeration import _integer, norm1_statistics, numeration_rows, rep, val
 from .qpoly import q_rational, q_shift_identity_check
 from .snake import (
     enumerate_matchings,
@@ -87,11 +91,29 @@ def _parse_rational(text):
         raise ValueError("not a rational: %s" % _summary(text, "0123456789/"))
     if x <= 0:
         raise ValueError("need a positive rational, got %s" % ("0" if x == 0 else "a negative one"))
+    _check_word_length("the word of %s" % _rational_name(x), sum(cf_even(x)) - 1)
+    return x
+
+
+def _rational_name(x):
+    """A rational parsed by `_parse_rational`, named in a message: in full up
+    to 40 characters, else by the digit counts of its two parts."""
     name = _frac_str(x)
     if len(name) > 40:  # str() is safe: int() parsed each part from at most 4,300 digits
         name = "a %d/%d-digit rational" % (len(str(x.numerator)), len(str(x.denominator)))
-    _check_word_length("the word of %s" % name, sum(cf_even(x)) - 1)
-    return x
+    return name
+
+
+def _int(text):
+    """`int` for an argument: argparse itself would echo a refused text in
+    full, so one over 40 characters is named by its length and its first
+    character that is not a digit or a sign."""
+    try:
+        return int(text)
+    except ValueError:
+        if len(text) <= 40:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+        raise argparse.ArgumentTypeError("not an int: %s" % _summary(text, "0123456789+-")) from None
 
 
 def _parse_digits(text):
@@ -171,9 +193,9 @@ def _enum_matchings(args, x):
         }
         for m in enumerate_matchings(g)
     ]
+    label = {e: "(%d,%d)-(%d,%d)" % (e[0] + e[1]) for e in g.edges}
     lines = (
-        "class=%s area=%d edges=%s"
-        % (row["class"], row["area"], ",".join("(%d,%d)-(%d,%d)" % (u + v) for u, v in row["edges"]))
+        "class=%s area=%d edges=%s" % (row["class"], row["area"], ",".join(map(label.__getitem__, row["edges"])))
         for row in rows
     )
     return {"x": _frac_str(x), "matchings": rows}, lines, None
@@ -184,9 +206,9 @@ def _cmd_enum(args):
     objects, length = x.numerator + x.denominator, sum(cf_even(x)) + 1
     if not args.count and objects * length > MAX_LISTED_ELEMENTS:
         raise ValueError(
-            "enum %s %s would list %d objects of up to %d elements, over the "
+            "enum %s %s would list %s objects of up to %d elements, over the "
             "limit of %d elements; use --count"
-            % (args.family, _frac_str(x), objects, length, MAX_LISTED_ELEMENTS)
+            % (args.family, _rational_name(x), _integer(objects), length, MAX_LISTED_ELEMENTS)
         )
     handler = {
         "admissible": _enum_admissible,
@@ -291,7 +313,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_qrat)
 
     p = sub.add_parser("rep", help="digits of an integer in a numeration system")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
     p.add_argument("--cf", required=True)
     add_format(p)
     p.set_defaults(func=_cmd_rep)
@@ -322,7 +344,7 @@ def _build_parser():
 
     p = sub.add_parser("markoff", help="Markoff numbers and their q-analogs")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--upto", type=int)
+    group.add_argument("--upto", type=_int)
     group.add_argument("--word")
     p.add_argument("--table", action="store_true")
     add_format(p)
@@ -330,7 +352,7 @@ def _build_parser():
 
     p = sub.add_parser("tree", help="one level of a rational tree")
     p.add_argument("kind", choices=("sb", "cw"))
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_tree)
 
@@ -342,12 +364,21 @@ def _build_parser():
     return parser
 
 
-def _json(value, indent="\n"):
+def _json(value, indent="\n", memo=None):
     """`json.dumps(value, indent=2)`, byte for byte, for the values a
     payload holds: dicts with str keys, lists, tuples, str, int, None,
     bool and float.  On Python 3.11 `json.dumps` takes its pure-Python
-    encoder whenever it indents; this writes the same text about twice as
-    fast.  `indent` is the newline and the spaces before `value`."""
+    encoder whenever it indents; this writes the same text faster, most of
+    all on listings whose rows share tuples.  `indent` is the newline and
+    the spaces before `value`.
+
+    `memo` maps (id, indent) to the text of each tuple written so far in
+    this dump, so a tuple shared by many rows, such as an edge of a snake
+    graph in every matching that holds it, is rendered once per indent.
+    The key is the tuple's identity, not its value: (True, 2) == (1, 2)
+    and (1.0,) == (1,) hash alike but are written differently.  The
+    payload holds every object until the dump ends, so no id is reused
+    during it.  A list or tuple of nothing but ints is written in one join."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -356,13 +387,27 @@ def _json(value, indent="\n"):
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        inner = indent + "  "
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
+        if memo is None:
+            memo = {}
+        key = (id(value), indent)
+        text = memo.get(key)
+        if text is None:
+            inner = indent + "  "
+            if type(value[0]) is int is type(value[-1]) and set(map(type, value)) == {int}:
+                items = map(int.__repr__, value)
+            else:
+                items = [_json(v, inner, memo) for v in value]
+            text = "[" + inner + ("," + inner).join(items) + indent + "]"
+            if kind is tuple:
+                memo[key] = text
+        return text
     if kind is dict:
         if not value:
             return "{}"
+        if memo is None:
+            memo = {}
         inner = indent + "  "
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner, memo) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     return json.dumps(value)
 

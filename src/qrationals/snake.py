@@ -41,7 +41,7 @@ listing's independent reference.
 """
 
 from functools import cache
-from itertools import product
+from itertools import compress, product
 from operator import concat
 
 from .cf import cf_even, word_of
@@ -363,8 +363,17 @@ def area_statistics(x):
 
 
 def matching_edges(g, mask):
-    """Edge pairs of a matching mask, in index order."""
-    return tuple(e for i, e in enumerate(g.edges) if mask >> i & 1)
+    """Edge pairs of a matching mask, in index order.  They are the edge
+    objects of `g.edges` themselves, not copies, so the rows of a listing
+    share them: the CLI's JSON writer renders each shared edge once.
+
+    >>> g = Snake("0")
+    >>> edges = matching_edges(g, 0b100101)
+    >>> edges == (g.edges[0], g.edges[2], g.edges[5]) and edges[0] is g.edges[0]
+    True
+    """
+    # bin(mask) read backwards gives bit i at position i, then "b" and "0"
+    return tuple(compress(g.edges, map("1".__eq__, reversed(bin(mask)))))
 
 
 def phi(g, mask):

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 import pytest
 
 import qrationals
@@ -113,7 +113,13 @@ def test_json_goldens(capsys, argv, golden):
     assert out == json.dumps(json.loads(golden), indent=2) + "\n"
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in README_EXAMPLES])
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv, _ in README_EXAMPLES]
+    # listings whose rows share tuple objects, such as the edges of matchings
+    + [("enum", family, "34/55") for family in ("admissible", "ideals", "matchings")]
+    + [("table", "84/37")],
+)
 def test_json_output_is_json_dumps_of_the_payload(capsys, argv):
     args = cli._build_parser().parse_args(list(argv) + ["--format", "json"])
     payload, _, _ = args.func(args)
@@ -132,9 +138,41 @@ json_values = st.recursive(
 )
 
 
+_SHARED = (3, 4)
+
+
 @given(json_values)
+# equal tuples that hash alike but are written differently
+@example([(1, 2), (True, 2)])
+@example([(1,), (1.0,)])
+@example([(0,), (-0.0,)])
+@example([((1, 2), (3, 4)), ((True, 2), (3, 4))])
+# one tuple object at two depths, in a list and in a dict
+@example([_SHARED, [_SHARED], {"a": _SHARED, "b": [[_SHARED]]}, _SHARED])
+@example({"a": _SHARED, "b": {"c": _SHARED}, "d": [_SHARED, (_SHARED, _SHARED)]})
+# empty tuples among non-empty ones
+@example([(), (1,), ((), ()), ((),), (1, ()), ()])
+# lists and tuples of ints only, and ints among other values
+@example([[1, 2, 3], (4, 5), [6, True], (7, "8"), [9, 10.0], (-(10**30), 0), [None, 1]])
 def test_json_writer_is_json_dumps_at_indent_2(value):
     assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_renders_each_edge_once(capsys, monkeypatch):
+    # 68/161 has 229 matchings of an 11-letter snake with 37 distinct
+    # edges; one call per printed integer made 21,758 calls
+    calls = []
+    write = cli._json
+
+    def counting(*args):
+        calls.append(args)
+        return write(*args)
+
+    monkeypatch.setattr(cli, "_json", counting)
+    code, out, _ = run(capsys, "enum", "matchings", "68/161", "--format", "json")
+    matchings = len(json.loads(out)["matchings"])
+    assert (code, matchings) == (0, 229)
+    assert len(calls) < 20 * matchings
 
 
 def test_two_calls_build_one_parser(capsys, monkeypatch):
@@ -398,6 +436,51 @@ def test_refusals_name_long_numbers_by_their_digit_counts(capsys, argv, message)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
     assert len(err.encode()) < 120
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (("rep", "9" * 4301, "--cf", "[2;2,2]"), "argument n: not an int: a text of length 4301"),
+        (("tree", "sb", "--depth", "x" * 5000), "argument --depth: not an int: 'x' at position 1 of 5000"),
+        (("markoff", "--upto", "1" * 4400), "argument --upto: not an int: a text of length 4400"),
+    ),
+)
+def test_refused_int_arguments_are_named_by_length(capsys, monkeypatch, argv, message):
+    # argparse wraps its usage lines to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(" error: %s\n" % message)
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (("rep", "abc", "--cf", "[2;2,2]"), "argument n: invalid int value: 'abc'"),
+        (("markoff", "--upto", "1" * 39 + "x"), "argument --upto: invalid int value: '%sx'" % ("1" * 39)),
+        (("markoff", "--upto", "1" * 40 + "x"), "argument --upto: not an int: 'x' at position 41 of 41"),
+    ),
+)
+def test_refused_int_arguments_of_at_most_40_characters_are_echoed(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(" error: %s\n" % message)
+
+
+def test_listing_limit_names_a_long_rational_by_digit_counts(capsys):
+    # F_2002/F_2001 has a word of 2,000 letters and a 419-digit r + s
+    r, s = 1, 1
+    for _ in range(2000):
+        r, s = r + s, r
+    code, out, err = run(capsys, "enum", "ideals", "%d/%d" % (r, s))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: enum ideals a 419/418-digit rational would list a 419-digit integer objects of up "
+        "to 2002 elements, over the limit of 1000000 elements; use --count\n"
+    )
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("family", ("admissible", "ideals", "matchings"))

@@ -225,6 +225,19 @@ def test_enumeration_agrees_with_backtracking(w):
     assert enumerate_matchings(g) == matchings_by_backtracking(g)
 
 
+def test_matching_edges_are_the_snake_edges_in_index_order():
+    # every matching of every word of at most 8 letters: the edges of the
+    # mask's set bits, in index order, as the very objects of g.edges
+    for n in range(9):
+        for bits in range(2**n):
+            g = Snake(format(bits, "0%db" % n) if n else "")
+            for m in enumerate_matchings(g):
+                edges = matching_edges(g, m)
+                chosen = [i for i in range(len(g.edges)) if m >> i & 1]
+                assert edges == tuple(g.edges[i] for i in chosen)
+                assert all(e is g.edges[i] for e, i in zip(edges, chosen))
+
+
 @given(words)
 @settings(max_examples=60)
 def test_memoised_backtracking_equals_plain_recursion(w):
