@@ -62,8 +62,8 @@ MAX_LISTED_ELEMENTS = 10**6
 MAX_TREE_DEPTH = 16
 # `qrat`, `enum --count`, `table` and `markoff --word` take time
 # quadratic in the length of the word they work on: at 2,000 letters
-# `qrat` on a Fibonacci ratio takes 0.31-0.44 s and `enum ideals --count`
-# 0.34 s on a 2-core Xeon.  Longer words exit 2 before any work.
+# `qrat` on a Fibonacci ratio takes 0.31-0.44 s, `enum ideals --count` 0.34 s
+# and `table` 24 ms on a 2-core Xeon.  Longer words exit 2 before any work.
 MAX_WORD_LENGTH = 2000
 # `markoff --upto N` lists about (log N)^2 numbers of up to log N digits:
 # a 200-digit bound lists 38,512 numbers, 5.2 MB of text, in 0.26 s on
@@ -188,10 +188,10 @@ def _enum_matchings(args, x):
     rows = [
         {
             "class": g.classify(m),
-            "area": g.area(m),
+            "area": area,
             "edges": matching_edges(g, m),
         }
-        for m in enumerate_matchings(g)
+        for m, area in enumerate_matchings(g, area=True)
     ]
     label = {e: "(%d,%d)-(%d,%d)" % (e[0] + e[1]) for e in g.edges}
     lines = (

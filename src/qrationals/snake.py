@@ -28,21 +28,21 @@ number of those differ from the basic matching.
 One transfer scan (`_transfer`) walks the tables, keeping one value per
 boundary state (bottom-edge bit of the first cell, coverage of the side
 shared with the next cell, enclosure parity in the current row).  On
-dense area polynomials it gives the statistics and the counts in time
-polynomial in the word length; on lists of edge masks it lists the
-matchings for `enumerate_matchings`, where the output itself is
-exponential.  Run as a two-way count sweep, it gives the matching counts
-of every prefix (forward, each prefix closed by its end-cell table) and
-of every suffix (backward, completion counts per coverage, each suffix
-opened by its start-cell table) in O(n) cell steps, for
-`prefix_suffix_table`.  The backtracking matcher
-(`matchings_by_backtracking`) shares no code with the scan and is the
-listing's independent reference.
+dense area polynomials it gives the statistics, and on ints the counts,
+in time polynomial in the word length; on lists of edge masks it lists
+the matchings for `enumerate_matchings`, where the output itself is
+exponential.  The backtracking matcher (`matchings_by_backtracking`)
+shares no code with the scan and is the listing's independent reference.
+
+`prefix_suffix_table` runs no scan: the counts of a snake are the pair of
+a rational, so the counts of every prefix and every suffix come from a
+2x2 recurrence over the word in O(n) integer additions, and the scan,
+once per row, is its independent reference in `verify`.
 """
 
 from functools import cache
 from itertools import compress, product
-from operator import concat
+from operator import add, concat
 
 from .cf import cf_even, word_of
 from .qpoly import Poly, _plus
@@ -234,19 +234,30 @@ def snake_of_rational(x):
     return Snake(snake_word(x))
 
 
-def enumerate_matchings(g):
-    """All perfect matchings as sorted edge masks.
+def enumerate_matchings(g, area=False):
+    """All perfect matchings as sorted edge masks; with `area`, as
+    (mask, area) pairs sorted by mask.
+
+    With `area` the scan runs with the area rule and carries
+    mask << shift | area for each matching.  No area reaches 1 << shift,
+    and no two matchings share a mask, so these values sort like the masks.
 
     >>> len(enumerate_matchings(Snake("0100")))
     9
     >>> len(enumerate_matchings(Snake("")))
     2
+    >>> enumerate_matchings(Snake(""), area=True)
+    [(5, 1), (10, 0)]
     """
-    def add(masks, i, sides, enclosed):
-        bits = sum(1 << g.squares[i][j] for j in sides)
-        return [m | bits for m in masks]
+    shift = len(g.cells).bit_length() if area else 0
 
-    return sorted(concat(*_transfer(g.word, False, [0], add, concat)))
+    def extend(values, i, sides, enclosed):
+        # each edge is owned by one cell, so its bit is added once
+        bits = (sum(1 << g.squares[i][j] for j in sides) << shift) + enclosed
+        return [v + bits for v in values]
+
+    values = sorted(concat(*_transfer(g.word, area, [0], extend, concat)))
+    return [(v >> shift, v & (1 << shift) - 1) for v in values] if area else values
 
 
 def matchings_by_backtracking(g):
@@ -310,19 +321,20 @@ def _transfer(word, area, one, add, join):
     """(value over the perpendicular matchings, value over the parallel
     ones) of G(word), by one scan over the cells, first to last, that keeps
     one value per state of `_cell_moves`.  `one` is the value of the empty
-    matching, and `add` and `join` are as in `_cell_step`; on dense area
-    polynomials (`_times_q_if_enclosed`, `_plus`) without `area`, the
-    values are the matching counts alone."""
+    matching, and `add` and `join` are as in `_cell_step`.  Without `area`
+    no cell is enclosed, so `_times_q_if_enclosed` passes every value
+    through, and on ints joined by `add` the values are the matching
+    counts."""
     n = len(word)
     states = {(0, (), 0): one}
     for i, (prev, letter) in enumerate(_letter_pairs(word)):
         left_basic = 3 in _basic_sides(prev, letter, n - i) if area else None
         states = _cell_step(states, i, _cell_moves(prev, letter, left_basic), add, join)
-    pair = [[], []]
+    pair = {}
     for (first, _, _), value in states.items():
         side = _side(first, n)
-        pair[side] = join(pair[side], value)
-    return pair
+        pair[side] = join(pair[side], value) if side in pair else value
+    return pair[0], pair[1]
 
 
 def matching_statistics(g):
@@ -338,7 +350,7 @@ def matching_statistics(g):
 
 def matching_counts(w):
     """(perpendicular, parallel) matching counts of G(w): the transfer scan
-    at q = 1, on the cell tables alone, with no Snake built.
+    on ints, on the cell tables alone, with no Snake built.
 
     >>> matching_counts("0100")
     (2, 7)
@@ -346,7 +358,7 @@ def matching_counts(w):
     (1, 1)
     """
     check_word(w)
-    return tuple(sum(p) for p in _transfer(w, False, [1], _times_q_if_enclosed, _plus))
+    return _transfer(w, False, 1, _times_q_if_enclosed, add)
 
 
 def area_statistics(x):
@@ -389,54 +401,18 @@ def phi(g, mask):
     return sum(1 << j for j in g.enclosed_cells(mask))
 
 
-def _prefix_rows(w):
-    """(perpendicular, parallel) counts of w[:j] for j = 0..n, from one
-    forward transfer scan.  The cells of w[:j] but the last carry the same
-    letter pairs as in w, so row j is the scan's states after j cells,
-    closed by the end-cell table."""
-    rows = []
-    states = {(0, (), 0): [1]}
-    for i, (prev, letter) in enumerate(_letter_pairs(w)):
-        row = [0, 0]
-        closed = _cell_step(states, i, _cell_moves(prev, None, None), _times_q_if_enclosed, _plus)
-        for (first, _, _), poly in closed.items():
-            row[_side(first, i)] += sum(poly)
-        rows.append(tuple(row))
-        states = _cell_step(states, i, _cell_moves(prev, letter, None), _times_q_if_enclosed, _plus)
-    return rows
-
-
-def _suffix_rows(w):
-    """(perpendicular, parallel) counts of w[len(w)-j:] for j = 0..n, from
-    one backward scan.  Going from the last cell to the first, `ahead`
-    maps the coverage of the corners that cell k shares with cell k + 1
-    to the number of ways to complete cells k + 1..n.  Suffix w[k:] opens
-    with the start-cell table in place of cell k's; its first cell's
-    bottom-edge bit and the parity of n - k pick perp or par."""
-    n = len(w)
-    pairs = list(_letter_pairs(w))
-    rows = []
-    ahead = {(): 1}
-    for k in range(n, -1, -1):
-        prev, letter = pairs[k]
-        row = [0, 0]
-        for sides, out in _cell_table(None, letter)[()]:
-            row[_side(int(0 in sides), n - k)] += ahead[out]
-        rows.append(tuple(row))
-        ahead = {
-            cov: sum(ahead[out] for _, out in moves)
-            for cov, moves in _cell_table(prev, letter).items()
-        }
-    return rows
-
-
 def prefix_suffix_table(x):
     """(perpendicular count, parallel count) for the snakes of every
     prefix and every suffix of the word of x, by length 0..n.
 
-    One forward transfer scan gives the prefix rows and one backward scan
-    the suffix rows, so the table costs O(n) cell steps; `verify` holds it
-    against a fresh `matching_counts` scan per row.
+    The snake of v has the counts (r, s) of the rational r/s whose word is
+    theta(v), and these are M(theta(v)) applied to (1, 1), for M the
+    product of R = [[1, 1], [0, 1]] per 1 and L = [[1, 0], [1, 1]] per 0.
+    For the snake word w = theta(u) of n letters, theta(w[n-j:]) is
+    u[n-j:], and theta(w[:j]) is u[:j], or its complement (pair swapped)
+    when n - j is odd.  So a running product M(u[:j]) and the suffix pairs
+    of u, built right to left, give the table in O(n) integer additions.
+    `verify` holds every row against a `matching_counts` scan.
 
     >>> from fractions import Fraction
     >>> prefix_suffix_table(1)
@@ -444,8 +420,26 @@ def prefix_suffix_table(x):
     >>> prefix_suffix_table(Fraction(5, 2))["suffixes"]
     [(1, 1), (1, 2), (3, 2), (5, 2)]
     """
-    w = snake_word(x)
-    return {"word": w, "prefixes": _prefix_rows(w), "suffixes": _suffix_rows(w)}
+    u = word_of(cf_even(x))
+    a, b, c, d = 1, 0, 0, 1  # M(u[:j])
+    prefixes = [(1, 1)]
+    swap = len(u) % 2 == 0  # n - j is odd, for j = 1
+    for letter in u:
+        if letter == "1":
+            b, d = a + b, c + d
+        else:
+            a, c = a + b, c + d
+        prefixes.append((c + d, a + b) if swap else (a + b, c + d))
+        swap = not swap
+    r = s = 1  # M(u[n-j:]) applied to (1, 1)
+    suffixes = [(1, 1)]
+    for letter in reversed(u):
+        if letter == "1":
+            r += s
+        else:
+            s += r
+        suffixes.append((r, s))
+    return {"word": theta(u), "prefixes": prefixes, "suffixes": suffixes}
 
 
 def snake_to_svg(g, matching=None):

@@ -311,8 +311,8 @@ def check_three_statistics(level="desk"):
 
 
 def _counted_table(w):
-    """Oracle for the prefix/suffix sweep: one fresh `matching_counts`
-    scan per prefix and per suffix of w."""
+    """Oracle for the prefix/suffix recurrence: one fresh `matching_counts`
+    snake scan per prefix and per suffix of w, sharing no code with it."""
     return {
         "prefix": [_snake.matching_counts(w[:j]) for j in range(len(w) + 1)],
         "suffix": [_snake.matching_counts(w[len(w) - j:]) for j in range(len(w) + 1)],
@@ -320,9 +320,9 @@ def _counted_table(w):
 
 
 def check_prefix_suffix(level="desk"):
-    """The sweep, row by row, against a per-row scan on every small
-    rational; the frozen 84/37 table; prefixes meet the convergents,
-    suffixes walk the subtractive Euclid chain."""
+    """The recurrence, row by row, against a snake scan per row that shares
+    no code with it, on every small rational; the frozen 84/37 table;
+    prefixes meet the convergents, suffixes walk the subtractive Euclid chain."""
     for x in _rationals(BOUNDS[level]["table_sum"]):
         table = _snake.prefix_suffix_table(x)
         w = table["word"]

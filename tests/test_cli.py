@@ -286,6 +286,90 @@ def test_table_of_a_long_word(capsys):
             assert row == [y.numerator, y.denominator]
 
 
+# `table` output, text and JSON (the JSON written compact)
+TABLE_84_37 = (
+    "word\t1001000110\n"
+    "len\tprefix_perp\tprefix_par\tsuffix_perp\tsuffix_par\n"
+    "0\t1\t1\t1\t1\n"
+    "1\t1\t2\t2\t1\n"
+    "2\t3\t1\t3\t1\n"
+    "3\t2\t5\t3\t4\n"
+    "4\t7\t3\t3\t7\n"
+    "5\t4\t9\t10\t7\n"
+    "6\t16\t7\t10\t17\n"
+    "7\t11\t25\t10\t27\n"
+    "8\t34\t15\t10\t37\n"
+    "9\t26\t59\t47\t37\n"
+    "10\t84\t37\t84\t37\n"
+)
+
+TABLE_84_37_JSON = (
+    '{"word":"1001000110","prefixes":[[1,1],[1,2],[3,1],[2,5],[7,3],[4,9],[16,7],[11,25],'
+    '[34,15],[26,59],[84,37]],"suffixes":[[1,1],[2,1],[3,1],[3,4],[3,7],[10,7],[10,17],'
+    '[10,27],[10,37],[47,37],[84,37]]}'
+)
+
+TABLE_F31_F30 = (
+    "word\t00000000000000000000000000000\n"
+    "len\tprefix_perp\tprefix_par\tsuffix_perp\tsuffix_par\n"
+    "0\t1\t1\t1\t1\n"
+    "1\t2\t1\t2\t1\n"
+    "2\t2\t3\t2\t3\n"
+    "3\t5\t3\t5\t3\n"
+    "4\t5\t8\t5\t8\n"
+    "5\t13\t8\t13\t8\n"
+    "6\t13\t21\t13\t21\n"
+    "7\t34\t21\t34\t21\n"
+    "8\t34\t55\t34\t55\n"
+    "9\t89\t55\t89\t55\n"
+    "10\t89\t144\t89\t144\n"
+    "11\t233\t144\t233\t144\n"
+    "12\t233\t377\t233\t377\n"
+    "13\t610\t377\t610\t377\n"
+    "14\t610\t987\t610\t987\n"
+    "15\t1597\t987\t1597\t987\n"
+    "16\t1597\t2584\t1597\t2584\n"
+    "17\t4181\t2584\t4181\t2584\n"
+    "18\t4181\t6765\t4181\t6765\n"
+    "19\t10946\t6765\t10946\t6765\n"
+    "20\t10946\t17711\t10946\t17711\n"
+    "21\t28657\t17711\t28657\t17711\n"
+    "22\t28657\t46368\t28657\t46368\n"
+    "23\t75025\t46368\t75025\t46368\n"
+    "24\t75025\t121393\t75025\t121393\n"
+    "25\t196418\t121393\t196418\t121393\n"
+    "26\t196418\t317811\t196418\t317811\n"
+    "27\t514229\t317811\t514229\t317811\n"
+    "28\t514229\t832040\t514229\t832040\n"
+    "29\t1346269\t832040\t1346269\t832040\n"
+)
+
+TABLE_F31_F30_JSON = (
+    '{"word":"00000000000000000000000000000","prefixes":[[1,1],[2,1],[2,3],[5,3],[5,8],'
+    '[13,8],[13,21],[34,21],[34,55],[89,55],[89,144],[233,144],[233,377],[610,377],'
+    '[610,987],[1597,987],[1597,2584],[4181,2584],[4181,6765],[10946,6765],[10946,17711],'
+    '[28657,17711],[28657,46368],[75025,46368],[75025,121393],[196418,121393],'
+    '[196418,317811],[514229,317811],[514229,832040],[1346269,832040]],"suffixes":[[1,1],'
+    '[2,1],[2,3],[5,3],[5,8],[13,8],[13,21],[34,21],[34,55],[89,55],[89,144],[233,144],'
+    '[233,377],[610,377],[610,987],[1597,987],[1597,2584],[4181,2584],[4181,6765],'
+    '[10946,6765],[10946,17711],[28657,17711],[28657,46368],[75025,46368],[75025,121393],'
+    '[196418,121393],[196418,317811],[514229,317811],[514229,832040],[1346269,832040]]}'
+)
+
+
+@pytest.mark.parametrize(
+    "rational, text, golden",
+    (
+        ("84/37", TABLE_84_37, TABLE_84_37_JSON),
+        ("1346269/832040", TABLE_F31_F30, TABLE_F31_F30_JSON),
+    ),
+)
+def test_table_goldens(capsys, rational, text, golden):
+    assert run(capsys, "table", rational) == (0, text, "")
+    expected = json.dumps(json.loads(golden), indent=2) + "\n"
+    assert run(capsys, "table", rational, "--format", "json") == (0, expected, "")
+
+
 def test_markoff_upto(capsys):
     code, out, _ = run(capsys, "markoff", "--upto", "200")
     assert code == 0

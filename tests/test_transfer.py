@@ -11,7 +11,7 @@ from qrationals import cli, fence, markoff, numeration, snake, verify
 from qrationals.cf import cf_even, cf_odd, cf_value, rational_of_word
 from qrationals.qpoly import theorem_pair
 from qrationals.verify import PREFIXES_84_37, SUFFIXES_84_37, _tally
-from qrationals.words import theta
+from qrationals.words import all_words, theta
 
 short_words = st.text(alphabet="01", max_size=12)
 long_words = st.integers(200, 400).flatmap(
@@ -100,13 +100,22 @@ def test_statistics_and_counts_list_nothing(no_enumerator):
     assert markoff.markoff_row("00101")["matching_count"] == 194
 
 
-@given(st.text(alphabet="01", max_size=40))
-@settings(max_examples=60, deadline=None)
-def test_table_sweep_equals_a_scan_per_row(w):
+def _check_table_against_a_scan_per_row(w):
     table = snake.prefix_suffix_table(rational_of_word(theta(w)))
     assert table["word"] == w
     assert table["prefixes"] == [snake.matching_counts(w[:j]) for j in range(len(w) + 1)]
     assert table["suffixes"] == [snake.matching_counts(w[len(w) - j:]) for j in range(len(w) + 1)]
+
+
+@given(st.text(alphabet="01", max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_table_sweep_equals_a_scan_per_row(w):
+    _check_table_against_a_scan_per_row(w)
+
+
+def test_table_equals_a_scan_per_row_on_every_short_word():
+    for w in all_words(10):
+        _check_table_against_a_scan_per_row(w)
 
 
 def _counting(monkeypatch, module, name):
@@ -116,18 +125,34 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_table_is_one_sweep_each_way(monkeypatch):
+@pytest.fixture
+def no_scan(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a per-row scan was run")
+        raise AssertionError("a transfer scan was run")
 
-    monkeypatch.setattr(snake, "matching_counts", refuse)
-    monkeypatch.setattr(snake, "_transfer", refuse)
-    steps = _counting(monkeypatch, snake, "_cell_step")
+    for name in ("matching_counts", "_transfer", "_cell_step"):
+        monkeypatch.setattr(snake, name, refuse)
+
+
+def test_table_is_one_sweep_each_way(no_scan):
     table = snake.prefix_suffix_table(Fraction(84, 37))
     assert table["prefixes"] == PREFIXES_84_37
     assert table["suffixes"] == SUFFIXES_84_37
-    # each of the 11 cells is stepped once and closed once, going forward
-    assert len(steps) == 2 * 11
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_table_of_a_2000_letter_word_runs_no_scan(no_scan):
+    r, s = _fibonacci(2002), _fibonacci(2001)
+    table = snake.prefix_suffix_table(Fraction(r, s))
+    assert len(table["word"]) == 2000
+    assert table["prefixes"][-1] == table["suffixes"][-1] == (r, s)
+    assert len(table["prefixes"]) == len(table["suffixes"]) == 2001
 
 
 @given(st.text(alphabet="01", max_size=12))
@@ -148,21 +173,30 @@ def test_listings_run_the_statistics_scan(w):
         assert len(scans) == 2
 
 
-def _rows_swapped(original):
-    def wrong(w):
-        return [(par, perp) for perp, par in original(w)]
+def _suffixes_swapped(original):
+    def wrong(x):
+        table = original(x)
+        return dict(table, suffixes=[(par, perp) for perp, par in table["suffixes"]])
 
     return wrong
 
 
 def test_table_check_names_the_rational_side_and_row(monkeypatch):
-    # the backward pass with perp and par exchanged
-    monkeypatch.setattr(snake, "_suffix_rows", _rows_swapped(snake._suffix_rows))
+    # the suffix recurrence with perp and par exchanged: a 1 adding r to s
+    # and a 0 adding s to r gives (s, r) for every suffix
+    monkeypatch.setattr(snake, "prefix_suffix_table", _suffixes_swapped(snake.prefix_suffix_table))
     monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c[0] == "prefix/suffix table"])
     passed, rows = verify.run_checks("desk")
     assert passed is False
     assert rows[0][:2] == ("prefix/suffix table", False)
     assert rows[0][2] == "suffix row 1 of 1/2 (word '1') is (2, 1), the per-row scan gives (1, 2)"
+
+
+def test_listing_carries_each_matchings_area():
+    for w in all_words(10):
+        g = snake.Snake(w)
+        masks = snake.enumerate_matchings(g)
+        assert snake.enumerate_matchings(g, area=True) == [(m, g.area(m)) for m in masks]
 
 
 def test_area_statistics_build_no_snake(monkeypatch):
