@@ -12,6 +12,7 @@ which is a bijection from positive rationals onto all binary words.
 """
 
 from fractions import Fraction
+from itertools import cycle
 
 from .words import _summary, check_word
 
@@ -23,6 +24,7 @@ __all__ = [
     "cf_str",
     "cf_parse",
     "word_of",
+    "word_of_rational",
     "rational_of_word",
     "convergents",
     "r_sequence",
@@ -130,15 +132,26 @@ def word_of(a):
     a = check_cf(a)
     if len(a) % 2:
         raise ValueError("word_of needs the even-length form, got %s" % cf_str(a))
-    runs = []
-    for i, q in enumerate(a):
-        letter = "1" if i % 2 == 0 else "0"
-        runs.append(letter * (q - 1 if i == len(a) - 1 else q))
-    return "".join(runs)
+    return _runs(a)
+
+
+def word_of_rational(x):
+    """The word W(x) of a positive rational, word_of(cf_even(x)) without a
+    second check of the expansion cf_even has just built.
+
+    >>> word_of_rational(Fraction(84, 37))
+    '1100010011'
+    """
+    return _runs(cf_even(x))
+
+
+def _runs(a):
+    # 1^{a_0} 0^{a_1} ... 0^{a_{2l-1}}, less its last letter, a 0
+    return "".join(map(str.__mul__, cycle("10"), a))[:-1]
 
 
 def rational_of_word(w):
-    """Inverse of x -> word_of(cf_even(x)).
+    """Inverse of word_of_rational.
 
     >>> rational_of_word("")
     Fraction(1, 1)

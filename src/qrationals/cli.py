@@ -63,7 +63,10 @@ MAX_TREE_DEPTH = 16
 # `qrat`, `enum --count`, `table` and `markoff --word` take time
 # quadratic in the length of the word they work on: at 2,000 letters
 # `qrat` on a Fibonacci ratio takes 0.31-0.44 s, `enum ideals --count` 0.34 s
-# and `table` 24 ms on a 2-core Xeon.  Longer words exit 2 before any work.
+# and `table` 24 ms on a 2-core Xeon.  Of the `qrat` time, 0.33-0.37 s is
+# the q-product kernel; unpacking its result takes about 3 ms and printing
+# it about 16 ms (2,001 coefficients of up to 420 digits).  Longer words
+# exit 2 before any work.
 MAX_WORD_LENGTH = 2000
 # `markoff --upto N` lists about (log N)^2 numbers of up to log N digits:
 # a 200-digit bound lists 38,512 numbers, 5.2 MB of text, in 0.26 s on

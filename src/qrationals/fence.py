@@ -15,7 +15,7 @@ the listing's independent reference.
 
 from operator import concat
 
-from .cf import cf_even, word_of
+from .cf import word_of_rational
 from .qpoly import Poly, _plus
 from .words import check_word
 
@@ -67,7 +67,7 @@ class Fence:
 
 def fence_of_rational(x):
     """Fence of the even-length expansion's word; a_0+...+a_{2l-1} elements."""
-    return Fence(word_of(cf_even(x)))
+    return Fence(word_of_rational(x))
 
 
 def _path_scan(word, one, add, join):

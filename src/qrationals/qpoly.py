@@ -22,11 +22,18 @@ nonnegative coefficients, each at most the polynomial's value at q = 1,
 and those values only grow along the product.  B bits that hold the
 largest final value at q = 1 therefore hold every coefficient, and no
 addition carries into the next one.
+
+The two stages after the product run as a few calls each rather than a
+Python step per coefficient: `Poly.from_packed` splits the bytes of the
+packing into its B-bit fields with one `struct.Struct`, and `str` writes
+a polynomial of eight or more terms with one format string repeated per
+term, then drops the "1" of each coefficient +-1.
 """
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from operator import add, sub
+from struct import Struct
 
 from . import cf as _cf
 
@@ -64,13 +71,26 @@ class Poly:
         return p
 
     @classmethod
-    def from_packed(cls, x, width):
-        """The polynomial whose coefficient of q^e is bits e*width up to
-        (e+1)*width of the integer x >= 0, for width a multiple of 8."""
+    def from_packed(cls, x, width, low=0):
+        """The polynomial whose coefficient of q^e is bits (e+low)*width up
+        to (e+low+1)*width of the integer x >= 0, for width a multiple of
+        8: the packing of `_q_product_vector` read back, its `low` lowest
+        fields dropped.  The little-endian bytes of x are split into
+        fields by one `Struct` call, each field read by `int.from_bytes`;
+        at width 8 the bytes are the coefficients.
+
+        >>> Poly.from_packed(0x0003_0000_0102, 16).coeffs
+        {0: 258, 2: 3}
+        >>> Poly.from_packed(0x0003_0000_0102, 16, low=1).coeffs
+        {1: 3}
+        """
         size = width // 8
-        data = x.to_bytes(-(-x.bit_length() // width) * size, "little")
-        fields = range(0, len(data), size)
-        return cls.from_dense(int.from_bytes(data[i:i + size], "little") for i in fields)
+        count = max(-(-x.bit_length() // width), low)
+        data = x.to_bytes(count * size, "little")
+        if size == 1:
+            return cls.from_dense(data[low:])
+        fields = Struct("%dx" % (low * size) + ("%ds" % size) * (count - low)).unpack(data)
+        return cls.from_dense(map(int.from_bytes, fields, repeat("little")))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -104,27 +124,35 @@ class Poly:
         return max(self.coeffs) if self.coeffs else None
 
     def _terms(self, star):
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            sign = "-" if c < 0 else "+"
-            c = abs(c)
-            if e == 0:
-                body = str(c)
-            else:
-                power = "q" if e == 1 else "q^%d" % e
-                if c == 1:
-                    body = power
+        coeffs = self.coeffs
+        exps = sorted(coeffs, reverse=True)
+        if len(exps) < _FEW_TERMS:
+            text = ""
+            for e in exps:
+                c = coeffs[e]
+                if not e:
+                    text += "%+d" % c
                 else:
-                    body = "%d%s%s" % (c, star, power)
-            parts.append((sign, body))
-        if not parts:
-            return "0"
-        first_sign, first = parts[0]
-        out = ("-" if first_sign == "-" else "") + first
-        for sign, body in parts[1:]:
-            out += sign + body
-        return out
+                    power = "q^%d" % e if e > 1 else "q"
+                    if c == 1:
+                        text += "+" + power
+                    elif c == -1:
+                        text += "-" + power
+                    else:
+                        text += "%+d%s%s" % (c, star, power)
+            return text.removeprefix("+") or "0"
+        # One format for all terms: "%+d*q^%d" per exponent >= 2, then the
+        # q and constant terms; then each coefficient +-1 of a power of q
+        # loses its digit 1 (and the star).
+        high, linear, plus_one, minus_one = _FORMATS[star]
+        fmt, tail = "", ()
+        if exps[-1] == 0:
+            fmt, tail = "%+d", (coeffs[exps.pop()],)
+        if exps[-1] == 1:
+            fmt, tail = linear + fmt, (coeffs[exps.pop()],) + tail
+        args = (*chain.from_iterable(zip(map(coeffs.__getitem__, exps), exps)), *tail)
+        text = ((high * len(exps) + fmt) % args).replace(plus_one, "+q").replace(minus_one, "-q")
+        return text.removeprefix("+")
 
     def __str__(self):
         return self._terms("*")
@@ -139,6 +167,11 @@ class Poly:
     def to_json(self):
         return {str(e): c for e, c in sorted(self.coeffs.items())}
 
+
+# Below this many terms, _terms writes one term at a time: there the
+# per-term loop costs less than building and fixing up one format.
+_FEW_TERMS = 8
+_FORMATS = {"*": ("%+d*q^%d", "%+d*q", "+1*q", "-1*q"), "": ("%+dq^%d", "%+dq", "+1q", "-1q")}
 
 ZERO = Poly()
 ONE = Poly({0: 1})
@@ -263,13 +296,13 @@ def theorem_pair(a):
     """diag(1,q)^-1 R_q^{a_0} ... L_q^{a_{2l-1}} (1,0)^T, the common pair
     that the three enumeration statistics must reproduce: (q R(q), S(q)).
     The last factor is a power of L_q, so the second component starts
-    with a zero coefficient; shifting its packing down one field divides
+    with a zero coefficient; unpacking it from its second field divides
     by q."""
     a = _cf.check_cf(a)
     if len(a) % 2:
         raise ValueError("even-length form required")
     v1, v2, width = _q_product_vector(a, (1, 0))
-    return Poly.from_packed(v1, width), Poly.from_packed(v2 >> width, width)
+    return Poly.from_packed(v1, width), Poly.from_packed(v2, width, low=1)
 
 
 def q_shift_identity_check(x):

@@ -44,7 +44,7 @@ from functools import cache
 from itertools import compress, product
 from operator import add, concat
 
-from .cf import cf_even, word_of
+from .cf import word_of_rational
 from .qpoly import Poly, _plus
 from .words import check_word, theta
 
@@ -219,7 +219,7 @@ class Snake:
 
 def snake_word(x):
     """The word whose snake realizes x: theta applied to W(cf_even(x))."""
-    return theta(word_of(cf_even(x)))
+    return theta(word_of_rational(x))
 
 
 def snake_of_rational(x):
@@ -420,7 +420,7 @@ def prefix_suffix_table(x):
     >>> prefix_suffix_table(Fraction(5, 2))["suffixes"]
     [(1, 1), (1, 2), (3, 2), (5, 2)]
     """
-    u = word_of(cf_even(x))
+    u = word_of_rational(x)
     a, b, c, d = 1, 0, 0, 1  # M(u[:j])
     prefixes = [(1, 1)]
     swap = len(u) % 2 == 0  # n - j is odd, for j = 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 import pytest
 
+import qrationals.cf
 from qrationals.cf import (
     cf_even,
     cf_odd,
@@ -17,7 +18,10 @@ from qrationals.cf import (
     rationals_with_sum_upto,
     sb_level,
     word_of,
+    word_of_rational,
 )
+from qrationals.fence import fence_of_rational
+from qrationals.snake import prefix_suffix_table, snake_word
 from qrationals.words import all_words, complement
 
 rationals = st.builds(Fraction, st.integers(1, 400), st.integers(1, 400))
@@ -119,6 +123,41 @@ def test_complement_inverts_the_rational(w):
 def test_word_of_needs_even_length():
     with pytest.raises(ValueError):
         word_of((3, 7, 1))
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    (
+        ((3, 7, 1), "word_of needs the even-length form, got [3;7,1]"),
+        ((3, 0), "invalid partial quotients: a_1 < 1 in an expansion of length 2"),
+        ((), "empty expansion"),
+        ((0,), "[0] does not expand a positive rational"),
+        ((-1, 2), "invalid partial quotients: a_0 < 0 in an expansion of length 2"),
+        ((2, 3, 0, 1), "invalid partial quotients: a_2 < 1 in an expansion of length 4"),
+    ),
+)
+def test_word_of_checks_its_input(a, message):
+    with pytest.raises(ValueError) as info:
+        word_of(a)
+    assert str(info.value) == message
+
+
+@given(rationals)
+def test_word_of_rational_is_word_of_the_even_expansion(x):
+    assert word_of_rational(x) == word_of(cf_even(x))
+
+
+def test_word_of_rational_checks_no_expansion_it_built(monkeypatch):
+    def refuse(a):
+        raise AssertionError("cf_even's expansion needs no second check")
+
+    monkeypatch.setattr(qrationals.cf, "check_cf", refuse)
+    assert word_of_rational(Fraction(84, 37)) == "1100010011"
+    assert word_of_rational(Fraction(1)) == ""
+    # the three models build their word this way
+    assert fence_of_rational(Fraction(84, 37)).word == "1100010011"
+    assert snake_word(Fraction(84, 37)) == "1001000110"
+    assert prefix_suffix_table(Fraction(84, 37))["prefixes"][-1] == (84, 37)
 
 
 def test_cf_bracket_syntax():

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -368,6 +369,31 @@ def test_table_goldens(capsys, rational, text, golden):
     assert run(capsys, "table", rational) == (0, text, "")
     expected = json.dumps(json.loads(golden), indent=2) + "\n"
     assert run(capsys, "table", rational, "--format", "json") == (0, expected, "")
+
+
+# Outputs too long to inline, pinned by length and sha256: the tall
+# rational [297; 301, 299, 1] (898 and 601 terms), F_41/F_40 and the
+# 40-letter Christoffel word christoffel(13, 27).
+DIGEST_GOLDENS = (
+    (("qrat", "26819697/90301"), 14432, "10872024f7123bb788d4c5fc2083ea8652cfd587436e7c6fbd5315335733a0ba"),
+    (("qrat", "26819697/90301", "--format", "json"), 24992, "0f9217e129a3f76baed4d689f1ba9023aea89f7ec4de0ddb3314a0531a00d41f"),
+    (("qrat", "165580141/102334155"), 814, "ab07628b2e6442b56ad13e096ad6a51a4903ce911e00c478a9936100a882b8f6"),
+    (("qrat", "165580141/102334155", "--format", "json"), 1438, "cedb9e0b471e7103a7cda989ea7f4c8d491d2203591f7b878469dec043571208"),
+    (("markoff", "--word", christoffel(13, 27), "--table"), 3352, "bbedc0f0c8376d840657c185221baa1f194dcfa33a8d7cadc5c82ae6a8e97fa8"),
+    (
+        ("markoff", "--word", christoffel(13, 27), "--table", "--format", "json"),
+        4324,
+        "b0d3f576767a046cf1f9bb01de163d3dab52a9251d8e8839f1e214f6aa460633",
+    ),
+)
+
+
+@pytest.mark.parametrize("argv, length, digest", DIGEST_GOLDENS)
+def test_digest_goldens(capsys, argv, length, digest):
+    code, out, err = run(capsys, *argv)
+    data = out.encode()
+    assert (code, err) == (0, "")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (length, digest)
 
 
 def test_markoff_upto(capsys):

@@ -77,6 +77,71 @@ def test_shift_is_multiplication_by_a_power(p, k):
             p.shift(-k)
 
 
+def _unpack_by_divmod(x, width, low=0):
+    coeffs, e = {}, -low
+    while x:
+        x, c = divmod(x, 1 << width)
+        if c and e >= 0:
+            coeffs[e] = c
+        e += 1
+    return coeffs
+
+
+@st.composite
+def packings(draw):
+    """A width of 8-256 bits and the packing of fields that may be 0 or
+    fill the whole width, the top one included."""
+    width = 8 * draw(st.integers(1, 32))
+    field = st.one_of(st.just(0), st.just((1 << width) - 1), st.integers(0, (1 << width) - 1))
+    fields = draw(st.lists(field, max_size=30))
+    return sum(c << e * width for e, c in enumerate(fields)), width
+
+
+@given(packings(), st.integers(0, 3))
+@example((0, 8), 0)
+@example((0, 16), 1)
+@example(((1 << 48) - 1, 16), 0)
+@example((0xFF_00_00_01, 8), 1)
+@example((0xFFFF_0000_0000_0001 << 256, 256), 1)
+def test_from_packed_is_a_divmod_unpack(packing, low):
+    x, width = packing
+    assert Poly.from_packed(x, width, low).coeffs == _unpack_by_divmod(x, width, low)
+
+
+def _format_by_terms(p, star):
+    """A term at a time, highest exponent first: the sign, then the
+    coefficient unless it is +-1 on a power of q, then the power."""
+    out = ""
+    for e in sorted(p.coeffs, reverse=True):
+        c = p.coeffs[e]
+        sign = "-" if c < 0 else "+"
+        power = {0: "", 1: "q"}.get(e, "q^" + str(e))
+        coefficient = "" if abs(c) == 1 and e else str(abs(c))
+        out += sign + coefficient + (star if coefficient and power else "") + power
+    return out[1:] if out.startswith("+") else out or "0"
+
+
+big_coefficients = st.one_of(
+    st.sampled_from([1, -1, 2, -2, 10, -11]),
+    st.integers(-(2**70), 2**70),
+    st.integers(2**64, 2**200),
+    st.integers(-(2**200), -(2**64)),
+)
+
+
+@given(st.dictionaries(st.integers(0, 40), big_coefficients, max_size=25))
+@example({1: 1, 10: 1, 19: -1})
+@example({1: -1, 0: 1, 12: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1})
+@example({e: (-1) ** e for e in range(41)})
+@example({0: -1})
+@example({1: 1})
+@example({})
+def test_str_and_compact_are_the_term_by_term_format(coeffs):
+    p = Poly(coeffs)
+    assert str(p) == _format_by_terms(p, "*")
+    assert p.compact() == _format_by_terms(p, "")
+
+
 def test_eval_corner_cases():
     assert Poly({2: 3, 0: 1}).eval_at_one() == 4
     assert Poly({2: 3, 0: 1}).eval_at_zero() == 1
