@@ -198,7 +198,7 @@ class HullSystem:
     __slots__ = ("points", "dim", "_point_set")
 
     def __init__(self, points):
-        self.points = tuple(tuple(int(x) for x in p) for p in points)
+        self.points = tuple(tuple(map(int, p)) for p in points)
         if not self.points:
             raise ValueError("no generators")
         self.dim = len(self.points[0])
@@ -208,7 +208,9 @@ class HullSystem:
 
     @classmethod
     def of_expansion(cls, a):
-        return cls(enumerate_admissible(check_cf(a)))
+        """The hull of the admissible vectors of a; enumerate_admissible
+        checks a."""
+        return cls(enumerate_admissible(a))
 
 
 def _normalize(d):
@@ -266,7 +268,7 @@ def in_hull(c, hull):
     >>> in_hull((1, 1), HullSystem([(0, 0), (2, 0), (0, 2), (2, 2)]))
     True
     """
-    c = tuple(int(x) for x in c)
+    c = tuple(map(int, c))
     if c in hull._point_set:
         return True
     return not _fm_feasible([tuple(ci - pi for ci, pi in zip(c, p)) for p in hull.points], hull.dim)
@@ -274,12 +276,6 @@ def in_hull(c, hull):
 
 def dot(y, x):
     return sum(yi * xi for yi, xi in zip(y, x))
-
-
-def separates(y, c, points):
-    """Whether the functional y puts c strictly above every point."""
-    cut = dot(y, c)
-    return all(dot(y, p) < cut for p in points)
 
 
 def _first_broken(c, rows):
@@ -293,19 +289,32 @@ def _first_broken(c, rows):
     return None, None
 
 
+def _row_maxima(rows, hull):
+    """max y.p over the generators p, for each row (y, t) of `inequalities`:
+    row i must weigh digits i and i + 1 alone (ValueError otherwise), so
+    its maximum is taken over the distinct digit pairs (p_i, p_{i+1}) of
+    the generators."""
+    tops = []
+    for i, (y, _) in enumerate(rows):
+        if any(y[:i]) or any(y[i + 2:]):
+            raise ValueError("row %d weighs digits other than %d and %d: %s" % (i, i, i + 1, y))
+        tops.append(max(y[i] * u + y[i + 1] * v for u, v in {p[i:i + 2] for p in hull.points}))
+    return tops
+
+
 def box_scan_report(a):
     """Oracle for `polytope.convexity_report`: scan the whole bounding box
     and report every lattice point outside B that lies in conv(B).
 
-    A point outside B is ruled out by the first row of `inequalities(a)`
-    it breaks when it lies above that row's maximum over the generators,
-    which is `separates(y, c, points)` with the maximum taken once per
-    row: the row is tested as a separator, never trusted.  Any other
+    A point outside B is ruled out by the first row (y, t) of
+    `inequalities(a)` it breaks when y puts it strictly above every
+    generator, that is above the row's maximum over the listed generators:
+    the row is tested as a separator against B, never trusted.  Any other
     point goes to Fourier-Motzkin."""
     a = check_cf(a)
-    hull = HullSystem.of_expansion(a)
     rows = inequalities(a)
-    tops = [max(dot(y, p) for p in hull.points) for y, _ in rows]
+    hull = HullSystem.of_expansion(a)
+    tops = _row_maxima(rows, hull)
     box = 0
     violations = []
     for c in product(*(range(ai + 1) for ai in a)):

@@ -35,7 +35,7 @@ __all__ = [
 
 
 def check_cf(a):
-    a = tuple(int(x) for x in a)
+    a = tuple(map(int, a))
     if not a:
         raise ValueError("empty expansion")
     if a[0] < 0 or any(x < 1 for x in a[1:]):

@@ -10,9 +10,14 @@ Ideals are stored as bitmasks over the elements; bit i is element y_i.
 One scan along the path (`_path_scan`) runs on lists of bitmasks to list
 the ideals and on dense size polynomials to count them by size.  The
 subset filter (`ideals_by_subset_filter`) shares no code with it and is
-the listing's independent reference.
+the listing's independent reference.  It is bitsliced: one integer of
+2^size bits holds every subset at once, bit m standing for subset m,
+and each cover relation clears the subsets it rules out in a handful of
+big-integer operations (word-parallel "broadword" set filtering, Knuth,
+TAOCP Vol. 4A, 7.1.3).
 """
 
+from functools import cache
 from operator import concat
 
 from .cf import word_of_rational
@@ -101,29 +106,70 @@ def enumerate_ideals(fence):
     return sorted(first + rest, key=lambda m: (bin(m).count("1"), m))
 
 
-def ideals_by_subset_filter(fence):
-    """Same set of ideals by testing every subset; cross-check oracle only.
-    It lives here, not in `_oracle`, because the benchmark
-    (`bench/workloads.py`) calls it by this module.
+# Each mask of `_subset_masks(size)` has 2^size bits, so only sizes up to
+# this one are kept: `verify --level deep` filters fences of up to 14
+# elements and the benchmark of up to 15.
+_CACHED_MASK_SIZE = 16
 
-    The cover relations are folded into two bitmasks up front so the
-    scan over all 2^size subsets stays a handful of integer operations
-    per subset; testing the covers one by one would make long sweeps too slow.
+
+def _subset_masks(size):
+    """(holds, classes) over the 2^size subsets of `size` elements, bit m
+    standing for subset m: holds[i] marks the subsets that hold element i,
+    and classes[k] those of k elements.
+
+    Both grow one element at a time.  The subsets of n elements that hold
+    the new element are those of n - 1 elements shifted up by 2^(n-1), so
+    each old mask is doubled, the new element's mask is one run of
+    2^(n-1) ones above as many zeros, and
+    C_k(n) = C_k(n-1) | C_{k-1}(n-1) << 2^(n-1).  So holds[i] is its run
+    of 2^i ones times a repunit of period 2^(i+1), built by doubling.
+
+    >>> [bin(h) for h in _subset_masks(2)[0]]
+    ['0b1010', '0b1100']
+    >>> [bin(c) for c in _subset_masks(2)[1]]
+    ['0b1', '0b110', '0b1000']
     """
-    rising = falling = 0
-    for i, letter in enumerate(fence.word, start=1):
-        if letter == "1":
-            rising |= 1 << i
-        else:
-            falling |= 1 << i
+    holds, classes = [], [1]
+    for n in range(size):
+        half = 1 << n
+        holds = [h | h << half for h in holds] + [(1 << half) - 1 << half]
+        classes = [c | below << half for c, below in zip(classes + [0], [0] + classes)]
+    return holds, classes
+
+
+_cached_subset_masks = cache(_subset_masks)
+
+
+def ideals_by_subset_filter(fence):
+    """Same listing of ideals, in the same order, by filtering every
+    subset; cross-check oracle only.  It lives here, not in `_oracle`,
+    because the benchmark (`bench/workloads.py`) calls it by this module.
+
+    Bitsliced: bit m of one integer of 2^size bits says whether subset m
+    is still alive.  A cover (lo, up) clears at once every subset that
+    holds up but not lo, `alive &= ~(holds[up] & ~holds[lo])`.  The
+    survivors are read off per size class, ANDed with that class's mask,
+    in ascending order by `str.find` over the reversed `bin()`: the
+    order (size, mask) of `enumerate_ideals`, with no sort.  The masks
+    are cached for fences of up to `_CACHED_MASK_SIZE` elements and built
+    afresh for larger ones.
+
+    >>> ideals_by_subset_filter(Fence("01"))
+    [0, 2, 3, 6, 7]
+    """
+    size = fence.size
+    holds, classes = (_cached_subset_masks if size <= _CACHED_MASK_SIZE else _subset_masks)(size)
+    alive = (1 << (1 << size)) - 1
+    for lo, up in fence.covers:
+        alive &= ~(holds[up] & ~holds[lo])
     out = []
-    for m in range(1 << fence.size):
-        if (m & rising) & ~(m << 1):
-            continue
-        if ((m << 1) & falling) & ~m:
-            continue
-        out.append(m)
-    out.sort(key=lambda m: (bin(m).count("1"), m))
+    for members in classes:
+        # bin() read backwards gives subset m at position m, then "b" and "0"
+        bits = bin(alive & members)[:1:-1]
+        m = bits.find("1")
+        while m >= 0:
+            out.append(m)
+            m = bits.find("1", m + 1)
     return out
 
 

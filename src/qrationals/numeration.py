@@ -42,7 +42,7 @@ def is_admissible(b, a):
 def _violation(b, a):
     """None if b is admissible for a, else the first rule that b breaks,
     named by digit indices alone, since b and a can be arbitrarily long."""
-    b = tuple(int(x) for x in b)
+    b = tuple(map(int, b))
     if len(b) != len(a):
         raise ValueError("digit vector has length %d, expansion %d" % (len(b), len(a)))
     for i, (bi, ai) in enumerate(zip(b, a)):
@@ -65,10 +65,12 @@ def _rule_holds(i, prev, digit, a):
 def enumerate_admissible(a):
     """All admissible vectors for a, lexicographic in (b_{k-1}, ..., b_0).
 
-    Digits are emitted ls-first; the list has exactly r_k entries.  This
-    digit descent is the digit model's reference lister: no production
-    path calls it, and `verify` and the tests hold `val`, `rep` and the
-    digit scan (`norm1_statistics`) against it.
+    Digits are emitted ls-first; the list has exactly r_k entries.  The
+    vectors grow one layer at a time, b_{k-1} first, each entry extended
+    by its allowed digits in ascending order.  This digit descent is the
+    digit model's reference lister: no production path calls it, and
+    `verify` and the tests hold `val`, `rep` and the digit scan
+    (`norm1_statistics`) against it.
 
     >>> len(enumerate_admissible((2, 2, 2)))
     17
@@ -76,28 +78,17 @@ def enumerate_admissible(a):
     [(0, 0), (0, 1)]
     """
     a = _cf.check_cf(a)
-    out = []
-
-    def descend(i, forced, tail):
-        if i < 0:
-            out.append(tuple(reversed(tail)))
-            return
-        choices = (forced,) if forced is not None else range(a[i] + 1)
-        for bi in choices:
-            if i == 0:
-                below = None
-            elif i % 2 == 1 and bi == a[i]:
-                below = a[i - 1]
-            elif i % 2 == 0 and bi == 0:
-                below = 0
-            else:
-                below = None
-            tail.append(bi)
-            descend(i - 1, below, tail)
-            tail.pop()
-
-    descend(len(a) - 1, None, [])
-    return out
+    # (b_i, ..., b_{k-1}, the value the rules force on b_{i-1} or None),
+    # grown one digit below each entry, each in ascending digit order
+    layer = [((), None)]
+    for i in range(len(a) - 1, -1, -1):
+        forces = {a[i]: a[i - 1]} if i % 2 else {0: 0} if i else {}
+        layer = [
+            ((bi,) + tail, forces.get(bi))
+            for tail, forced in layer
+            for bi in (range(a[i] + 1) if forced is None else (forced,))
+        ]
+    return [tail for tail, _ in layer]
 
 
 def is_filled(b, a):

@@ -40,7 +40,7 @@ a rational, so the counts of every prefix and every suffix come from a
 once per row, is its independent reference in `verify`.
 """
 
-from functools import cache
+from functools import cache, cached_property
 from itertools import compress, product
 from operator import add, concat
 
@@ -89,13 +89,14 @@ def _letter_pairs(word):
     return zip((None,) + tuple(word), tuple(word) + (None,))
 
 
-def _basic_sides(prev, letter, distance):
+@cache
+def _basic_sides(prev, letter, odd):
     """Sides of the basic matching in a cell entered after `prev`, left by
-    `letter` and `distance` cells before the last cell: the cell's
-    boundary sides, the vertical ones at an even distance and the
-    horizontal ones at an odd one."""
+    `letter` and an odd (`odd` = 1) or even (0) number of cells before the
+    last cell: the cell's boundary sides, the vertical ones at an even
+    distance and the horizontal ones at an odd one."""
     shared = (_ENTRY_SIDE.get(prev), _EXIT_SIDE.get(letter))
-    return tuple(j for j in ((0, 2) if distance % 2 else (1, 3)) if j not in shared)
+    return tuple(j for j in ((0, 2) if odd else (1, 3)) if j not in shared)
 
 
 @cache
@@ -157,36 +158,58 @@ def _cell_moves(prev, letter, left_basic):
 
 
 class Snake:
-    """Snake graph of a binary word, with edge-indexed matchings."""
+    """Snake graph of a binary word, with edge-indexed matchings.
+
+    `cells`, `edges`, `squares` (each cell's bottom, right, top and left
+    edge indices) and `basic_mask` are built with the snake.  The
+    vertex-to-edges map `vertex_edges`, the edge-to-index map `edge_index`
+    and the per-cell left sides that `enclosed_cells` walks are built on
+    first use and kept: the transfer scans read none of them, and only
+    the backtracking matcher, the drawing and the area oracle do."""
 
     def __init__(self, word):
         check_word(word)
         self.word = word
         cells = [(0, 0)]
+        edges = list(_square_edges(0, 0))
+        squares = [(0, 1, 2, 3)]
         for c in word:
+            # a cell is entered through the side its predecessor leaves by;
+            # its other three sides are new edges, appended in side order
             cx, cy = cells[-1]
-            cells.append((cx + 1, cy) if c == "0" else (cx, cy + 1))
+            cx, cy = (cx + 1, cy) if c == "0" else (cx, cy + 1)
+            cells.append((cx, cy))
+            entry = _ENTRY_SIDE[c]
+            square = [len(edges), len(edges) + 1, len(edges) + 2]
+            square.insert(entry, squares[-1][_EXIT_SIDE[c]])
+            squares.append(tuple(square))
+            sides = _square_edges(cx, cy)
+            edges += sides[:entry] + sides[entry + 1:]
         self.cells = cells
-        self.edges = []
-        self.edge_index = {}
-        self.squares = []
-        for cx, cy in cells:
-            idxs = []
-            for e in _square_edges(cx, cy):
-                if e not in self.edge_index:
-                    self.edge_index[e] = len(self.edges)
-                    self.edges.append(e)
-                idxs.append(self.edge_index[e])
-            self.squares.append(tuple(idxs))
-        self.vertex_edges = {}
-        for i, e in enumerate(self.edges):
-            for v in e:
-                self.vertex_edges.setdefault(v, []).append(i)
+        self.edges = edges
+        self.squares = squares
         self.basic_mask = sum(
             1 << square[j]
-            for i, (square, (prev, letter)) in enumerate(zip(self.squares, _letter_pairs(word)))
-            for j in _basic_sides(prev, letter, len(word) - i)
+            for i, (square, (prev, letter)) in enumerate(zip(squares, _letter_pairs(word)))
+            for j in _basic_sides(prev, letter, (len(word) - i) % 2)
         )
+
+    @cached_property
+    def edge_index(self):
+        return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def vertex_edges(self):
+        out = {}
+        for i, e in enumerate(self.edges):
+            for v in e:
+                out.setdefault(v, []).append(i)
+        return out
+
+    @cached_property
+    def _left_sides(self):
+        """(left-side edge, whether the cell starts a row) per cell."""
+        return tuple((square[3], j == 0 or self.word[j - 1] == "1") for j, square in enumerate(self.squares))
 
     def __repr__(self):
         return "Snake(%r)" % self.word
@@ -205,10 +228,8 @@ class Snake:
         d = mask ^ self.basic_mask
         out = []
         par = 0
-        for j, square in enumerate(self.squares):
-            if j and self.word[j - 1] == "1":
-                par = 0
-            par ^= d >> square[3] & 1
+        for j, (left, starts_row) in enumerate(self._left_sides):
+            par = (0 if starts_row else par) ^ (d >> left & 1)
             if par:
                 out.append(j)
         return out
@@ -328,7 +349,7 @@ def _transfer(word, area, one, add, join):
     n = len(word)
     states = {(0, (), 0): one}
     for i, (prev, letter) in enumerate(_letter_pairs(word)):
-        left_basic = 3 in _basic_sides(prev, letter, n - i) if area else None
+        left_basic = 3 in _basic_sides(prev, letter, (n - i) % 2) if area else None
         states = _cell_step(states, i, _cell_moves(prev, letter, left_basic), add, join)
     pair = {}
     for (first, _, _), value in states.items():

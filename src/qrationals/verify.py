@@ -11,7 +11,6 @@ The `desk` level covers every documented bound; `deep` raises them a
 notch for longer runs.
 """
 
-from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 from time import perf_counter
@@ -261,25 +260,12 @@ def check_bijections(level="desk"):
 
 def _tally(rows):
     """(sum over the first half, sum over the rest) of q^size, from rows of
-    (in the first half?, size)."""
-    return tuple(
-        _qp.Poly(Counter(size for first, size in rows if first == half)) for half in (True, False)
-    )
-
-
-def _enumerated_statistics(x, a):
-    """The three statistics of x tallied object by object, from the
-    listings."""
-    ideals = _fence.enumerate_ideals(_fence.fence_of_rational(x))
-    g = _snake.snake_of_rational(x)
-    matchings = _snake.enumerate_matchings(g)
-    filled, empty = _num.partition(a)
-    vectors = [(True, sum(b)) for b in filled] + [(False, sum(b)) for b in empty]
-    return {
-        "admissible vectors": _tally(vectors),
-        "order ideals": _tally([(bool(m & 1), bin(m).count("1")) for m in ideals]),
-        "matchings": _tally([(g.classify(m) == "perp", g.area(m)) for m in matchings]),
-    }
+    (in the first half?, size), counted into one dense list per half."""
+    top = max((size for _, size in rows), default=-1)
+    halves = ([0] * (top + 1), [0] * (top + 1))
+    for first, size in rows:
+        halves[not first][size] += 1
+    return tuple(map(_qp.Poly.from_dense, halves))
 
 
 def check_three_statistics(level="desk"):
@@ -291,18 +277,33 @@ def check_three_statistics(level="desk"):
     statistics, so the two paths share one scan per model.  The listings
     are held by references that share no code with it: `theorem_pair`
     here, the subset filter and the backtracking matcher in
-    `check_oracles`, and `phi_by_pop` in `check_bijections`."""
+    `check_oracles`, and `phi_by_pop` in `check_bijections`.  The
+    expansion, the word, the fence and the snake of each rational are
+    built once and serve both paths."""
     b = BOUNDS[level]
     for x in _rationals(b["stats_sum"]):
         a = _cf.cf_even(x)
+        w = _cf.word_of(a)
+        f = _fence.Fence(w)
+        g = _snake.Snake(_words.theta(w))
         reference = _qp.theorem_pair(a)
-        scanned = {
-            "admissible vectors": _num.norm1_statistics(a),
-            "order ideals": _fence.rank_polynomials(x),
-            "matchings": _snake.area_statistics(x),
+        filled, empty = _num.partition(a)
+        paths = {
+            "admissible vectors": (
+                _num.norm1_statistics(a),
+                _tally([(True, sum(v)) for v in filled] + [(False, sum(v)) for v in empty]),
+            ),
+            "order ideals": (
+                _fence.ideal_statistics(f),
+                _tally([(bool(m & 1), bin(m).count("1")) for m in _fence.enumerate_ideals(f)]),
+            ),
+            "matchings": (
+                _snake.matching_statistics(g),
+                _tally([(g.classify(m) == "perp", g.area(m)) for m in _snake.enumerate_matchings(g)]),
+            ),
         }
-        for name, listed in _enumerated_statistics(x, a).items():
-            for path, pair in (("transfer scan", scanned[name]), ("enumeration", listed)):
+        for name, (scanned, listed) in paths.items():
+            for path, pair in (("transfer scan", scanned), ("enumeration", listed)):
                 if pair != reference:
                     _fail(
                         "%s statistics of %s by %s disagree with the matrix pair: %s vs %s"

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
+from qrationals import fence
 from qrationals._oracle import xy_pair
 from qrationals.cf import cf_even
 from qrationals.fence import (
@@ -17,6 +18,7 @@ from qrationals.fence import (
     psi_inverse,
 )
 from qrationals.numeration import enumerate_admissible, is_filled
+from qrationals.words import all_words
 
 words = st.text(alphabet="01", max_size=10)
 rationals = st.builds(Fraction, st.integers(1, 25), st.integers(1, 25))
@@ -44,6 +46,27 @@ def test_is_ideal_on_a_vee():
 def test_path_scan_agrees_with_subset_filter(w):
     f = Fence(w)
     assert enumerate_ideals(f) == ideals_by_subset_filter(f)
+
+
+def test_subset_filter_equals_a_test_of_each_subset_against_each_cover():
+    for w in all_words(8):
+        f = Fence(w)
+        naive = [
+            m
+            for m in range(1 << f.size)
+            if all(m >> lo & 1 or not m >> up & 1 for lo, up in f.covers)
+        ]
+        naive.sort(key=lambda m: (bin(m).count("1"), m))
+        assert ideals_by_subset_filter(f) == naive
+
+
+def test_subset_filter_builds_the_masks_of_a_large_fence_uncached():
+    w = "01101001100101101"
+    f = Fence(w)
+    assert f.size == 18 > fence._CACHED_MASK_SIZE
+    cached = fence._cached_subset_masks.cache_info().currsize
+    assert ideals_by_subset_filter(f) == enumerate_ideals(f)
+    assert fence._cached_subset_masks.cache_info().currsize == cached
 
 
 @given(words)

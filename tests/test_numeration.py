@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import assume, given, strategies as st
 import pytest
@@ -29,6 +30,15 @@ def expansions(draw):
     a = (first,) + tuple(rest)
     assume(a != (0,))
     return a
+
+
+def test_enumerate_admissible_equals_the_filtered_box_in_reversed_digit_order():
+    for k in range(1, 6):
+        for a in product(range(9), repeat=k):
+            if a == (0,) or 0 in a[1:] or sum(a) > 8:
+                continue
+            box = [b for b in product(*(range(ai + 1) for ai in a)) if is_admissible(b, a)]
+            assert enumerate_admissible(a) == sorted(box, key=lambda b: b[::-1])
 
 
 def test_admissibility_rules():

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from qrationals import _oracle, numeration, polytope, verify
-from qrationals._oracle import HullSystem, box_scan_report, in_hull, separates
+from qrationals._oracle import HullSystem, box_scan_report, in_hull
 from qrationals.cf import cf_value
 from qrationals.numeration import enumerate_admissible, is_admissible, partition
 from qrationals.polytope import convexity_report, halfspace, inequalities, verify_halfspace_split
@@ -55,12 +55,6 @@ def test_fractional_interior_membership_on_custom_hulls():
     point = HullSystem([(5,)])
     assert in_hull((5,), point)
     assert not in_hull((4,), point)
-
-
-def test_separates():
-    points = ((0, 0), (1, 0), (0, 1))
-    assert separates((1, 1), (2, 2), points)
-    assert not separates((1, 1), (1, 0), points)
 
 
 def test_hull_system_rejects_garbage():
@@ -133,6 +127,20 @@ def test_box_scan_tests_each_row_as_a_separator(monkeypatch, slack):
     monkeypatch.setattr(_oracle, "inequalities", lambda a: [(y, t + slack) for y, t in rows_of(a)])
     for a in ((2, 2, 2), (0, 1, 3, 1), (1, 2, 1, 2)):
         assert box_scan_report(a) == convexity_report(a)
+
+
+def test_box_scan_refuses_a_row_that_weighs_a_third_digit(monkeypatch):
+    rows_of = _oracle.inequalities
+
+    def widened(a):
+        rows = rows_of(a)
+        y, t = rows[0]
+        rows[0] = (y[:2] + (1,) + y[3:], t)
+        return rows
+
+    monkeypatch.setattr(_oracle, "inequalities", widened)
+    with pytest.raises(ValueError, match="row 0 weighs digits other than 0 and 1"):
+        box_scan_report((2, 2, 2))
 
 
 @given(expansions())

@@ -9,6 +9,7 @@ from qrationals.cf import cf_even, rational_of_word, word_of
 from qrationals.fence import Fence, enumerate_ideals
 from qrationals.snake import (
     Snake,
+    _square_edges,
     enumerate_matchings,
     matching_edges,
     matching_statistics,
@@ -20,7 +21,7 @@ from qrationals.snake import (
     snake_word,
 )
 from qrationals.verify import PREFIXES_84_37, SUFFIXES_84_37
-from qrationals.words import complement, theta
+from qrationals.words import all_words, complement, theta
 
 words = st.text(alphabet="01", max_size=9)
 rationals = st.builds(Fraction, st.integers(1, 20), st.integers(1, 20))
@@ -50,6 +51,44 @@ def test_enclosed_cells_are_the_ray_crossing_parity(w):
         d = m ^ g.basic_mask
         crossed = [sum(d >> i & 1 for i in ray) for ray in rays]
         assert g.enclosed_cells(m) == [j for j, c in enumerate(crossed) if c % 2]
+
+
+def _dict_built_snake(w):
+    """Edges numbered by first appearance over the cells' bottom, right,
+    top and left sides; the basic matching takes each cell's sides that
+    no other cell has, the vertical ones at an even number of cells from
+    the last cell and the horizontal ones at an odd number."""
+    cells = [(0, 0)]
+    for c in w:
+        cx, cy = cells[-1]
+        cells.append((cx + 1, cy) if c == "0" else (cx, cy + 1))
+    edges, edge_index, squares = [], {}, []
+    for cx, cy in cells:
+        for e in _square_edges(cx, cy):
+            if e not in edge_index:
+                edge_index[e] = len(edges)
+                edges.append(e)
+        squares.append(tuple(edge_index[e] for e in _square_edges(cx, cy)))
+    vertex_edges = {}
+    for i, e in enumerate(edges):
+        for v in e:
+            vertex_edges.setdefault(v, []).append(i)
+    owners = Counter(i for square in squares for i in square)
+    basic_mask = 0
+    for j, square in enumerate(squares):
+        for side in (0, 2) if (len(w) - j) % 2 else (1, 3):
+            if owners[square[side]] == 1:
+                basic_mask |= 1 << square[side]
+    return edges, squares, basic_mask, vertex_edges, edge_index
+
+
+def test_snake_structure_equals_the_dict_built_snake():
+    for w in all_words(8):
+        g = Snake(w)
+        got = (g.edges, g.squares, g.basic_mask, g.vertex_edges, g.edge_index)
+        want = _dict_built_snake(w)
+        assert got == want
+        assert [list(d.items()) for d in got[3:]] == [list(d.items()) for d in want[3:]]
 
 
 def test_cells_follow_the_staircase():
