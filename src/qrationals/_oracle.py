@@ -29,10 +29,10 @@ from .words import check_word, hat
 
 def times(p, r):
     """The product of two polynomials, term by term: Mat2's entry product."""
-    data = {}
-    for e1, c1 in p.coeffs.items():
-        for e2, c2 in r.coeffs.items():
-            data[e1 + e2] = data.get(e1 + e2, 0) + c1 * c2
+    data = [0] * (len(p.dense) + len(r.dense) - 1)
+    for e1, c1 in enumerate(p.dense):
+        for e2, c2 in enumerate(r.dense):
+            data[e1 + e2] += c1 * c2
     return Poly(data)
 
 
@@ -101,8 +101,8 @@ def nu_q(w):
     return out
 
 
-_MU0_ENTRIES = (Poly({1: 1, 2: 1}), ONE, Q, ONE)
-_MU1_ENTRIES = (Poly({1: 1, 2: 2, 3: 1, 4: 1}), Poly({0: 1, 1: 1}), Poly({1: 1, 2: 1}), ONE)
+_MU0_ENTRIES = (Poly((0, 1, 1)), ONE, Q, ONE)
+_MU1_ENTRIES = (Poly((0, 1, 2, 1, 1)), Poly((1, 1)), Poly((0, 1, 1)), ONE)
 
 
 def mu_q(w):

@@ -52,11 +52,8 @@ def cf_value(a):
     >>> cf_value((3, 6, 1))
     Fraction(22, 7)
     """
-    a = check_cf(a)
-    x = Fraction(a[-1])
-    for q in reversed(a[:-1]):
-        x = q + 1 / x
-    return x
+    p, q = convergents(a)
+    return Fraction(p[-1], q[-1])
 
 
 def _cf_raw(x):
@@ -151,7 +148,9 @@ def _runs(a):
 
 
 def rational_of_word(w):
-    """Inverse of word_of_rational.
+    """Inverse of word_of_rational: r/s from r = s = 1, reading w right to
+    left, since prepending 1 to the word of r/s gives (r+s)/s and
+    prepending 0 gives r/(r+s).
 
     >>> rational_of_word("")
     Fraction(1, 1)
@@ -159,21 +158,13 @@ def rational_of_word(w):
     Fraction(1, 2)
     """
     check_word(w)
-    if not w:
-        return Fraction(1)
-    runs = []
-    for c in w:
-        if runs and runs[-1][0] == c:
-            runs[-1][1] += 1
+    r = s = 1
+    for c in reversed(w):
+        if c == "1":
+            r += s
         else:
-            runs.append([c, 1])
-    quotients = [0] if w[0] == "0" else []
-    quotients.extend(n for _, n in runs)
-    if w[-1] == "1":
-        quotients.append(1)
-    else:
-        quotients[-1] += 1
-    return cf_value(quotients)
+            s += r
+    return Fraction(r, s)
 
 
 def convergents(a):

@@ -295,12 +295,32 @@ def _cmd_verify(args):
     return {"level": args.level, "ok": ok, "checks": checks}, (), None if ok else ""
 
 
+_PRINTABLE = "".join(map(chr, range(32, 127)))
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, shared by its subparsers, whose own refusals name
+    each token of over 40 characters by `_summary`, not in full."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._tokens = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        # longest first, so that no token is cut up by the summary of one inside it
+        for token in sorted(self._tokens, key=len, reverse=True):
+            if len(token) > 40:
+                name = _summary(token, _PRINTABLE)
+                message = message.replace(repr(token), name).replace(token, name)
+        super().error(message)
+
+
 # Built on the first call and reused, not built at import, where it would
 # cost every importer about 1 ms.  The parser holds the `_cmd_*` handlers
 # themselves, and they read the limits and library functions at call time.
 @cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qrationals",
         description="Exact q-deformed rationals and their combinatorial models.",
     )

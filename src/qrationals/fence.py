@@ -184,7 +184,7 @@ def ideal_statistics(fence):
     ('q^5+q^4+q^3+q^2', 'q^4+q^3+q^2+q+1')
     """
     pair = _path_scan(fence.word, [1], lambda poly, i: [0] + poly, _plus)
-    return tuple(Poly.from_dense(p) for p in pair)
+    return tuple(map(Poly, pair))
 
 
 def rank_polynomials(x):

@@ -253,7 +253,7 @@ def norm1_statistics(a):
     pair = [[], []]
     for (filled, _, _), poly in states.items():
         pair[not filled] = _plus(pair[not filled], poly)
-    return tuple(Poly.from_dense(p) for p in pair)
+    return tuple(map(Poly, pair))
 
 
 def numeration_rows(a):

@@ -1,5 +1,9 @@
 """Polynomials in q with integer coefficients, and q-rationals.
 
+A polynomial (`Poly`) is its dense coefficient tuple c_0, ..., c_d with
+c_d != 0: the form the kernel below unpacks and the statistic scans of
+the three models build, each through the one constructor.
+
 The q-analog of a positive rational r/s replaces the elementary matrices
 L = [[1,0],[1,1]] and R = [[1,1],[0,1]] in the continued-fraction product
 by
@@ -31,7 +35,7 @@ term, then drops the "1" of each coefficient +-1.
 """
 
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, sub
 from struct import Struct
 
@@ -52,84 +56,80 @@ __all__ = [
 class Poly:
     """Polynomial in q with integer coefficients.
 
-    Stored as a dict {exponent: coefficient} with no zero coefficients
-    and no negative exponent.
+    Stored as `dense`, the tuple (c_0, c_1, ..., c_d) of its coefficients
+    with c_d != 0; the zero polynomial is ().  The constructor strips
+    trailing zeros, so equal polynomials have equal tuples.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("dense",)
 
-    def __init__(self, coeffs=None):
-        self.coeffs = {e: c for e, c in dict(coeffs).items() if c} if coeffs else {}
-        if self.coeffs and min(self.coeffs) < 0:
-            raise ValueError("negative exponent %d in a polynomial" % min(self.coeffs))
-
-    @classmethod
-    def from_dense(cls, coefficients):
-        """The polynomial c_0 + c_1 q + c_2 q^2 + ... of [c_0, c_1, c_2, ...]."""
-        p = cls()
-        p.coeffs = {e: c for e, c in enumerate(coefficients) if c}
-        return p
+    def __init__(self, coefficients=()):
+        dense = tuple(coefficients)
+        end = len(dense)
+        while end and not dense[end - 1]:
+            end -= 1
+        self.dense = dense[:end]
 
     @classmethod
-    def from_packed(cls, x, width, low=0):
-        """The polynomial whose coefficient of q^e is bits (e+low)*width up
-        to (e+low+1)*width of the integer x >= 0, for width a multiple of
-        8: the packing of `_q_product_vector` read back, its `low` lowest
-        fields dropped.  The little-endian bytes of x are split into
-        fields by one `Struct` call, each field read by `int.from_bytes`;
-        at width 8 the bytes are the coefficients.
+    def from_packed(cls, x, width):
+        """The polynomial whose coefficient of q^e is bits e*width up to
+        (e+1)*width of the integer x >= 0, for width a multiple of 8: the
+        packing of `_q_product_vector` read back.  The little-endian bytes
+        of x are split into fields by one `Struct` call, each field read by
+        `int.from_bytes`; at width 8 the bytes are the coefficients.
 
-        >>> Poly.from_packed(0x0003_0000_0102, 16).coeffs
-        {0: 258, 2: 3}
-        >>> Poly.from_packed(0x0003_0000_0102, 16, low=1).coeffs
-        {1: 3}
+        >>> Poly.from_packed(0x0003_0000_0102, 16).dense
+        (258, 0, 3)
         """
         size = width // 8
-        count = max(-(-x.bit_length() // width), low)
+        count = -(-x.bit_length() // width)
         data = x.to_bytes(count * size, "little")
         if size == 1:
-            return cls.from_dense(data[low:])
-        fields = Struct("%dx" % (low * size) + ("%ds" % size) * (count - low)).unpack(data)
-        return cls.from_dense(map(int.from_bytes, fields, repeat("little")))
+            return cls(data)
+        return cls(map(int.from_bytes, Struct("%ds" % size * count).unpack(data), repeat("little")))
+
+    @property
+    def coeffs(self):
+        """The nonzero terms, as a new dict {exponent: coefficient}."""
+        return {e: c for e, c in enumerate(self.dense) if c}
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.dense)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.dense == other.dense
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash(self.dense)
 
     def __add__(self, other):
-        data = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            data[e] = data.get(e, 0) + c
-        return Poly(data)
+        return Poly(_plus(self.dense, other.dense))
 
     def shift(self, k):
         """Multiply by q**k.  A negative k divides, and raises ValueError
         unless q**-k divides the polynomial."""
-        return Poly({e + k: c for e, c in self.coeffs.items()})
+        if k >= 0:
+            return Poly((0,) * k + self.dense)
+        if any(self.dense[:-k]):
+            raise ValueError("q^%d does not divide the polynomial" % -k)
+        return Poly(self.dense[-k:])
 
     def eval_at_one(self):
-        return sum(self.coeffs.values())
+        return sum(self.dense)
 
     def eval_at_zero(self):
-        return self.coeffs.get(0, 0)
-
-    def degree(self):
-        return max(self.coeffs) if self.coeffs else None
+        return self.dense[0] if self.dense else 0
 
     def _terms(self, star):
-        coeffs = self.coeffs
-        exps = sorted(coeffs, reverse=True)
+        dense = self.dense
+        # the exponents of the nonzero terms, highest first
+        exps = list(compress(range(len(dense) - 1, -1, -1), reversed(dense)))
         if len(exps) < _FEW_TERMS:
             text = ""
             for e in exps:
-                c = coeffs[e]
+                c = dense[e]
                 if not e:
                     text += "%+d" % c
                 else:
@@ -147,10 +147,10 @@ class Poly:
         high, linear, plus_one, minus_one = _FORMATS[star]
         fmt, tail = "", ()
         if exps[-1] == 0:
-            fmt, tail = "%+d", (coeffs[exps.pop()],)
+            fmt, tail = "%+d", (dense[exps.pop()],)
         if exps[-1] == 1:
-            fmt, tail = linear + fmt, (coeffs[exps.pop()],) + tail
-        args = (*chain.from_iterable(zip(map(coeffs.__getitem__, exps), exps)), *tail)
+            fmt, tail = linear + fmt, (dense[exps.pop()],) + tail
+        args = (*chain.from_iterable(zip(map(dense.__getitem__, exps), exps)), *tail)
         text = ((high * len(exps) + fmt) % args).replace(plus_one, "+q").replace(minus_one, "-q")
         return text.removeprefix("+")
 
@@ -165,7 +165,7 @@ class Poly:
         return "Poly(%s)" % self
 
     def to_json(self):
-        return {str(e): c for e, c in sorted(self.coeffs.items())}
+        return {str(e): c for e, c in enumerate(self.dense) if c}
 
 
 # Below this many terms, _terms writes one term at a time: there the
@@ -174,8 +174,8 @@ _FEW_TERMS = 8
 _FORMATS = {"*": ("%+d*q^%d", "%+d*q", "+1*q", "-1*q"), "": ("%+dq^%d", "%+dq", "+1q", "-1q")}
 
 ZERO = Poly()
-ONE = Poly({0: 1})
-Q = Poly({1: 1})
+ONE = Poly((1,))
+Q = Poly((0, 1))
 
 
 def _times_q_integer(p, n):
@@ -186,10 +186,10 @@ def _times_q_integer(p, n):
 
 
 def _plus(p, r):
-    """Sum of two dense lists."""
+    """Sum of two dense lists or tuples, as a list."""
     if len(p) < len(r):
         p, r = r, p
-    return list(map(add, p, r)) + p[len(r):]
+    return [*map(add, p, r), *p[len(r):]]
 
 
 def _packed_times_q_integer(p, n, width):
@@ -272,7 +272,7 @@ class QRational:
         """
         def side(p):
             s = p.compact()
-            return "(%s)" % s if len(p.coeffs) > 1 else s
+            return "(%s)" % s if len(p.dense) - p.dense.count(0) > 1 else s
 
         return "%s/%s" % (side(self.num), side(self.den))
 
@@ -295,14 +295,14 @@ def q_rational(x):
 def theorem_pair(a):
     """diag(1,q)^-1 R_q^{a_0} ... L_q^{a_{2l-1}} (1,0)^T, the common pair
     that the three enumeration statistics must reproduce: (q R(q), S(q)).
-    The last factor is a power of L_q, so the second component starts
-    with a zero coefficient; unpacking it from its second field divides
-    by q."""
+    The last factor is a power of L_q, so q divides the second
+    component, and `shift(-1)` divides it out, checking the zero constant
+    term."""
     a = _cf.check_cf(a)
     if len(a) % 2:
         raise ValueError("even-length form required")
     v1, v2, width = _q_product_vector(a, (1, 0))
-    return Poly.from_packed(v1, width), Poly.from_packed(v2, width, low=1)
+    return Poly.from_packed(v1, width), Poly.from_packed(v2, width).shift(-1)
 
 
 def q_shift_identity_check(x):

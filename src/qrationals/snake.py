@@ -162,10 +162,10 @@ class Snake:
 
     `cells`, `edges`, `squares` (each cell's bottom, right, top and left
     edge indices) and `basic_mask` are built with the snake.  The
-    vertex-to-edges map `vertex_edges`, the edge-to-index map `edge_index`
-    and the per-cell left sides that `enclosed_cells` walks are built on
-    first use and kept: the transfer scans read none of them, and only
-    the backtracking matcher, the drawing and the area oracle do."""
+    vertex-to-edges map `vertex_edges` and the per-cell left sides that
+    `enclosed_cells` walks are built on first use and kept: the transfer
+    scans read neither, and only the backtracking matcher, the drawing
+    and the area oracle do."""
 
     def __init__(self, word):
         check_word(word)
@@ -195,10 +195,6 @@ class Snake:
         )
 
     @cached_property
-    def edge_index(self):
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
     def vertex_edges(self):
         out = {}
         for i, e in enumerate(self.edges):
@@ -215,11 +211,9 @@ class Snake:
         return "Snake(%r)" % self.word
 
     def classify(self, mask):
-        """'perp' or 'par' by the first-edge orientation against |w| parity:
-        perpendicular means horizontal first edge for even |w|, vertical
-        for odd |w|; equivalently the first edge is not the basic one."""
-        horizontal = mask >> self.squares[0][0] & 1
-        return "perp" if horizontal == (len(self.word) % 2 == 0) else "par"
+        """'perp' or 'par', as `_side` reads the bottom edge of the first
+        cell: 'perp' iff the first edge is not the basic one."""
+        return ("perp", "par")[_side(mask >> self.squares[0][0] & 1, len(self.word))]
 
     def enclosed_cells(self, mask):
         """Cells inside the cycles of the symmetric difference with the
@@ -366,7 +360,7 @@ def matching_statistics(g):
     ('q^5+q^4', 'q^4+2*q^3+2*q^2+q+1')
     """
     pair = _transfer(g.word, True, [1], _times_q_if_enclosed, _plus)
-    return tuple(Poly.from_dense(p) for p in pair)
+    return tuple(map(Poly, pair))
 
 
 def matching_counts(w):
@@ -392,7 +386,7 @@ def area_statistics(x):
     ('q', '1')
     """
     pair = _transfer(snake_word(x), True, [1], _times_q_if_enclosed, _plus)
-    return tuple(Poly.from_dense(p) for p in pair)
+    return tuple(map(Poly, pair))
 
 
 def matching_edges(g, mask):

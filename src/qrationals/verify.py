@@ -265,7 +265,7 @@ def _tally(rows):
     halves = ([0] * (top + 1), [0] * (top + 1))
     for first, size in rows:
         halves[not first][size] += 1
-    return tuple(map(_qp.Poly.from_dense, halves))
+    return tuple(map(_qp.Poly, halves))
 
 
 def check_three_statistics(level="desk"):
@@ -482,9 +482,7 @@ def check_properties(level="desk"):
                 _fail("q-analog of %s is %s, %s gives %s" % (x, qx, display, oracle))
         if qx.at_one() != x or qx.den.eval_at_zero() != 1:
             _fail("q-analog %s of %s has the wrong value at q = 1 or S(0) != 1" % (qx, x))
-        coeffs = _qp.theorem_pair(a)
-        total = coeffs[0] + coeffs[1]
-        seq = [total.coeffs.get(e, 0) for e in range(total.degree() + 1)]
+        seq = list(sum(_qp.theorem_pair(a), _qp.ZERO).dense)
         if not _is_unimodal(seq):
             _fail("rank polynomial of %s is not unimodal: %s" % (x, seq))
         if not _qp.q_shift_identity_check(x):

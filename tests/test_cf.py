@@ -105,6 +105,35 @@ def test_word_codec_goldens(x, w):
     assert rational_of_word(w) == x
 
 
+def _rational_of_word_by_runs(w):
+    """The word's runs as partial quotients (a leading 0 before a first
+    run of 0s, the last quotient raised by one for its dropped final 0),
+    then the expansion evaluated from its last quotient back."""
+    if not w:
+        return Fraction(1)
+    runs = []
+    for c in w:
+        if runs and runs[-1][0] == c:
+            runs[-1][1] += 1
+        else:
+            runs.append([c, 1])
+    quotients = [0] if w[0] == "0" else []
+    quotients.extend(n for _, n in runs)
+    if w[-1] == "1":
+        quotients.append(1)
+    else:
+        quotients[-1] += 1
+    x = Fraction(quotients[-1])
+    for a in reversed(quotients[:-1]):
+        x = a + 1 / x
+    return x
+
+
+def test_rational_of_word_equals_the_run_based_route():
+    for w in all_words(12):
+        assert rational_of_word(w) == _rational_of_word_by_runs(w), w
+
+
 @given(short_words)
 def test_word_codec_round_trip(w):
     assert word_of(cf_even(rational_of_word(w))) == w

@@ -579,6 +579,42 @@ def test_refused_int_arguments_of_at_most_40_characters_are_echoed(capsys, argv,
     assert err.endswith(" error: %s\n" % message)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (
+            ("enum", "a" * 3000, "5/2"),
+            "argument family: invalid choice: a text of length 3000 (choose from 'admissible', 'ideals', 'matchings')",
+        ),
+        (
+            ("b" * 3000,),
+            "argument command: invalid choice: a text of length 3000 (choose from 'qrat', 'rep', 'val', 'enum', "
+            "'render', 'table', 'markoff', 'tree', 'verify')",
+        ),
+        (("qrat", "5/2", "--" + "c" * 3000), "unrecognized arguments: a text of length 3002"),
+        (("enum", "x'\"" * 1000, "5/2"), "argument family: invalid choice: a text of length 3000 (choose from "),
+    ),
+)
+def test_argparse_refusals_name_long_tokens_by_length(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err.splitlines()[-1]
+    assert len(err.encode()) < 400
+
+
+def test_argparse_refusal_of_a_short_choice_is_argparse_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "enum", "ideal", "5/2") == (
+        2,
+        "",
+        "usage: qrationals enum [-h] [--count] [--format {text,json}]\n"
+        "                       {admissible,ideals,matchings} rational\n"
+        "qrationals enum: error: argument family: invalid choice: 'ideal' "
+        "(choose from 'admissible', 'ideals', 'matchings')\n",
+    )
+
+
 def test_listing_limit_names_a_long_rational_by_digit_counts(capsys):
     # F_2002/F_2001 has a word of 2,000 letters and a 419-digit r + s
     r, s = 1, 1

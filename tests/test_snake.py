@@ -85,7 +85,7 @@ def _dict_built_snake(w):
 def test_snake_structure_equals_the_dict_built_snake():
     for w in all_words(8):
         g = Snake(w)
-        got = (g.edges, g.squares, g.basic_mask, g.vertex_edges, g.edge_index)
+        got = (g.edges, g.squares, g.basic_mask, g.vertex_edges, {e: g.edges.index(e) for e in g.edges})
         want = _dict_built_snake(w)
         assert got == want
         assert [list(d.items()) for d in got[3:]] == [list(d.items()) for d in want[3:]]
@@ -167,7 +167,7 @@ def test_basic_matching_covers_every_vertex_with_boundary_edges(w):
     edges = matching_edges(g, g.basic_mask)
     assert sorted(v for e in edges for v in e) == sorted(g.vertex_edges)
     sides = Counter(i for square in g.squares for i in square)
-    assert all(sides[g.edge_index[e]] == 1 for e in edges)
+    assert all(sides[g.edges.index(e)] == 1 for e in edges)
     cx, cy = g.cells[-1]
     assert ((cx + 1, cy), (cx + 1, cy + 1)) in edges
 
