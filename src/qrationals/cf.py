@@ -13,6 +13,7 @@ which is a bijection from positive rationals onto all binary words.
 
 from fractions import Fraction
 from itertools import cycle
+from math import gcd
 
 from .words import _summary, check_word
 
@@ -230,12 +231,10 @@ def cw_level(depth):
     return [Fraction(r, s) for r, s in level]
 
 
-def rationals_with_sum_upto(bound, minimum=2):
-    """All positive rationals r/s with minimum <= r+s <= bound, reduced."""
-    from math import gcd
-
+def rationals_with_sum_upto(bound):
+    """All positive rationals r/s with r+s <= bound, reduced."""
     out = []
-    for total in range(minimum, bound + 1):
+    for total in range(2, bound + 1):
         for r in range(1, total):
             s = total - r
             if gcd(r, s) == 1:

@@ -80,10 +80,14 @@ def _path_scan(word, one, add, join):
     scan along the path, first element to last, that keeps one value per
     membership of the previous element, since only it constrains the next
     one.  `one` is the value of the empty ideal, `add(value, i)` puts y_i
-    into every ideal a value stands for, and `join` unites two values."""
+    into every ideal a value stands for, and `join` unites two values.
+    The value of no ideal at all is `one * 0`: the empty list when the
+    values are lists (of masks or of coefficients), 0 when they are
+    counts.  The snake runs this scan too, over theta of its word."""
     pair = []
+    none = one * 0
     for first in (1, 0):
-        inside, outside = (add(one, 0), []) if first else ([], one)
+        inside, outside = (add(one, 0), none) if first else (none, one)
         for i, letter in enumerate(word, start=1):
             if letter == "1":  # y_i covers y_{i-1}: y_i joins only after it
                 inside, outside = add(inside, i), join(inside, outside)
@@ -91,6 +95,11 @@ def _path_scan(word, one, add, join):
                 inside, outside = add(join(inside, outside), i), outside
         pair.append(join(inside, outside))
     return pair
+
+
+def _times_q(poly, i):
+    """A dense size polynomial with one more element: times q."""
+    return [0] + poly
 
 
 def enumerate_ideals(fence):
@@ -183,8 +192,7 @@ def ideal_statistics(fence):
     >>> tuple(str(p) for p in ideal_statistics(Fence("0111")))
     ('q^5+q^4+q^3+q^2', 'q^4+q^3+q^2+q+1')
     """
-    pair = _path_scan(fence.word, [1], lambda poly, i: [0] + poly, _plus)
-    return tuple(map(Poly, pair))
+    return tuple(map(Poly, _path_scan(fence.word, [1], _times_q, _plus)))
 
 
 def rank_polynomials(x):
@@ -239,14 +247,11 @@ def psi_inverse(b, a):
     return mask
 
 
-def fence_to_dot(fence, ideal=None):
+def fence_to_dot(fence):
     """Hasse diagram in DOT, edges pointing from lower to upper element."""
     lines = ["digraph fence {", "  rankdir=BT;", '  node [shape=circle, fontsize=10];']
     for i in range(fence.size):
-        style = ""
-        if ideal is not None and ideal >> i & 1:
-            style = ', style=filled, fillcolor=gray'
-        lines.append('  y%d [label="y%d"%s];' % (i, i, style))
+        lines.append('  y%d [label="y%d"];' % (i, i))
     for lo, up in fence.covers:
         lines.append("  y%d -> y%d;" % (lo, up))
     lines.append("}")

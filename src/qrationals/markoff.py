@@ -127,7 +127,7 @@ def markoff_snake_word(w):
 def verify_area_theorem(m):
     """Check that the q-Markoff polynomial of 0m1 equals the area
     generating polynomial over all matchings of the snake of 0 gamma(m) 0,
-    from the transfer scan.
+    from the snake's statistics (the fence's scan over theta of its word).
 
     >>> verify_area_theorem("101")
     True
@@ -143,7 +143,7 @@ def verify_area_theorem(m):
 
 def markoff_row(w):
     """Table row: word, Markoff number, q-polynomial, and for proper
-    words the snake word with its matching count, from the transfer scan."""
+    words the snake word with its matching count, from the counting scan."""
     row = {
         "word": w,
         "number": markoff_of(w),

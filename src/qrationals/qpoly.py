@@ -58,12 +58,15 @@ class Poly:
 
     Stored as `dense`, the tuple (c_0, c_1, ..., c_d) of its coefficients
     with c_d != 0; the zero polynomial is ().  The constructor strips
-    trailing zeros, so equal polynomials have equal tuples.
+    trailing zeros, so equal polynomials have equal tuples.  It refuses a
+    dict, which iterates as its exponents, not as {exponent: coefficient}.
     """
 
     __slots__ = ("dense",)
 
     def __init__(self, coefficients=()):
+        if isinstance(coefficients, dict):
+            raise TypeError("Poly takes the coefficients c_0, ..., c_d in order, not a dict")
         dense = tuple(coefficients)
         end = len(dense)
         while end and not dense[end - 1]:

@@ -11,12 +11,6 @@ matching m counts the cells enclosed by the symmetric difference with
 the basic matching, and the map to the rational world goes through
 theta: the snake of x is G(theta(W(x))).
 
-Matchings are built one cell at a time, first to last.  A cell meets
-its neighbours only through the side it shares with each, so its moves
-depend on the letter pair around it alone (None at an end) and, for the
-area, on whether its left side is basic; each table of moves is built
-once, on first use, in local corner coordinates.
-
 Both rules of the area statistic read off the word.  The basic matching
 takes each cell's boundary sides (those shared with no other cell): the
 vertical ones when the cell is an even number of cells from the last
@@ -25,14 +19,22 @@ is one run of cells, so a leftward ray from a cell's centre crosses the
 left sides of its row up to its own: a cell is enclosed iff an odd
 number of those differ from the basic matching.
 
-One transfer scan (`_transfer`) walks the tables, keeping one value per
-boundary state (bottom-edge bit of the first cell, coverage of the side
-shared with the next cell, enclosure parity in the current row).  On
-dense area polynomials it gives the statistics, and on ints the counts,
-in time polynomial in the word length; on lists of edge masks it lists
-the matchings for `enumerate_matchings`, where the output itself is
-exponential.  The backtracking matcher (`matchings_by_backtracking`)
-shares no code with the scan and is the listing's independent reference.
+The matchings are the ideals of the fence F(theta(w)), twisted.  `phi`
+takes a matching to the ideal of its enclosed cells, and back again the
+matching of an ideal I is the basic matching with every cell j in I
+twisted, that is, XORed with its four sides: a side shared by two cells
+of I is twisted twice and cancels, so what differs from the basic matching
+is the boundary of the enclosed region.  These are the face twists of the
+matching lattice of a planar bipartite graph (Propp, "Lattice structure
+for orientations of graphs", 2002).  So the snake runs the fence's scan
+(`fence._path_scan`) over theta(w): on edge masks, starting from the
+basic matching and twisting each cell it takes, it lists the matchings;
+on dense size polynomials it gives the area statistics, since area is
+size; on ints, the counts.  The perpendicular matchings are those whose
+ideal holds y_0, the scan's first value.  What keeps the snake honest
+shares no code with the scan: the backtracking matcher
+(`matchings_by_backtracking`), which checks the listing, and the tally of
+`enclosed_cells` and `classify` over that listing.
 
 `prefix_suffix_table` runs no scan: the counts of a snake are the pair of
 a rational, so the counts of every prefix and every suffix come from a
@@ -41,10 +43,11 @@ once per row, is its independent reference in `verify`.
 """
 
 from functools import cache, cached_property
-from itertools import compress, product
+from itertools import compress
 from operator import add, concat
 
 from .cf import word_of_rational
+from .fence import _path_scan, _times_q
 from .qpoly import Poly, _plus
 from .words import check_word, theta
 
@@ -74,9 +77,6 @@ def _square_edges(cx, cy):
     )
 
 
-# A cell's corners in local coordinates are 0 = (0,0), 1 = (1,0),
-# 2 = (0,1), 3 = (1,1); its sides, in _square_edges order, join these pairs.
-_SIDE_CORNERS = ((0, 1), (1, 3), (2, 3), (0, 2))
 # After a 0 the next cell sits to the right, after a 1 on top: a cell is
 # left through its right or top side and the next one entered through its
 # left or bottom side.
@@ -99,73 +99,16 @@ def _basic_sides(prev, letter, odd):
     return tuple(j for j in ((0, 2) if odd else (1, 3)) if j not in shared)
 
 
-@cache
-def _cell_table(prev, letter):
-    """Moves through one cell entered after letter `prev` and left by
-    `letter` (None at either end of the word): coverage of the corners
-    shared with the previous cell -> [(sides chosen, coverage of the
-    corners shared with the next cell)].  The cell owns its sides except
-    the one shared with the previous cell.  The chosen sides are
-    vertex-disjoint, avoid the covered corners, and cover every corner
-    not on the side shared with the next cell, since no later cell
-    meets it."""
-    entry = _SIDE_CORNERS[_ENTRY_SIDE[prev]] if prev else ()
-    exit_ = _SIDE_CORNERS[_EXIT_SIDE[letter]] if letter else ()
-    owned = [j for j in range(4) if not prev or j != _ENTRY_SIDE[prev]]
-    table = {}
-    for state in product((0, 1), repeat=len(entry)):
-        covered = {v for v, s in zip(entry, state) if s}
-        moves = []
-        for bits in range(1 << len(owned)):
-            sides = tuple(j for k, j in enumerate(owned) if bits >> k & 1)
-            ends = [v for j in sides for v in _SIDE_CORNERS[j]]
-            newly = covered.union(ends)
-            if len(newly) < len(covered) + len(ends):
-                continue
-            if any(v not in newly and v not in exit_ for v in range(4)):
-                continue
-            moves.append((sides, tuple(int(v in newly) for v in exit_)))
-        table[state] = moves
-    return table
-
-
-@cache
-def _cell_moves(prev, letter, left_basic):
-    """The transfer scan's moves through one cell: `_cell_table(prev,
-    letter)` for a cell whose left side is basic iff `left_basic` (None
-    counts no area), as state -> [(sides chosen, next state, 1 if the cell
-    is enclosed else 0)], for every state the scan can reach.
-
-    A state is (bottom-edge bit of the first cell, coverage of the corners
-    shared with the next cell, enclosure parity in the current row).  The
-    first cell sets the bottom-edge bit.  A cell after a 0 carries the
-    row's parity, since its left side is its predecessor's right side,
-    which the basic matching never holds; any other cell starts a row, and
-    its left side, a boundary side, sets the parity."""
-    firsts = (0, 1) if prev else (0,)
-    parities = (0, 1) if prev == "0" and left_basic is not None else (0,)
-    table = {}
-    for first, (cov, moves), par in product(firsts, _cell_table(prev, letter).items(), parities):
-        table[(first, cov, par)] = out = []
-        for sides, next_cov in moves:
-            enclosed = next_par = 0
-            if left_basic is not None:
-                enclosed = par if prev == "0" else int((3 in sides) != left_basic)
-                if letter == "0":
-                    next_par = enclosed ^ (1 in sides)
-            out.append((sides, (first if prev else int(0 in sides), next_cov, next_par), enclosed))
-    return table
-
-
 class Snake:
     """Snake graph of a binary word, with edge-indexed matchings.
 
     `cells`, `edges`, `squares` (each cell's bottom, right, top and left
-    edge indices) and `basic_mask` are built with the snake.  The
-    vertex-to-edges map `vertex_edges` and the per-cell left sides that
-    `enclosed_cells` walks are built on first use and kept: the transfer
-    scans read neither, and only the backtracking matcher, the drawing
-    and the area oracle do."""
+    edge indices) and `basic_mask` are built with the snake.  Three more
+    tables are built on first use and kept: `_twists`, each cell's four
+    sides as one mask, which the listing XORs; `vertex_edges`, the
+    vertex-to-edges map of the backtracking matcher and the drawing; and
+    the per-cell left sides that `enclosed_cells` walks.  The statistics
+    and counts read none of them: they scan the word alone."""
 
     def __init__(self, word):
         check_word(word)
@@ -193,6 +136,11 @@ class Snake:
             for i, (square, (prev, letter)) in enumerate(zip(squares, _letter_pairs(word)))
             for j in _basic_sides(prev, letter, (len(word) - i) % 2)
         )
+
+    @cached_property
+    def _twists(self):
+        """Per cell, the mask of its four sides: XOR it to twist the cell."""
+        return tuple(sum(1 << e for e in square) for square in self.squares)
 
     @cached_property
     def vertex_edges(self):
@@ -253,9 +201,13 @@ def enumerate_matchings(g, area=False):
     """All perfect matchings as sorted edge masks; with `area`, as
     (mask, area) pairs sorted by mask.
 
-    With `area` the scan runs with the area rule and carries
-    mask << shift | area for each matching.  No area reaches 1 << shift,
-    and no two matchings share a mask, so these values sort like the masks.
+    The fence's scan over theta(w) lists them on edge masks: it starts
+    from the basic matching and twists each cell it puts into an ideal,
+    so each matching comes out as the basic matching twisted at its ideal,
+    `phi` inverted.  With `area` each value is mask << shift | area, and a
+    twist also adds one to the area bits.  No area reaches 1 << shift, and
+    no two matchings share a mask, so these values sort like the masks:
+    one sort of the scan's output gives the listing its order.
 
     >>> len(enumerate_matchings(Snake("0100")))
     9
@@ -265,13 +217,14 @@ def enumerate_matchings(g, area=False):
     [(5, 1), (10, 0)]
     """
     shift = len(g.cells).bit_length() if area else 0
+    twists = [t << shift for t in g._twists]
+    bump = int(area)
 
-    def extend(values, i, sides, enclosed):
-        # each edge is owned by one cell, so its bit is added once
-        bits = (sum(1 << g.squares[i][j] for j in sides) << shift) + enclosed
-        return [v + bits for v in values]
+    def twist(values, i):
+        t = twists[i]
+        return [(v ^ t) + bump for v in values]
 
-    values = sorted(concat(*_transfer(g.word, area, [0], extend, concat)))
+    values = sorted(concat(*_path_scan(theta(g.word), [g.basic_mask << shift], twist, concat)))
     return [(v >> shift, v & (1 << shift) - 1) for v in values] if area else values
 
 
@@ -306,24 +259,6 @@ def matchings_by_backtracking(g):
     return sorted(complete(0))
 
 
-def _cell_step(states, i, moves, add, join):
-    """The transfer-scan states after cell i, whose moves are `moves`,
-    from the states before it: `add(value, i, sides, enclosed)` takes a
-    value along a move and `join` unites the values that reach one
-    state."""
-    nxt = {}
-    for state, value in states.items():
-        for sides, key, enclosed in moves[state]:
-            v = add(value, i, sides, enclosed)
-            nxt[key] = join(nxt[key], v) if key in nxt else v
-    return nxt
-
-
-def _times_q_if_enclosed(poly, i, sides, enclosed):
-    """A dense area polynomial along a move: times q if the cell is enclosed."""
-    return [0] + poly if enclosed else poly
-
-
 def _side(first, n):
     """0 (perpendicular) or 1 (parallel) for a matching of the snake of an
     n-letter word that holds (first = 1) or leaves (first = 0) the bottom
@@ -332,52 +267,33 @@ def _side(first, n):
     return int(first != (n % 2 == 0))
 
 
-def _transfer(word, area, one, add, join):
-    """(value over the perpendicular matchings, value over the parallel
-    ones) of G(word), by one scan over the cells, first to last, that keeps
-    one value per state of `_cell_moves`.  `one` is the value of the empty
-    matching, and `add` and `join` are as in `_cell_step`.  Without `area`
-    no cell is enclosed, so `_times_q_if_enclosed` passes every value
-    through, and on ints joined by `add` the values are the matching
-    counts."""
-    n = len(word)
-    states = {(0, (), 0): one}
-    for i, (prev, letter) in enumerate(_letter_pairs(word)):
-        left_basic = 3 in _basic_sides(prev, letter, (n - i) % 2) if area else None
-        states = _cell_step(states, i, _cell_moves(prev, letter, left_basic), add, join)
-    pair = {}
-    for (first, _, _), value in states.items():
-        side = _side(first, n)
-        pair[side] = join(pair[side], value) if side in pair else value
-    return pair[0], pair[1]
-
-
 def matching_statistics(g):
-    """(sum over perpendicular, sum over parallel) of q^area, from the
-    transfer scan; no matching is listed.
+    """(sum over perpendicular, sum over parallel) of q^area: the fence's
+    scan over theta(w) on dense size polynomials, since the area of a
+    matching is the size of its ideal; no matching is listed.
 
     >>> tuple(str(p) for p in matching_statistics(Snake("0100")))
     ('q^5+q^4', 'q^4+2*q^3+2*q^2+q+1')
     """
-    pair = _transfer(g.word, True, [1], _times_q_if_enclosed, _plus)
-    return tuple(map(Poly, pair))
+    return tuple(map(Poly, _path_scan(theta(g.word), [1], _times_q, _plus)))
 
 
 def matching_counts(w):
-    """(perpendicular, parallel) matching counts of G(w): the transfer scan
-    on ints, on the cell tables alone, with no Snake built.
+    """(perpendicular, parallel) matching counts of G(w): the fence's scan
+    over theta(w) on ints, with no Snake built.
 
     >>> matching_counts("0100")
     (2, 7)
     >>> matching_counts("")
     (1, 1)
     """
-    check_word(w)
-    return _transfer(w, False, 1, _times_q_if_enclosed, add)
+    return tuple(_path_scan(theta(w), 1, lambda count, i: count, add))
 
 
 def area_statistics(x):
     """Area statistics of the snake of x, split perpendicular/parallel.
+    Its word is theta(W(x)) and theta is an involution, so the scan runs
+    over W(x) itself, with no Snake built.
 
     >>> from fractions import Fraction
     >>> tuple(str(p) for p in area_statistics(Fraction(2, 7)))
@@ -385,8 +301,7 @@ def area_statistics(x):
     >>> tuple(str(p) for p in area_statistics(1))
     ('q', '1')
     """
-    pair = _transfer(snake_word(x), True, [1], _times_q_if_enclosed, _plus)
-    return tuple(map(Poly, pair))
+    return tuple(map(Poly, _path_scan(word_of_rational(x), [1], _times_q, _plus)))
 
 
 def matching_edges(g, mask):

@@ -237,12 +237,22 @@ def _check_order_preservation(x):
         m: _oracle.phi_by_pop(frozenset(_snake.matching_edges(g, m)), g.word)
         for m in matchings
     }
+    # the face-twist rule: two matchings differ by the four sides of cell j
+    # iff their popped ideals differ by element j alone
+    cell_of_twist = {sum(1 << e for e in square): j for j, square in enumerate(g.squares)}
     for m1 in matchings:
         for m2 in matchings:
             inc = region[m1] <= region[m2]
             le = popped[m1] | popped[m2] == popped[m2]
             if inc != le:
                 _fail("phi is not an order isomorphism for %s" % x)
+            diff = popped[m1] ^ popped[m2]
+            element = diff.bit_length() - 1 if diff and not diff & diff - 1 else None
+            if cell_of_twist.get(m1 ^ m2) != element:
+                _fail(
+                    "matchings %s and %s of the snake of %s break the face-twist rule"
+                    % (bin(m1), bin(m2), x)
+                )
 
 
 def check_bijections(level="desk"):
@@ -270,14 +280,15 @@ def _tally(rows):
 
 def check_three_statistics(level="desk"):
     """Admissible-vector, ideal and matching statistics, each by its
-    transfer scan and tallied over its listing, all equal the
-    matrix-product pair.
+    scan and tallied over its listing, all equal the matrix-product pair.
 
-    Fence and snake list their objects by the scan that computes their
-    statistics, so the two paths share one scan per model.  The listings
-    are held by references that share no code with it: `theorem_pair`
-    here, the subset filter and the backtracking matcher in
-    `check_oracles`, and `phi_by_pop` in `check_bijections`.  The
+    Fence and snake run one scan, the fence's path scan (the snake's over
+    theta of its word), both to list their objects and to compute their
+    statistics, so the two paths of each model share it.  They are held by
+    references that share no code with it: `theorem_pair` here; the
+    snake's area and side, read by `enclosed_cells` and `classify` off
+    each listed matching; the subset filter and the backtracking matcher
+    in `check_oracles`; and `phi_by_pop` in `check_bijections`.  The
     expansion, the word, the fence and the snake of each rational are
     built once and serve both paths."""
     b = BOUNDS[level]
@@ -313,7 +324,8 @@ def check_three_statistics(level="desk"):
 
 def _counted_table(w):
     """Oracle for the prefix/suffix recurrence: one fresh `matching_counts`
-    snake scan per prefix and per suffix of w, sharing no code with it."""
+    scan (the fence's path scan over theta of the row's word, on ints) per
+    prefix and per suffix of w, sharing no code with it."""
     return {
         "prefix": [_snake.matching_counts(w[:j]) for j in range(len(w) + 1)],
         "suffix": [_snake.matching_counts(w[len(w) - j:]) for j in range(len(w) + 1)],
@@ -321,8 +333,8 @@ def _counted_table(w):
 
 
 def check_prefix_suffix(level="desk"):
-    """The recurrence, row by row, against a snake scan per row that shares
-    no code with it, on every small rational; the frozen 84/37 table;
+    """The recurrence, row by row, against a counting scan per row that
+    shares no code with it, on every small rational; the frozen 84/37 table;
     prefixes meet the convergents, suffixes walk the subtractive Euclid chain."""
     for x in _rationals(BOUNDS[level]["table_sum"]):
         table = _snake.prefix_suffix_table(x)
@@ -499,8 +511,9 @@ def check_properties(level="desk"):
 
 
 def check_oracles(level="desk"):
-    """The transfer-scan listings versus the subset filter and the
-    backtracking matcher, which share no code with them, word by word."""
+    """The path-scan listings, of ideals and of matchings (the scan over
+    theta(w), twisting the basic matching), versus the subset filter and
+    the backtracking matcher, which share no code with them, word by word."""
     b = BOUNDS[level]
     for w in _words.all_words(b["oracle_word_len"]):
         g = _snake.Snake(w)

@@ -60,6 +60,14 @@ def test_trailing_zeros_are_stripped():
     assert Poly(iter([0, 2, 0])).dense == (0, 2)
 
 
+def test_a_dict_of_terms_is_refused():
+    # iterated, a dict gives its exponents: {4: 1, 0: 1} would read as 4
+    with pytest.raises(TypeError, match="not a dict"):
+        Poly({4: 1, 3: 1, 2: 2, 1: 2, 0: 1})
+    with pytest.raises(TypeError):
+        Poly({})
+
+
 @given(st.lists(st.one_of(st.just(0), st.integers(-9, 9)), max_size=12))
 def test_coeffs_are_the_nonzero_terms_of_dense(coefficients):
     p = Poly(coefficients)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
+from qrationals import _oracle, verify
 from qrationals._oracle import phi_by_pop
 from qrationals.cf import cf_even, rational_of_word, word_of
 from qrationals.fence import Fence, enumerate_ideals
@@ -320,6 +321,35 @@ def test_phi_is_a_bijection_onto_the_twisted_fence_ideals(w):
         assert g.area(m) == bin(ideal).count("1")
         ideals.add(ideal)
     assert ideals == set(enumerate_ideals(Fence(theta(w))))
+
+
+def test_each_matching_is_the_basic_matching_twisted_at_its_ideal():
+    # phi inverted: XOR the four sides of every cell of the ideal
+    for w in all_words(10):
+        g = Snake(w)
+        for m in matchings_by_backtracking(g):
+            ideal = phi(g, m)
+            twisted = g.basic_mask
+            for j, square in enumerate(g.squares):
+                if ideal >> j & 1:
+                    for e in square:
+                        twisted ^= 1 << e
+            assert m == twisted, (w, bin(m))
+
+
+def test_order_check_holds_the_face_twist_rule(monkeypatch):
+    # popped ideals read with the elements in reverse order keep every
+    # inclusion, so only the face-twist rule can see them
+    x = Fraction(5, 8)
+    n = len(snake_word(x)) + 1
+
+    def reversed_pop(m, word):
+        ideal = phi_by_pop(m, word)
+        return sum(1 << n - 1 - j for j in range(n) if ideal >> j & 1)
+
+    monkeypatch.setattr(_oracle, "phi_by_pop", reversed_pop)
+    with pytest.raises(AssertionError, match="of the snake of 5/8 break the face-twist rule"):
+        verify._check_order_preservation(x)
 
 
 @given(words)
