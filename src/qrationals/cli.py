@@ -32,15 +32,9 @@ from json.encoder import encode_basestring_ascii
 
 from . import verify as _verify
 from .cf import cf_even, cf_parse, cw_level, sb_level
-from .fence import (
-    enumerate_ideals,
-    fence_of_rational,
-    fence_to_dot,
-    fence_to_svg,
-    ideal_statistics,
-)
+from .fence import enumerate_ideals, fence_of_rational, fence_to_dot, fence_to_svg
 from .markoff import markoff_numbers_upto, markoff_of, markoff_row, markoff_snake_word
-from .numeration import _integer, norm1_statistics, numeration_rows, rep, val
+from .numeration import _integer, numeration_rows, rep, val
 from .qpoly import q_rational, q_shift_identity_check
 from .snake import (
     enumerate_matchings,
@@ -62,11 +56,12 @@ MAX_LISTED_ELEMENTS = 10**6
 MAX_TREE_DEPTH = 16
 # `qrat`, `enum --count`, `table` and `markoff --word` take time
 # quadratic in the length of the word they work on: at 2,000 letters
-# `qrat` on a Fibonacci ratio takes 0.31-0.44 s, `enum ideals --count` 0.34 s
-# and `table` 24 ms on a 2-core Xeon.  Of the `qrat` time, 0.33-0.37 s is
-# the q-product kernel; unpacking its result takes about 3 ms and printing
-# it about 16 ms (2,001 coefficients of up to 420 digits).  Longer words
-# exit 2 before any work.
+# `qrat` on a Fibonacci ratio takes 0.31-0.44 s and `table` 24 ms on a
+# 2-core Xeon, and every `enum --count`, one path scan on ints, about
+# 2 ms.  Of the `qrat` time, 0.33-0.37 s is the q-product kernel;
+# unpacking its result takes about 3 ms and printing it about 16 ms
+# (2,001 coefficients of up to 420 digits).  Longer words exit 2 before
+# any work.
 MAX_WORD_LENGTH = 2000
 # `markoff --upto N` lists about (log N)^2 numbers of up to log N digits:
 # a 200-digit bound lists 38,512 numbers, 5.2 MB of text, in 0.26 s on
@@ -160,33 +155,21 @@ def _cmd_val(args):
     return {"cf": a, "digits": digits, "n": n}, [str(n)], None
 
 
-def _count_result(labels, counts):
-    """The two halves of a count and their total, as one JSON object or one line."""
-    (first, second), (m, n) = labels, counts
-    return {first: m, second: n, "total": m + n}, ["%s=%d %s=%d total=%d" % (first, m, second, n, m + n)], None
-
-
-def _enum_admissible(args, x):
+def _enum_admissible(x):
     a = cf_even(x)
-    if args.count:
-        return _count_result(("filled", "empty"), (p.eval_at_one() for p in norm1_statistics(a)))
     rows = numeration_rows(a)
     lines = ("%d\t%s" % (n, ",".join(str(d) for d in b)) for n, b in rows)
     return {"cf": a, "rows": rows}, lines, None
 
 
-def _enum_ideals(args, x):
+def _enum_ideals(x):
     fence = fence_of_rational(x)
-    if args.count:
-        return _count_result(("filled", "empty"), (p.eval_at_one() for p in ideal_statistics(fence)))
     elements = [[i for i in range(fence.size) if m >> i & 1] for m in enumerate_ideals(fence)]
     lines = ("{%s}" % ",".join(str(i) for i in ideal) for ideal in elements)
     return {"x": _frac_str(x), "ideals": elements}, lines, None
 
 
-def _enum_matchings(args, x):
-    if args.count:
-        return _count_result(("perp", "par"), matching_counts(snake_word(x)))
+def _enum_matchings(x):
     g = snake_of_rational(x)
     rows = [
         {
@@ -206,8 +189,14 @@ def _enum_matchings(args, x):
 
 def _cmd_enum(args):
     x = _parse_rational(args.rational)
+    if args.count:
+        # psi and phi split the three families of x alike: the counts are
+        # the fence's path scan over W(x) on ints, whatever the family
+        first, second = ("perp", "par") if args.family == "matchings" else ("filled", "empty")
+        m, n = matching_counts(snake_word(x))
+        return {first: m, second: n, "total": m + n}, ["%s=%d %s=%d total=%d" % (first, m, second, n, m + n)], None
     objects, length = x.numerator + x.denominator, sum(cf_even(x)) + 1
-    if not args.count and objects * length > MAX_LISTED_ELEMENTS:
+    if objects * length > MAX_LISTED_ELEMENTS:
         raise ValueError(
             "enum %s %s would list %s objects of up to %d elements, over the "
             "limit of %d elements; use --count"
@@ -218,7 +207,7 @@ def _cmd_enum(args):
         "ideals": _enum_ideals,
         "matchings": _enum_matchings,
     }[args.family]
-    return handler(args, x)
+    return handler(x)
 
 
 def _cmd_render(args):

@@ -10,10 +10,16 @@ b = (b_0, ..., b_{k-1}) subject to
 There are exactly r_k of them and the alternating valuation
 val(b) = sum (-1)^i b_i r_i hits every integer of an interval of width
 r_k exactly once.  Digits are stored least-significant (b_0) first.
+
+`fence.psi` takes the ideals of the fence of W(a) onto these vectors,
+keeping size (|I| = b_0 + ... + b_{k-1}) and side (y_0 in I iff b is
+filled), so the digit scan is the fence's path scan over W(a).  Both
+expansions of a rational, [..., a, 1] and [..., a + 1], have one W(a).
 """
 
 from . import cf as _cf
-from .qpoly import Poly, _plus, _times_q_integer
+from .fence import _path_scan, _times_q
+from .qpoly import Poly, _plus
 
 __all__ = [
     "is_admissible",
@@ -70,7 +76,7 @@ def enumerate_admissible(a):
     by its allowed digits in ascending order.  This digit descent is the
     digit model's reference lister: no production path calls it, and
     `verify` and the tests hold `val`, `rep` and the digit scan
-    (`norm1_statistics`) against it.
+    (`norm1_statistics`, the fence's scan over W(a)) against it.
 
     >>> len(enumerate_admissible((2, 2, 2)))
     17
@@ -213,47 +219,15 @@ def _integer(n):
 
 
 def norm1_statistics(a):
-    """(sum over filled, sum over empty) of q^(b_0 + ... + b_{k-1}).
-
-    One scan over the digits, b_0 first, keeps a dense norm polynomial
-    per state (filled, b_{i-1} = a_{i-1}, b_{i-1} = 0): both admissibility
-    rules look back one digit, and b_0 settles the side, or b_1 when
-    a_0 = 0.  The digits strictly between 0 and a_i share one move,
-    q [a_i - 1]_q.  No vector is listed.  For even-length expansions the
-    pair is the matrix product diag(1,q)^-1 R_q^{a_0}...L_q^{a_{k-1}}
-    applied to (1,0)^T; verify holds both against `partition`.
+    """(sum over filled, sum over empty) of q^(b_0 + ... + b_{k-1}): the
+    digit scan, the fence's path scan over W(a); no vector is listed.
 
     >>> tuple(str(p) for p in norm1_statistics((0, 1, 3, 1)))
     ('q^5+q^4+q^3+q^2', 'q^4+q^3+q^2+q+1')
     >>> tuple(str(p) for p in norm1_statistics((1, 1)))
     ('q^2+q', '1')
     """
-    a = _cf.check_cf(a)
-    settle = 0 if a[0] else 1
-    states = {(False, True, True): [1]}  # nothing constrains b_0
-    for i, n in enumerate(a):
-        nxt = {}
-        for (filled, top, zero), p in states.items():
-            # b_i = a_i (i odd) or b_i = 0 (i even) needs the previous digit's flag
-            looked_back, allowed = (n, top) if i % 2 else (0, zero)
-            moves = [(0, p)]  # (digit, polynomial with it appended)
-            if n:
-                moves.append((n, [0] * n + p))
-            if n > 1:  # 1 stands for every digit strictly between 0 and n
-                moves.append((1, [0] + _times_q_integer(p, n - 1)))
-            for b, poly in moves:
-                if b == looked_back and not allowed:
-                    continue
-                side = filled
-                if i == settle:
-                    side = b == n if i else b > 0
-                key = (side, b == n, b == 0)
-                nxt[key] = _plus(nxt[key], poly) if key in nxt else poly
-        states = nxt
-    pair = [[], []]
-    for (filled, _, _), poly in states.items():
-        pair[not filled] = _plus(pair[not filled], poly)
-    return tuple(map(Poly, pair))
+    return tuple(map(Poly, _path_scan(_cf._runs(_cf.check_cf(a)), [1], _times_q, _plus)))
 
 
 def numeration_rows(a):

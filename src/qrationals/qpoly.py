@@ -35,8 +35,8 @@ term, then drops the "1" of each coefficient +-1.
 """
 
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
-from operator import add, sub
+from itertools import chain, compress, repeat
+from operator import add
 from struct import Struct
 
 from . import cf as _cf
@@ -179,13 +179,6 @@ _FORMATS = {"*": ("%+d*q^%d", "%+d*q", "+1*q", "-1*q"), "": ("%+dq^%d", "%+dq", 
 ZERO = Poly()
 ONE = Poly((1,))
 Q = Poly((0, 1))
-
-
-def _times_q_integer(p, n):
-    """The dense list p times [n]_q = 1 + q + ... + q^(n-1), n >= 1: entry k
-    is the sum of p over the window (k - n, k], a difference of prefix sums."""
-    prefix = list(accumulate(p + [0] * (n - 1), initial=0))
-    return prefix[1:n] + list(map(sub, prefix[n:], prefix))
 
 
 def _plus(p, r):

@@ -282,13 +282,16 @@ def check_three_statistics(level="desk"):
     """Admissible-vector, ideal and matching statistics, each by its
     scan and tallied over its listing, all equal the matrix-product pair.
 
-    Fence and snake run one scan, the fence's path scan (the snake's over
-    theta of its word), both to list their objects and to compute their
-    statistics, so the two paths of each model share it.  They are held by
-    references that share no code with it: `theorem_pair` here; the
-    snake's area and side, read by `enclosed_cells` and `classify` off
-    each listed matching; the subset filter and the backtracking matcher
-    in `check_oracles`; and `phi_by_pop` in `check_bijections`.  The
+    All three models run one scan, the fence's path scan, so the three
+    "transfer scan" rows scan the same word w.  Each row still holds its
+    own public wrapper's choice of word: W(a) for the digits, the fence's
+    own word, and theta of the snake's word for the matchings.  A wrong
+    choice fails only in its own row.  Fence and snake also list by that
+    scan, so all are held by references that share no code with it:
+    `theorem_pair` here; the digit descent of `partition`; the snake's
+    area and side, read by `enclosed_cells` and `classify` off each
+    listed matching; the subset filter and the backtracking matcher in
+    `check_oracles`; and `phi_by_pop` in `check_bijections`.  The
     expansion, the word, the fence and the snake of each rational are
     built once and serve both paths."""
     b = BOUNDS[level]

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from qrationals import fence
 from qrationals._oracle import xy_pair
-from qrationals.cf import cf_even
+from qrationals.cf import cf_even, cf_odd
 from qrationals.fence import (
     Fence,
     chains,
@@ -111,16 +111,17 @@ def test_psi_golden():
 
 @given(rationals)
 def test_psi_is_a_statistic_preserving_bijection(x):
-    a = cf_even(x)
+    # both expansions of x have the word of the fence, so psi serves both
     f = fence_of_rational(x)
-    seen = []
-    for mask in enumerate_ideals(f):
-        b = psi(mask, a)
-        assert sum(b) == bin(mask).count("1")
-        assert is_filled(b, a) == bool(mask & 1)
-        assert psi_inverse(b, a) == mask
-        seen.append(b)
-    assert sorted(seen) == sorted(enumerate_admissible(a))
+    for a in (cf_even(x), cf_odd(x)):
+        seen = []
+        for mask in enumerate_ideals(f):
+            b = psi(mask, a)
+            assert sum(b) == bin(mask).count("1")
+            assert is_filled(b, a) == bool(mask & 1)
+            assert psi_inverse(b, a) == mask
+            seen.append(b)
+        assert sorted(seen) == sorted(enumerate_admissible(a))
 
 
 def test_dot_and_svg_emitters():

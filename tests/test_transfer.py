@@ -1,6 +1,8 @@
-"""The transfer scans behind the three statistics: equal to the listings
-they replace on short words, to the matrix pair on long ones, and never
-reaching an enumerator."""
+"""The one path scan behind the three statistics and every count: the
+fence's scan, run over the fence's word for the ideals, over W(a) for the
+digit vectors of either expansion and over theta of the snake's word for
+the matchings.  It equals the listings on short words and the matrix pair
+on long ones, never reaches an enumerator, and counts on ints."""
 
 from fractions import Fraction
 
@@ -69,6 +71,15 @@ def test_scans_equal_the_matrix_pair_on_long_words(w):
 @settings(max_examples=8, deadline=None)
 def test_scans_equal_the_matrix_pair_on_tall_partial_quotients(a):
     _check_scans_against_the_matrix_pair(a)
+
+
+@pytest.fixture
+def no_polynomial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a polynomial was built")
+
+    for module in (fence, numeration, snake):
+        monkeypatch.setattr(module, "Poly", refuse)
 
 
 @pytest.fixture
@@ -171,6 +182,13 @@ def test_listings_run_the_statistics_scan(w):
         assert len(fence_scans) == 1
         fence.ideal_statistics(f)
         assert len(fence_scans) == 2
+        # the digit statistics of either expansion are one scan over W(a)
+        digit_scans = _counting(monkeypatch, numeration, "_path_scan")
+        x = rational_of_word(w)
+        numeration.norm1_statistics(cf_even(x))
+        assert len(digit_scans) == 1
+        numeration.norm1_statistics(cf_odd(x))
+        assert len(digit_scans) == 2
 
 
 def _suffixes_swapped(original):
@@ -217,9 +235,19 @@ def test_area_statistics_build_no_snake(monkeypatch):
         ("matchings", "perp=84 par=37 total=121\n"),
     ),
 )
-def test_count_paths_list_nothing(no_enumerator, capsys, family, expected):
+def test_count_paths_list_nothing(no_enumerator, no_polynomial, capsys, family, expected):
     assert cli.main(["enum", family, "84/37", "--count"]) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "family, first, second",
+    (("admissible", "filled", "empty"), ("ideals", "filled", "empty"), ("matchings", "perp", "par")),
+)
+def test_counts_of_a_2000_letter_word_run_on_ints(no_enumerator, no_polynomial, capsys, family, first, second):
+    r, s = _fibonacci(2002), _fibonacci(2001)
+    assert cli.main(["enum", family, "%d/%d" % (r, s), "--count"]) == 0
+    assert capsys.readouterr().out == "%s=%d %s=%d total=%d\n" % (first, r, second, s, r + s)
 
 
 def _swapped(original):
