@@ -22,7 +22,7 @@ from math import gcd
 
 from .cf import check_cf
 from .numeration import enumerate_admissible
-from .polytope import inequalities
+from .polytope import _inequalities
 from .qpoly import ONE, Q, ZERO, Poly, QRational
 from .words import check_word, hat
 
@@ -312,7 +312,7 @@ def box_scan_report(a):
     the row is tested as a separator against B, never trusted.  Any other
     point goes to Fourier-Motzkin."""
     a = check_cf(a)
-    rows = inequalities(a)
+    rows = _inequalities(a)
     hull = HullSystem.of_expansion(a)
     tops = _row_maxima(rows, hull)
     box = 0

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import cycle
 from math import gcd
 
-from .words import _summary, check_word
+from .words import _decimal, _summary, check_word
 
 __all__ = [
     "check_cf",
@@ -113,7 +113,7 @@ def cf_parse(text):
         head, _, tail = s[1:-1].partition(";")
         parts = [head] + (tail.split(",") if tail else [])
         try:
-            return check_cf(int(p) for p in parts)
+            return check_cf(map(_decimal, parts))
         except ValueError:
             pass
     raise ValueError("expected [a0;a1,...], got %s" % _summary(text, "0123456789[;,] "))
@@ -177,7 +177,11 @@ def convergents(a):
     >>> convergents((2, 2, 2))[0]
     (1, 2, 5, 12)
     """
-    a = check_cf(a)
+    return _convergents(check_cf(a))
+
+
+def _convergents(a):
+    # convergents of an expansion check_cf has already checked
     p = [1, a[0]]
     q = [0, 1]
     for x in a[1:]:

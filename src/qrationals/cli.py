@@ -45,7 +45,7 @@ from .snake import (
     snake_to_svg,
     snake_word,
 )
-from .words import _summary
+from .words import _decimal, _summary
 
 __all__ = ["main"]
 
@@ -82,9 +82,9 @@ def _parse_rational(text):
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            x = Fraction(int(num), int(den))
+            x = Fraction(_decimal(num), _decimal(den))
         else:
-            x = Fraction(int(text))
+            x = Fraction(_decimal(text))
     except (ValueError, ZeroDivisionError):
         raise ValueError("not a rational: %s" % _summary(text, "0123456789/"))
     if x <= 0:
@@ -103,11 +103,11 @@ def _rational_name(x):
 
 
 def _int(text):
-    """`int` for an argument: argparse itself would echo a refused text in
-    full, so one over 40 characters is named by its length and its first
-    character that is not a digit or a sign."""
+    """`_decimal` for an argument: argparse itself would echo a refused text
+    in full, so one over 40 characters is named by its length and its first
+    character that is not an ASCII digit or a sign."""
     try:
-        return int(text)
+        return _decimal(text)
     except ValueError:
         if len(text) <= 40:
             raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
@@ -116,7 +116,7 @@ def _int(text):
 
 def _parse_digits(text):
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(map(_decimal, text.split(",")))
     except ValueError:
         raise ValueError("digits must be comma-separated integers, got %s" % _summary(text, "0123456789,"))
 

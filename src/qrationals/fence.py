@@ -14,10 +14,12 @@ the listing's independent reference.  It is bitsliced: one integer of
 2^size bits holds every subset at once, bit m standing for subset m,
 and each cover relation clears the subsets it rules out in a handful of
 big-integer operations (word-parallel "broadword" set filtering, Knuth,
-TAOCP Vol. 4A, 7.1.3).
+TAOCP Vol. 4A, 7.1.3).  Its survivors are read off once, in ascending
+order, and a stable sort by size puts them in the listing's order.
 """
 
 from functools import cache
+from itertools import accumulate
 from operator import concat
 
 from .cf import word_of_rational
@@ -48,12 +50,8 @@ class Fence:
         check_word(word)
         self.word = word
         self.size = len(word) + 1
-        self.covers = []
-        for i in range(1, self.size):
-            if word[i - 1] == "1":
-                self.covers.append((i - 1, i))
-            else:
-                self.covers.append((i, i - 1))
+        # (lower, upper) per letter: y_i covers y_{i-1} on a 1, y_{i-1} covers y_i on a 0
+        self.covers = [(i - 1, i) if c == "1" else (i, i - 1) for i, c in enumerate(word, 1)]
 
     def heights(self):
         """Drawing heights: up one per 1, down one per 0, starting at 0.
@@ -61,10 +59,7 @@ class Fence:
         >>> Fence("111001").heights()
         (0, 1, 2, 3, 2, 1, 2)
         """
-        h = [0]
-        for c in self.word:
-            h.append(h[-1] + (1 if c == "1" else -1))
-        return tuple(h)
+        return tuple(accumulate((1 if c == "1" else -1 for c in self.word), initial=0))
 
     def __repr__(self):
         return "Fence(%r)" % self.word
@@ -112,7 +107,10 @@ def enumerate_ideals(fence):
     [0, 1]
     """
     first, rest = _path_scan(fence.word, [0], lambda masks, i: [m | 1 << i for m in masks], concat)
-    return sorted(first + rest, key=lambda m: (bin(m).count("1"), m))
+    ideals = first + rest
+    ideals.sort()
+    ideals.sort(key=int.bit_count)  # stable: ascending masks within a size
+    return ideals
 
 
 # Each mask of `_subset_masks(size)` has 2^size bits, so only sizes up to
@@ -122,28 +120,23 @@ _CACHED_MASK_SIZE = 16
 
 
 def _subset_masks(size):
-    """(holds, classes) over the 2^size subsets of `size` elements, bit m
-    standing for subset m: holds[i] marks the subsets that hold element i,
-    and classes[k] those of k elements.
+    """holds[i] over the 2^size subsets of `size` elements, bit m standing
+    for subset m: the subsets that hold element i.
 
-    Both grow one element at a time.  The subsets of n elements that hold
-    the new element are those of n - 1 elements shifted up by 2^(n-1), so
-    each old mask is doubled, the new element's mask is one run of
-    2^(n-1) ones above as many zeros, and
-    C_k(n) = C_k(n-1) | C_{k-1}(n-1) << 2^(n-1).  So holds[i] is its run
+    The masks grow one element at a time.  The subsets of n elements that
+    hold the new element are those of n - 1 elements shifted up by
+    2^(n-1), so each old mask is doubled and the new element's mask is
+    one run of 2^(n-1) ones above as many zeros.  So holds[i] is its run
     of 2^i ones times a repunit of period 2^(i+1), built by doubling.
 
-    >>> [bin(h) for h in _subset_masks(2)[0]]
+    >>> [bin(h) for h in _subset_masks(2)]
     ['0b1010', '0b1100']
-    >>> [bin(c) for c in _subset_masks(2)[1]]
-    ['0b1', '0b110', '0b1000']
     """
-    holds, classes = [], [1]
+    holds = []
     for n in range(size):
         half = 1 << n
         holds = [h | h << half for h in holds] + [(1 << half) - 1 << half]
-        classes = [c | below << half for c, below in zip(classes + [0], [0] + classes)]
-    return holds, classes
+    return holds
 
 
 _cached_subset_masks = cache(_subset_masks)
@@ -157,28 +150,28 @@ def ideals_by_subset_filter(fence):
     Bitsliced: bit m of one integer of 2^size bits says whether subset m
     is still alive.  A cover (lo, up) clears at once every subset that
     holds up but not lo, `alive &= ~(holds[up] & ~holds[lo])`.  The
-    survivors are read off per size class, ANDed with that class's mask,
-    in ascending order by `str.find` over the reversed `bin()`: the
-    order (size, mask) of `enumerate_ideals`, with no sort.  The masks
-    are cached for fences of up to `_CACHED_MASK_SIZE` elements and built
-    afresh for larger ones.
+    survivors are read off once, in ascending order, by `str.find` over
+    the reversed `bin(alive)`; a stable sort by popcount then gives the
+    order (size, mask) of `enumerate_ideals`.  The masks are cached for
+    fences of up to `_CACHED_MASK_SIZE` elements and built afresh for
+    larger ones.
 
     >>> ideals_by_subset_filter(Fence("01"))
     [0, 2, 3, 6, 7]
     """
     size = fence.size
-    holds, classes = (_cached_subset_masks if size <= _CACHED_MASK_SIZE else _subset_masks)(size)
+    holds = (_cached_subset_masks if size <= _CACHED_MASK_SIZE else _subset_masks)(size)
     alive = (1 << (1 << size)) - 1
     for lo, up in fence.covers:
         alive &= ~(holds[up] & ~holds[lo])
     out = []
-    for members in classes:
-        # bin() read backwards gives subset m at position m, then "b" and "0"
-        bits = bin(alive & members)[:1:-1]
-        m = bits.find("1")
-        while m >= 0:
-            out.append(m)
-            m = bits.find("1", m + 1)
+    # bin() read backwards gives subset m at position m, then "b" and "0"
+    bits = bin(alive)[:1:-1]
+    m = bits.find("1")
+    while m >= 0:
+        out.append(m)
+        m = bits.find("1", m + 1)
+    out.sort(key=int.bit_count)  # stable: ascending masks within a size
     return out
 
 
@@ -214,12 +207,7 @@ def chains(a):
     >>> chains((3, 3, 2, 1, 3, 3))[2]
     range(6, 8)
     """
-    blocks = []
-    start = 0
-    for ai in a:
-        blocks.append(range(start, start + ai))
-        start += ai
-    return blocks
+    return [range(end - ai, end) for ai, end in zip(a, accumulate(a))]
 
 
 def psi(mask, a):
@@ -242,8 +230,7 @@ def psi_inverse(b, a):
     mask = 0
     for i, block in enumerate(chains(a)):
         picked = block[: b[i]] if i % 2 == 0 else block[len(block) - b[i]:]
-        for j in picked:
-            mask |= 1 << j
+        mask |= sum(1 << j for j in picked)
     return mask
 
 

@@ -14,7 +14,7 @@ arithmetic.
 
 from math import prod
 
-from .cf import check_cf, r_sequence
+from .cf import _convergents, check_cf
 from .numeration import _filled, _rule_holds
 
 __all__ = [
@@ -36,7 +36,11 @@ def inequalities(a):
     >>> inequalities((2, 2, 2))
     [((-1, 2, 0), 2), ((0, 1, -2), 0)]
     """
-    a = check_cf(a)
+    return _inequalities(check_cf(a))
+
+
+def _inequalities(a):
+    # the rows of an expansion check_cf has already checked
     rows = []
     for i in range(1, len(a)):
         y = [0] * len(a)
@@ -63,7 +67,7 @@ def convexity_report(a):
     {'dimension': 4, 'generators': 9, 'box': 16, 'violations': []}
     """
     a = check_cf(a)
-    for i, (y, t) in enumerate(inequalities(a), 1):
+    for i, (y, t) in enumerate(_inequalities(a), 1):
         for u in range(a[i - 1] + 1):
             for v in range(a[i] + 1):
                 if (y[i - 1] * u + y[i] * v <= t) != _rule_holds(i, u, v, a):
@@ -71,9 +75,10 @@ def convexity_report(a):
                         "inequality %d of %s disagrees with rule %d on the digit pair %s"
                         % (i, a, i, (u, v))
                     )
+    p, q = _convergents(a)
     return {
         "dimension": len(a),
-        "generators": r_sequence(a)[-1],
+        "generators": p[-1] + q[-1],  # r_k
         "box": prod(ai + 1 for ai in a),
         "violations": [],
     }
@@ -83,7 +88,11 @@ def halfspace(a):
     """(normal y, bound t) of the open half space {y.x < t} that holds
     the empty part of the partition: {x_0 < 1} when a_0 > 0, {x_1 < a_1}
     when a_0 = 0."""
-    a = check_cf(a)
+    return _halfspace(check_cf(a))
+
+
+def _halfspace(a):
+    # the half space of an expansion check_cf has already checked
     y = [0] * len(a)
     if a[0] > 0:
         y[0] = 1
@@ -108,7 +117,7 @@ def verify_halfspace_split(a):
     True
     """
     a = check_cf(a)
-    y, t = halfspace(a)
+    y, t = _halfspace(a)
     j = next(i for i, yi in enumerate(y) if yi)
     if any(y[j + 1:]):
         return False

@@ -234,7 +234,9 @@ def matchings_by_backtracking(g):
     the benchmark (`bench/workloads.py`) calls it by this module.
 
     The completions of a covered-vertex set depend on that set alone, so
-    each set's list is built once and shared by every branch reaching it."""
+    each set's list is built once and shared by every branch reaching it.
+    The smallest uncovered vertex is the lowest set bit of covered + 1, and
+    each edge's branch ORs its bit into the shared list by `map`."""
     verts = sorted(g.vertex_edges)
     vid = {v: i for i, v in enumerate(verts)}
     incident = [g.vertex_edges[v] for v in verts]
@@ -242,17 +244,16 @@ def matchings_by_backtracking(g):
     completions = {(1 << len(verts)) - 1: [0]}
 
     def complete(covered):
-        if covered in completions:
-            return completions[covered]
-        v = 0
-        while covered >> v & 1:
-            v += 1
+        out = completions.get(covered)
+        if out is not None:
+            return out
+        v = (~covered & covered + 1).bit_length() - 1
         out = []
         for e in incident[v]:
             a, b = endpoints[e]
             u = b if a == v else a
             if not covered >> u & 1:
-                out += [1 << e | m for m in complete(covered | 1 << v | 1 << u)]
+                out += map((1 << e).__or__, complete(covered | 1 << v | 1 << u))
         completions[covered] = out
         return out
 

@@ -402,20 +402,18 @@ def check_markoff(level="desk"):
 
 
 def _expansions(k_max, sum_max):
+    """Every expansion of at most k_max partial quotients summing to at
+    most sum_max, depth first, each prefix before its extensions."""
     out = []
 
-    def grow(prefix, total):
-        k = len(prefix)
+    def grow(prefix, room):
         if prefix and prefix != (0,):
             out.append(prefix)
-        if k == k_max:
-            return
-        low = 0 if k == 0 else 1
-        for ai in range(low, sum_max - total + 1):
-            grow(prefix + (ai,), total + ai)
+        for ai in range(1 if prefix else 0, room + 1) if len(prefix) < k_max else ():
+            grow(prefix + (ai,), room - ai)
 
-    grow((), 0)
-    return [a for a in out if sum(a) <= sum_max]
+    grow((), sum_max)
+    return out
 
 
 def check_polytope(level="desk"):

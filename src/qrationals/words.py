@@ -37,6 +37,14 @@ def _summary(text, allowed):
     return "a text of length %d" % len(text)
 
 
+def _decimal(text):
+    """int() of a text of ASCII digits, signs and spaces: int() alone also
+    reads every Unicode decimal digit and "_" between digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError("not an ASCII integer")
+    return int(text)
+
+
 def check_word(w):
     """Reject anything that is not a 0/1 string."""
     if not isinstance(w, str):

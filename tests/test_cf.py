@@ -201,6 +201,21 @@ def test_cf_bracket_syntax():
         cf_parse("[2;a]")
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    (
+        ("[2;\u0662,2]", "'\u0662' at position 4 of 7"),  # ARABIC-INDIC DIGIT TWO
+        ("[2;\uff12,2]", "'\uff12' at position 4 of 7"),  # FULLWIDTH DIGIT TWO
+        ("[2;2_0,2]", "'_' at position 5 of 9"),
+    ),
+)
+def test_cf_parse_reads_ascii_digits_only(text, named):
+    # int() alone reads these as 2, 2 and 20
+    with pytest.raises(ValueError) as info:
+        cf_parse(text)
+    assert str(info.value) == "expected [a0;a1,...], got " + named
+
+
 @given(st.integers(0, 6))
 def test_parse_round_trip_on_tree_levels(depth):
     for x in sb_level(depth):

@@ -579,6 +579,51 @@ def test_refused_int_arguments_of_at_most_40_characters_are_echoed(capsys, argv,
     assert err.endswith(" error: %s\n" % message)
 
 
+# int() alone reads any Unicode decimal digit, and "_" between digits:
+# "\u0663/\u0662" (Arabic-Indic) would be 3/2 and "3_0/2" would be 15.
+@pytest.mark.parametrize(
+    "text, named",
+    (
+        ("\u0663/\u0662", "'\u0663' at position 1 of 3"),
+        ("3/\uff12", "'\uff12' at position 3 of 3"),
+        ("3_0/2", "'_' at position 2 of 5"),
+        ("1" * 50 + "_0", "'_' at position 51 of 52"),
+    ),
+)
+def test_parse_rational_reads_ascii_digits_only(capsys, text, named):
+    code, out, err = run(capsys, "qrat", text)
+    assert (code, out, err) == (2, "", "error: not a rational: %s\n" % named)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    (
+        ("1,\u0662,1", "'\u0662' at position 3 of 5"),
+        ("1,2_0,1", "'_' at position 4 of 7"),
+    ),
+)
+def test_parse_digits_reads_ascii_digits_only(capsys, text, named):
+    code, out, err = run(capsys, "val", text, "--cf", "[2;2,2]")
+    assert (code, out, err) == (2, "", "error: digits must be comma-separated integers, got %s\n" % named)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        # up to 40 characters argparse echoes the whole text, as for any refused int
+        (("rep", "\u0663", "--cf", "[2;2,2]"), "argument n: invalid int value: '\u0663'"),
+        (("rep", "3_0", "--cf", "[2;2,2]"), "argument n: invalid int value: '3_0'"),
+        (("tree", "sb", "--depth", "\u0661" * 41), "argument --depth: not an int: '\u0661' at position 1 of 41"),
+        (("markoff", "--upto", "1" * 40 + "_0"), "argument --upto: not an int: '_' at position 41 of 42"),
+    ),
+)
+def test_int_arguments_read_ascii_digits_only(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(" error: %s\n" % message)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     (

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from qrationals import fence
 from qrationals._oracle import xy_pair
-from qrationals.cf import cf_even, cf_odd
+from qrationals.cf import cf_even, cf_odd, rational_of_word
 from qrationals.fence import (
     Fence,
     chains,
@@ -67,6 +67,18 @@ def test_subset_filter_builds_the_masks_of_a_large_fence_uncached():
     cached = fence._cached_subset_masks.cache_info().currsize
     assert ideals_by_subset_filter(f) == enumerate_ideals(f)
     assert fence._cached_subset_masks.cache_info().currsize == cached
+
+
+def test_both_listers_order_a_large_fence_by_size_then_mask():
+    # above the cached mask size the listers were held only against each
+    # other, so an order fault they shared would pass there
+    w = "01101001100101101"
+    f = Fence(w)
+    assert f.size == 18 > fence._CACHED_MASK_SIZE
+    x = rational_of_word(w)
+    for ideals in (enumerate_ideals(f), ideals_by_subset_filter(f)):
+        assert len(set(ideals)) == x.numerator + x.denominator
+        assert ideals == sorted(ideals, key=lambda m: (bin(m).count("1"), m))
 
 
 @given(words)
