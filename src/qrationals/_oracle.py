@@ -302,9 +302,10 @@ def _row_maxima(rows, hull):
     return tops
 
 
-def box_scan_report(a):
+def box_scan_report(a, points):
     """Oracle for `polytope.convexity_report`: scan the whole bounding box
-    and report every lattice point outside B that lies in conv(B).
+    and report every lattice point outside B that lies in conv(B), where
+    `points` is B as `enumerate_admissible(a)` lists it.
 
     A point outside B is ruled out by the first row (y, t) of
     `inequalities(a)` it breaks when y puts it strictly above every
@@ -313,7 +314,7 @@ def box_scan_report(a):
     point goes to Fourier-Motzkin."""
     a = check_cf(a)
     rows = _inequalities(a)
-    hull = HullSystem.of_expansion(a)
+    hull = HullSystem(points)
     tops = _row_maxima(rows, hull)
     box = 0
     violations = []

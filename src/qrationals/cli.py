@@ -11,8 +11,11 @@ bytes as `json.dumps(payload, indent=2)`.  It renders each tuple object
 once per dump and indent, so an edge shared by many matchings of an
 `enum matchings` listing is written once.  Tuples are memoised by
 identity, not by equality: (True, 2) == (1, 2), yet they are written
-differently.  The argument parser is built on the first call to `main`
-and reused by later calls in the process.
+differently.
+
+One table, `_COMMANDS`, describes the subcommands.  `_parse` reads a
+well-formed argv from it and loads no argparse; `_build_parser` builds from
+it the argparse parser that gives help and refusals for any other argv.
 
 Everything is deterministic; exit codes are 0 on success, 2 on a parse
 or usage error or an input or output over its size limit, 3 when a
@@ -23,12 +26,12 @@ rational, of `markoff --word`, or the snake word of `markoff --word
 of at most 200 digits.
 """
 
-import argparse
 import json
 import sys
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import verify as _verify
 from .cf import cf_even, cf_parse, cw_level, sb_level
@@ -109,6 +112,8 @@ def _int(text):
     try:
         return _decimal(text)
     except ValueError:
+        import argparse
+
         if len(text) <= 40:
             raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
         raise argparse.ArgumentTypeError("not an int: %s" % _summary(text, "0123456789+-")) from None
@@ -286,93 +291,134 @@ def _cmd_verify(args):
 
 _PRINTABLE = "".join(map(chr, range(32, 127)))
 
+# Each subcommand's handler, help line, positionals as (dest, kind) and
+# options in help order as (option, kind, default, required), with dests as
+# argparse names them.  A kind is None for a text, int for an integer, bool
+# for a flag or a tuple of choices.  Each of markoff's --upto and --word is
+# required unless the other is given, and they are not given together.
+_RATIONAL = ("rational", None)
+_CF = ("--cf", None, None, True)
+_FORMAT = ("--format", ("text", "json"), "text", False)
+_DEPTH = ("--depth", int, None, True)
+_LEVEL = ("--level", ("desk", "deep"), "desk", False)
+_COMMANDS = {
+    "qrat": (_cmd_qrat, "q-deformation of a rational", (_RATIONAL,), (("--shift-check", bool, False, False), _FORMAT)),
+    "rep": (_cmd_rep, "digits of an integer in a numeration system", (("n", int),), (_CF, _FORMAT)),
+    "val": (_cmd_val, "integer value of a digit vector", (("digits", None),), (_CF, _FORMAT)),
+    "enum": (
+        _cmd_enum,
+        "enumerate a combinatorial family",
+        (("family", ("admissible", "ideals", "matchings")), _RATIONAL),
+        (("--count", bool, False, False), _FORMAT),
+    ),
+    "render": (
+        _cmd_render,
+        "draw a snake graph or fence poset",
+        (("shape", ("snake", "fence")), _RATIONAL),
+        (("--format", ("svg", "dot"), "svg", False),),
+    ),
+    "table": (_cmd_table, "prefix/suffix matching counts", (_RATIONAL,), (_FORMAT,)),
+    "markoff": (
+        _cmd_markoff,
+        "Markoff numbers and their q-analogs",
+        (),
+        (("--upto", int, None, "--word"), ("--word", None, None, "--upto"), ("--table", bool, False, False), _FORMAT),
+    ),
+    "tree": (_cmd_tree, "one level of a rational tree", (("kind", ("sb", "cw")),), (_DEPTH, _FORMAT)),
+    "verify": (_cmd_verify, "run the verification harness", (), (_LEVEL, _FORMAT)),
+}
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser, shared by its subparsers, whose own refusals name
-    each token of over 40 characters by `_summary`, not in full."""
 
-    def parse_known_args(self, args=None, namespace=None):
-        self._tokens = sys.argv[1:] if args is None else list(args)
-        return super().parse_known_args(args, namespace)
-
-    def error(self, message):
-        # longest first, so that no token is cut up by the summary of one inside it
-        for token in sorted(self._tokens, key=len, reverse=True):
-            if len(token) > 40:
-                name = _summary(token, _PRINTABLE)
-                message = message.replace(repr(token), name).replace(token, name)
-        super().error(message)
+def _dashed(token):
+    """Whether argparse may read the token as an option, not a number."""
+    return token[:1] == "-" and not (token[1:].isdigit() and token.isascii())
 
 
-# Built on the first call and reused, not built at import, where it would
-# cost every importer about 1 ms.  The parser holds the `_cmd_*` handlers
-# themselves, and they read the limits and library functions at call time.
+def _parse(argv):
+    """`_build_parser().parse_args(argv)` read from `_COMMANDS` if argv is
+    well formed, else None: the exact subcommand first, each option in full
+    and once at most, no `_dashed` value or positional, the exact positional
+    count, known choices, ints `_decimal` reads and each required option."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    func, _, positionals, options = spec
+    left = {option[0]: option for option in options}  # the options not given so far
+    values = {option[2:].replace("-", "_"): default for option, _, default, _ in options}
+    values.update(command=argv[0], func=func)
+    count = 0
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if _dashed(token):
+            if token not in left:
+                return None
+            dest, kind = token[2:].replace("-", "_"), left.pop(token)[1]
+            if kind is bool:
+                values[dest] = True
+                continue
+            token = next(tokens, None)
+            if token is None or _dashed(token):
+                return None
+        elif count < len(positionals):
+            dest, kind = positionals[count]
+            count += 1
+        else:
+            return None
+        if kind is int:
+            try:
+                token = _decimal(token)
+            except ValueError:
+                return None
+        elif kind is not None and token not in kind:
+            return None
+        values[dest] = token
+    for option, _, _, required in options:
+        if required is True and option in left or type(required) is str and (option in left) == (required in left):
+            return None
+    return SimpleNamespace(**values) if count == len(positionals) else None
+
+
+# Built on the first argv that `_parse` leaves to argparse, and reused.
+# The parser holds the `_cmd_*` handlers themselves, and they read the
+# limits and library functions at call time.
 @cache
 def _build_parser():
-    parser = _Parser(
-        prog="qrationals",
-        description="Exact q-deformed rationals and their combinatorial models.",
-    )
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser whose refusals name any token over 40 characters by `_summary`."""
+
+        def parse_known_args(self, args=None, namespace=None):
+            self._tokens = sys.argv[1:] if args is None else list(args)
+            return super().parse_known_args(args, namespace)
+
+        def error(self, message):
+            # longest first, so that no token is cut up by the summary of one inside it
+            for token in sorted(self._tokens, key=len, reverse=True):
+                if len(token) > 40:
+                    name = _summary(token, _PRINTABLE)
+                    message = message.replace(repr(token), name).replace(token, name)
+            super().error(message)
+
+    def typed(kind):
+        return {"type": _int} if kind is int else {"choices": kind}
+
+    parser = _Parser(prog="qrationals", description="Exact q-deformed rationals and their combinatorial models.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p, choices=("text", "json"), default="text"):
-        p.add_argument("--format", choices=choices, default=default)
-
-    p = sub.add_parser("qrat", help="q-deformation of a rational")
-    p.add_argument("rational")
-    p.add_argument("--shift-check", action="store_true", dest="shift_check")
-    add_format(p)
-    p.set_defaults(func=_cmd_qrat)
-
-    p = sub.add_parser("rep", help="digits of an integer in a numeration system")
-    p.add_argument("n", type=_int)
-    p.add_argument("--cf", required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_rep)
-
-    p = sub.add_parser("val", help="integer value of a digit vector")
-    p.add_argument("digits")
-    p.add_argument("--cf", required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_val)
-
-    p = sub.add_parser("enum", help="enumerate a combinatorial family")
-    p.add_argument("family", choices=("admissible", "ideals", "matchings"))
-    p.add_argument("rational")
-    p.add_argument("--count", action="store_true")
-    add_format(p)
-    p.set_defaults(func=_cmd_enum)
-
-    p = sub.add_parser("render", help="draw a snake graph or fence poset")
-    p.add_argument("shape", choices=("snake", "fence"))
-    p.add_argument("rational")
-    add_format(p, ("svg", "dot"), "svg")
-    p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("table", help="prefix/suffix matching counts")
-    p.add_argument("rational")
-    add_format(p)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("markoff", help="Markoff numbers and their q-analogs")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--upto", type=_int)
-    group.add_argument("--word")
-    p.add_argument("--table", action="store_true")
-    add_format(p)
-    p.set_defaults(func=_cmd_markoff)
-
-    p = sub.add_parser("tree", help="one level of a rational tree")
-    p.add_argument("kind", choices=("sb", "cw"))
-    p.add_argument("--depth", type=_int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_tree)
-
-    p = sub.add_parser("verify", help="run the verification harness")
-    p.add_argument("--level", choices=("desk", "deep"), default="desk")
-    add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (func, text, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for dest, kind in positionals:
+            p.add_argument(dest, **typed(kind))
+        pair = None
+        for option, kind, default, required in options:
+            if kind is bool:
+                p.add_argument(option, action="store_true")
+            elif type(required) is str:
+                pair = pair or p.add_mutually_exclusive_group(required=True)
+                pair.add_argument(option, **typed(kind))
+            else:
+                p.add_argument(option, default=default, required=required, **typed(kind))
+        p.set_defaults(func=func)
     return parser
 
 
@@ -430,14 +476,15 @@ def main(argv=None):
     Each subcommand returns (payload, lines, failure): the JSON payload,
     the text lines, and None on success or, for a failed check, the line
     (possibly empty) that text output writes to stderr before exit 3."""
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv) or _build_parser().parse_args(argv)
     try:
         payload, lines, failure = args.func(args)
         if args.format == "json":
-            print(_json(payload))
+            sys.stdout.write(_json(payload) + "\n")
         else:
-            for line in lines:
-                print(line)
+            lines = list(lines)
+            if lines:  # one write; none for no lines, as in verify's text mode
+                sys.stdout.write("\n".join(lines) + "\n")
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

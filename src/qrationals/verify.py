@@ -424,7 +424,8 @@ def check_polytope(level="desk"):
     b = BOUNDS[level]
     for a in _expansions(b["polytope_k"], b["polytope_sum"]):
         report = _poly.convexity_report(a)
-        for field, want in _oracle.box_scan_report(a).items():
+        points = _num.enumerate_admissible(a)  # B, listed once for both oracles
+        for field, want in _oracle.box_scan_report(a, points).items():
             if report.get(field) != want:
                 _fail(
                     "convexity report of %s has %s %r, the box-scan oracle gives %r"
@@ -434,7 +435,9 @@ def check_polytope(level="desk"):
             _fail("half-space split fails for %s" % (a,))
         k = len(a)
         if k % 2 == 0:
-            filled, empty = _num.partition(a)
+            filled, empty = [], []
+            for v in points:
+                (filled if _num._filled(v, a) else empty).append(v)
             y, t = _poly.halfspace(a)
             if any(_oracle.dot(y, v) >= t for v in empty) or any(
                 _oracle.dot(y, v) < t for v in filled

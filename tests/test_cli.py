@@ -1,12 +1,15 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 import qrationals
@@ -177,6 +180,8 @@ def test_json_writer_renders_each_edge_once(capsys, monkeypatch):
 
 
 def test_two_calls_build_one_parser(capsys, monkeypatch):
+    # a well-formed argv is read without argparse; two argv left to it
+    # build one parser tree between them
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -186,10 +191,162 @@ def test_two_calls_build_one_parser(capsys, monkeypatch):
 
     cli._build_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    assert run(capsys, "qrat", "7/2")[0] == 0
+    assert run(capsys, "qrat", "7/2") == (0, "(q^4+q^3+2q^2+2q+1)/(q+1)\n", "")
+    assert run(capsys, "tree", "sb", "--depth", "1") == (0, "1/2 2\n", "")
+    assert built == []
+    code, out, _ = run(capsys, "qrat", "--format=json", "7/2")
+    assert (code, json.loads(out)["x"]) == (0, "7/2")
     one_tree = len(built)
-    assert run(capsys, "tree", "sb", "--depth", "1")[0] == 0
+    assert run(capsys, "tree", "sb", "--depth=1") == (0, "1/2 2\n", "")
     assert one_tree > 0 and len(built) == one_tree
+
+
+def test_import_and_a_well_formed_call_load_no_argparse():
+    modules = ["qrationals." + m.name for m in pkgutil.iter_modules(qrationals.__path__)]
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "for name in %r:\n"
+        "    __import__(name)\n"
+        "from qrationals.cli import main\n"
+        "code = main(['qrat', '7/2'])\n"
+        "print(code, 'argparse' in sys.modules)\n" % (os.path.dirname(os.path.dirname(qrationals.__file__)), modules)
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"(q^4+q^3+2q^2+2q+1)/(q+1)\n0 False\n"
+
+
+def _argparse_namespace(argv):
+    """vars() of argparse's namespace for argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# the README examples and one argv per subcommand, format and flag
+WELL_FORMED = [argv for argv, _ in README_EXAMPLES] + [
+    ("qrat", "7/2", "--shift-check", "--format", "json"),
+    ("qrat", "--format", "text", "5/3"),
+    ("rep", "-8", "--cf", "[1;1,1,1,1,1]", "--format", "json"),
+    ("val", "--cf", "[2;2,2]", "2,2,1", "--format", "text"),
+    ("enum", "admissible", "3/2", "--format", "json"),
+    ("enum", "--count", "ideals", "3/2"),
+    ("enum", "matchings", "--format", "json", "2"),
+    ("render", "snake", "5/2"),
+    ("render", "fence", "5/2", "--format", "dot"),
+    ("render", "--format", "svg", "fence", "5/2"),
+    ("table", "84/37", "--format", "json"),
+    ("markoff", "--upto", "1000", "--format", "json"),
+    ("markoff", "--word", "01", "--table"),
+    ("markoff", "--table", "--word", "01", "--format", "text"),
+    ("tree", "cw", "--depth", "-1", "--format", "json"),
+    ("verify", "--level", "deep", "--format", "json"),
+    ("verify",),
+]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED)
+def test_reader_reads_well_formed_argv_as_argparse(argv):
+    namespace = cli._parse(argv)
+    assert namespace is not None
+    assert vars(namespace) == _argparse_namespace(argv)
+
+
+_TEXTS = ("7/2", "5/3", "2", "[2;2,2]", "2,2,1", "01", "00101", "json", "sb", "-3", "0", "x y")
+_HOSTILE = (
+    "-",
+    "-x",
+    "--x",
+    "-3/2",
+    "-h",
+    "--help",
+    "--format=json",
+    "--form",
+    "--",
+    "-5",
+    "-\u0663",
+    "-\u00b2",
+    "+5",
+    " 5 ",
+    "3_0",
+    "\u0663",
+    "9" * 4301,
+    "",
+    "--upto",
+    "--word",
+    "--cf",
+    "--depth",
+    "--count",
+    "qrat",
+)
+
+
+def _values(kind, well_formed):
+    values = st.integers(-(10**6), 10**6).map(str) if kind is int else st.sampled_from(kind or _TEXTS)
+    return values if well_formed else values | st.sampled_from(_HOSTILE)
+
+
+@st.composite
+def command_argv(draw):
+    """(argv, well_formed): an argv drawn from `cli._COMMANDS`.  Unless it
+    is well formed, hostile values and tokens are put in and tokens are
+    repeated or dropped."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, _, positionals, options = cli._COMMANDS[name]
+    well_formed = draw(st.booleans())
+    given = [[draw(_values(kind, well_formed))] for _, kind in positionals]
+    pair = draw(st.sampled_from([o for o, _, _, r in options if type(r) is str] or [None]))
+    chosen = []
+    for option, kind, _, required in options:
+        if required is True or option == pair or required is False and draw(st.booleans()):
+            chosen.append([option] if kind is bool else [option, draw(_values(kind, well_formed))])
+    # the positionals in their order, the options in any order among them
+    slots = draw(st.permutations([True] * len(given) + [False] * len(chosen)))
+    given, chosen = iter(given), iter(draw(st.permutations(chosen)))
+    tokens = [name] + [token for slot in slots for token in next(given if slot else chosen)]
+    if not well_formed:
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(tokens)))
+            edit = draw(st.sampled_from(("insert", "repeat", "drop")))
+            if edit == "insert":
+                tokens.insert(at, draw(st.sampled_from(_HOSTILE)))
+            elif edit == "repeat" and at < len(tokens):
+                tokens.insert(at, tokens[at])
+            elif at < len(tokens):
+                del tokens[at]
+    return tokens, well_formed
+
+
+@given(command_argv())
+@example((["qrat", "7/2", "--form", "json"], False))
+@example((["qrat", "--format=json", "7/2"], False))
+@example((["qrat", "--", "7/2"], False))
+@example((["tree", "sb", "--depth", "1", "--depth", "2"], False))
+@example((["markoff", "--upto", "5", "--word", "01"], False))
+@example((["rep", "3"], False))
+@example((["tree", "sb"], False))
+@example((["rep", "9" * 4301, "--cf", "[2;2,2]"], False))
+@example((["tree", "sb", "--depth", "-\u0663"], False))
+@example((["tree", "sb", "--depth", "\u0663"], False))
+@example((["rep", "3_0", "--cf", "[2;2,2]"], False))
+@example((["rep", "+5", "--cf", "[2;2,2]", "--format", "json"], False))
+@example((["rep", " 5 ", "--cf", ""], False))
+@settings(max_examples=400, deadline=None)
+def test_reader_agrees_with_argparse(drawn):
+    # where the reader reads an argv it is argparse's namespace, and where
+    # argparse exits the reader has refused
+    argv, well_formed = drawn
+    namespace = cli._parse(argv)
+    expected = _argparse_namespace(argv)
+    if well_formed:
+        assert namespace is not None
+    if namespace is not None:
+        assert vars(namespace) == expected
+    if expected is None:
+        assert namespace is None
 
 
 def test_shift_check(capsys):

@@ -117,7 +117,7 @@ def test_every_box_point_is_classified_correctly():
 @given(wider_expansions())
 @settings(max_examples=60, deadline=None)
 def test_report_equals_the_box_scan_oracle(a):
-    assert convexity_report(a) == box_scan_report(a)
+    assert convexity_report(a) == box_scan_report(a, enumerate_admissible(a))
 
 
 @pytest.mark.parametrize("slack", (-100, 100))
@@ -127,7 +127,7 @@ def test_box_scan_tests_each_row_as_a_separator(monkeypatch, slack):
     rows_of = _oracle._inequalities
     monkeypatch.setattr(_oracle, "_inequalities", lambda a: [(y, t + slack) for y, t in rows_of(a)])
     for a in ((2, 2, 2), (0, 1, 3, 1), (1, 2, 1, 2)):
-        assert box_scan_report(a) == convexity_report(a)
+        assert box_scan_report(a, enumerate_admissible(a)) == convexity_report(a)
 
 
 def test_box_scan_refuses_a_row_that_weighs_a_third_digit(monkeypatch):
@@ -141,7 +141,7 @@ def test_box_scan_refuses_a_row_that_weighs_a_third_digit(monkeypatch):
 
     monkeypatch.setattr(_oracle, "_inequalities", widened)
     with pytest.raises(ValueError, match="row 0 weighs digits other than 0 and 1"):
-        box_scan_report((2, 2, 2))
+        box_scan_report((2, 2, 2), enumerate_admissible((2, 2, 2)))
 
 
 @given(expansions())
