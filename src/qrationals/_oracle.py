@@ -9,6 +9,10 @@ the tests do.  Each oracle computes a result the slow and obvious way:
   `matrix_q_rational`), the monoid maps `nu_q` and `mu_q`, and the (X, Y)
   recurrences and the transpose conjugation they satisfy;
 * the matching-to-ideal map by its one-cell recursion (`phi_by_pop`);
+* the digit model's split of its reference listing into the filled and
+  the empty vectors (`partition`);
+* the area theorem of q-Markoff polynomials, held against the snake's
+  statistics (`verify_area_theorem`);
 * lattice convexity of the digit polytope by a scan of the whole box
   (`box_scan_report`), with exact convex-hull membership decided by
   Fourier-Motzkin elimination (`in_hull`).
@@ -21,9 +25,11 @@ from itertools import product
 from math import gcd
 
 from .cf import check_cf
-from .numeration import enumerate_admissible
+from .markoff import markoff_snake_word, q_markoff
+from .numeration import _filled, enumerate_admissible
 from .polytope import _inequalities
 from .qpoly import ONE, Q, ZERO, Poly, QRational
+from .snake import Snake, matching_statistics
 from .words import check_word, hat
 
 
@@ -190,6 +196,39 @@ def phi_by_pop(m, word):
     perp = horizontal if len(word) % 2 == 0 else not horizontal
     rest = phi_by_pop(_pop_first_cell(m, word[0]), word[1:])
     return rest << 1 | int(perp)
+
+
+def partition(a):
+    """(filled, empty) sublists of `enumerate_admissible(a)`, order kept:
+    the reference lister's split, which the digit scan is held against.
+
+    >>> [len(part) for part in partition((0, 1, 3, 1))]
+    [4, 5]
+    >>> [len(part) for part in partition((0, 2))]
+    [1, 2]
+    """
+    a = check_cf(a)
+    filled, empty = [], []
+    for b in enumerate_admissible(a):
+        (filled if _filled(b, a) else empty).append(b)
+    return filled, empty
+
+
+def verify_area_theorem(m):
+    """Check that the q-Markoff polynomial of 0m1 equals the area
+    generating polynomial over all matchings of the snake of 0 gamma(m) 0,
+    from the snake's statistics (the fence's scan over theta of its word).
+
+    >>> verify_area_theorem("101")
+    True
+    >>> verify_area_theorem("")
+    True
+    """
+    check_word(m)
+    word = "0" + m + "1"
+    q_polynomial = q_markoff(word)
+    perp, par = matching_statistics(Snake(markoff_snake_word(word)))
+    return q_polynomial == perp + par
 
 
 class HullSystem:

@@ -107,15 +107,18 @@ def cf_str(a):
 
 
 def cf_parse(text):
-    """Parse "[a0;a1,...,ak-1]" (or "[a0]") back to a tuple."""
+    """Parse "[a0;a1,...,ak-1]" (or "[a0]") back to a tuple; integers that
+    are no expansion are refused with `check_cf`'s reason."""
     s = text.strip()
     if s.startswith("[") and s.endswith("]"):
         head, _, tail = s[1:-1].partition(";")
         parts = [head] + (tail.split(",") if tail else [])
         try:
-            return check_cf(map(_decimal, parts))
+            a = tuple(map(_decimal, parts))
         except ValueError:
             pass
+        else:
+            return check_cf(a)
     raise ValueError("expected [a0;a1,...], got %s" % _summary(text, "0123456789[;,] "))
 
 

@@ -22,8 +22,9 @@ or usage error or an input or output over its size limit, 3 when a
 verification check fails.  The limits: an `enum` listing holds at most
 10^6 elements, `tree --depth` is at most 16, a word worked on (of a
 rational, of `markoff --word`, or the snake word of `markoff --word
---table`) has at most 2,000 letters, and `markoff --upto` takes a bound
-of at most 200 digits.
+--table`) has at most 2,000 letters, `markoff --upto` takes a bound
+of at most 200 digits, and the value `val` prints has at most as many
+digits as str() writes (4,300 by default).
 """
 
 import json
@@ -33,7 +34,6 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from . import verify as _verify
 from .cf import cf_even, cf_parse, cw_level, sb_level
 from .fence import enumerate_ideals, fence_of_rational, fence_to_dot, fence_to_svg
 from .markoff import markoff_numbers_upto, markoff_of, markoff_row, markoff_snake_word
@@ -157,7 +157,13 @@ def _cmd_val(args):
     a = cf_parse(args.cf)
     digits = _parse_digits(args.digits)
     n = val(digits, a)
-    return {"cf": a, "digits": digits, "n": n}, [str(n)], None
+    try:
+        text = str(n)
+    except ValueError:  # n can be far longer than its input, and str() has a limit
+        raise ValueError(
+            "the value is %s, over the limit of %d digits" % (_integer(n), sys.get_int_max_str_digits())
+        ) from None
+    return {"cf": a, "digits": digits, "n": n}, [text], None
 
 
 def _enum_admissible(x):
@@ -283,8 +289,11 @@ def _cmd_tree(args):
 
 
 def _cmd_verify(args):
+    # imported here, since no other subcommand needs verify or its oracles
+    from . import verify
+
     # text mode prints each row as its check finishes, so no lines are left
-    ok, rows = _verify.run_checks(args.level, report=print if args.format == "text" else None)
+    ok, rows = verify.run_checks(args.level, report=print if args.format == "text" else None)
     checks = [{"name": n, "ok": o, "message": m, "seconds": round(t, 3)} for n, o, m, t in rows]
     return {"level": args.level, "ok": ok, "checks": checks}, (), None if ok else ""
 

@@ -8,7 +8,8 @@ starts with a down step exactly when x < 1.
 
 Ideals are stored as bitmasks over the elements; bit i is element y_i.
 One scan along the path (`_path_scan`) runs on lists of bitmasks to list
-the ideals and on dense size polynomials to count them by size.  The
+the ideals and on dense size polynomials to count them by size; that
+second run, `_statistics`, gives all three models their statistics.  The
 subset filter (`ideals_by_subset_filter`) shares no code with it and is
 the listing's independent reference.  It is bitsliced: one integer of
 2^size bits holds every subset at once, bit m standing for subset m,
@@ -95,6 +96,12 @@ def _path_scan(word, one, add, join):
 def _times_q(poly, i):
     """A dense size polynomial with one more element: times q."""
     return [0] + poly
+
+
+def _statistics(word):
+    """The statistics pair of every model, over its own word: the path scan
+    on dense size polynomials over the ideals of the fence of `word`."""
+    return tuple(map(Poly, _path_scan(word, [1], _times_q, _plus)))
 
 
 def enumerate_ideals(fence):
@@ -185,12 +192,15 @@ def ideal_statistics(fence):
     >>> tuple(str(p) for p in ideal_statistics(Fence("0111")))
     ('q^5+q^4+q^3+q^2', 'q^4+q^3+q^2+q+1')
     """
-    return tuple(map(Poly, _path_scan(fence.word, [1], _times_q, _plus)))
+    return _statistics(fence.word)
 
 
 def rank_polynomials(x):
     """Cardinality statistics of the ideals of the fence of x, split by
-    whether the ideal contains the first element.
+    whether the ideal contains the first element: the same pair as
+    `ideal_statistics(fence_of_rational(x))`, by the scan over W(x) with
+    no Fence built.  It is kept only because the benchmark
+    (`bench/workloads.py`) calls it by this module.
 
     >>> from fractions import Fraction
     >>> tuple(str(p) for p in rank_polynomials(Fraction(4, 5)))
@@ -198,7 +208,7 @@ def rank_polynomials(x):
     >>> tuple(str(p) for p in rank_polynomials(1))
     ('q', '1')
     """
-    return ideal_statistics(fence_of_rational(x))
+    return _statistics(word_of_rational(x))
 
 
 def chains(a):

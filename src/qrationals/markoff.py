@@ -6,11 +6,13 @@ x^2 + y^2 + z^2 = 3xyz, generated from (1,1,1) by the two moves
 entry of mu over a Christoffel word, where mu maps 0 and 1 to fixed
 integer matrices; mu_q deforms those matrices, mu_q(0) = R_q L_q and
 mu_q(1) = R_q^2 L_q^2, so that the (1,2) entry becomes the area
-polynomial of a snake graph.
+polynomial of a snake graph.  That area theorem is checked by
+`_oracle.verify_area_theorem`; this module reads only the snake's
+matching counts, for the table row.
 """
 
 from .qpoly import Poly, _q_product_vector
-from .snake import Snake, matching_counts, matching_statistics
+from .snake import matching_counts
 from .words import check_word, gamma, is_christoffel
 
 __all__ = [
@@ -19,7 +21,6 @@ __all__ = [
     "markoff_of",
     "q_markoff",
     "markoff_snake_word",
-    "verify_area_theorem",
     "markoff_row",
 ]
 
@@ -122,23 +123,6 @@ def markoff_snake_word(w):
     """
     check_word(w)
     return "0" + gamma(w[1:-1]) + "0"
-
-
-def verify_area_theorem(m):
-    """Check that the q-Markoff polynomial of 0m1 equals the area
-    generating polynomial over all matchings of the snake of 0 gamma(m) 0,
-    from the snake's statistics (the fence's scan over theta of its word).
-
-    >>> verify_area_theorem("101")
-    True
-    >>> verify_area_theorem("")
-    True
-    """
-    check_word(m)
-    word = "0" + m + "1"
-    q_polynomial = q_markoff(word)
-    perp, par = matching_statistics(Snake(markoff_snake_word(word)))
-    return q_polynomial == perp + par
 
 
 def markoff_row(w):

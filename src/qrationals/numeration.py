@@ -13,19 +13,20 @@ r_k exactly once.  Digits are stored least-significant (b_0) first.
 
 `fence.psi` takes the ideals of the fence of W(a) onto these vectors,
 keeping size (|I| = b_0 + ... + b_{k-1}) and side (y_0 in I iff b is
-filled), so the digit scan is the fence's path scan over W(a).  Both
-expansions of a rational, [..., a, 1] and [..., a + 1], have one W(a).
+filled), so the digit statistics are the fence's statistics scan
+(`fence._statistics`) over W(a).  Both expansions of a rational,
+[..., a, 1] and [..., a + 1], have one W(a).  `enumerate_admissible` is
+the digit model's reference lister; its split into the filled and the
+empty vectors, `partition`, is an oracle and lives in `_oracle`.
 """
 
 from . import cf as _cf
-from .fence import _path_scan, _times_q
-from .qpoly import Poly, _plus
+from .fence import _statistics
 
 __all__ = [
     "is_admissible",
     "enumerate_admissible",
     "is_filled",
-    "partition",
     "val",
     "rep",
     "z_interval",
@@ -107,22 +108,6 @@ def _filled(b, a):
     if a[0] > 0:
         return b[0] > 0
     return len(a) > 1 and b[1] == a[1] and a[1] > 0
-
-
-def partition(a):
-    """(filled, empty) sublists of enumerate_admissible(a), order kept:
-    the reference lister's split, for `verify` and the tests.
-
-    >>> [len(part) for part in partition((0, 1, 3, 1))]
-    [4, 5]
-    >>> [len(part) for part in partition((0, 2))]
-    [1, 2]
-    """
-    a = _cf.check_cf(a)
-    filled, empty = [], []
-    for b in enumerate_admissible(a):
-        (filled if _filled(b, a) else empty).append(b)
-    return filled, empty
 
 
 def val(b, a):
@@ -227,7 +212,7 @@ def norm1_statistics(a):
     >>> tuple(str(p) for p in norm1_statistics((1, 1)))
     ('q^2+q', '1')
     """
-    return tuple(map(Poly, _path_scan(_cf._runs(_cf.check_cf(a)), [1], _times_q, _plus)))
+    return _statistics(_cf._runs(_cf.check_cf(a)))
 
 
 def numeration_rows(a):

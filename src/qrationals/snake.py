@@ -29,10 +29,10 @@ matching lattice of a planar bipartite graph (Propp, "Lattice structure
 for orientations of graphs", 2002).  So the snake runs the fence's scan
 (`fence._path_scan`) over theta(w): on edge masks, starting from the
 basic matching and twisting each cell it takes, it lists the matchings;
-on dense size polynomials it gives the area statistics, since area is
-size; on ints, the counts.  The perpendicular matchings are those whose
-ideal holds y_0, the scan's first value.  What keeps the snake honest
-shares no code with the scan: the backtracking matcher
+on dense size polynomials (`fence._statistics`) it gives the area
+statistics, since area is size; on ints, the counts.  The perpendicular
+matchings are those whose ideal holds y_0, the scan's first value.  What
+keeps the snake honest shares no code with the scan: the backtracking matcher
 (`matchings_by_backtracking`), which checks the listing, and the tally of
 `enclosed_cells` and `classify` over that listing.
 
@@ -47,8 +47,7 @@ from itertools import compress
 from operator import add, concat
 
 from .cf import word_of_rational
-from .fence import _path_scan, _times_q
-from .qpoly import Poly, _plus
+from .fence import _path_scan, _statistics
 from .words import check_word, theta
 
 __all__ = [
@@ -276,7 +275,7 @@ def matching_statistics(g):
     >>> tuple(str(p) for p in matching_statistics(Snake("0100")))
     ('q^5+q^4', 'q^4+2*q^3+2*q^2+q+1')
     """
-    return tuple(map(Poly, _path_scan(theta(g.word), [1], _times_q, _plus)))
+    return _statistics(theta(g.word))
 
 
 def matching_counts(w):
@@ -292,9 +291,11 @@ def matching_counts(w):
 
 
 def area_statistics(x):
-    """Area statistics of the snake of x, split perpendicular/parallel.
-    Its word is theta(W(x)) and theta is an involution, so the scan runs
-    over W(x) itself, with no Snake built.
+    """Area statistics of the snake of x, split perpendicular/parallel:
+    the same pair as `matching_statistics(snake_of_rational(x))`.  Its word
+    is theta(W(x)) and theta is an involution, so the scan runs over W(x)
+    itself, with no Snake built.  It is kept only because the benchmark
+    (`bench/workloads.py`) calls it by this module.
 
     >>> from fractions import Fraction
     >>> tuple(str(p) for p in area_statistics(Fraction(2, 7)))
@@ -302,7 +303,7 @@ def area_statistics(x):
     >>> tuple(str(p) for p in area_statistics(1))
     ('q', '1')
     """
-    return tuple(map(Poly, _path_scan(word_of_rational(x), [1], _times_q, _plus)))
+    return _statistics(word_of_rational(x))
 
 
 def matching_edges(g, mask):

@@ -23,7 +23,7 @@ from . import polytope as _poly
 from . import qpoly as _qp
 from . import snake as _snake
 from . import words as _words
-from .markoff import markoff_numbers_upto, markoff_of, mu, q_markoff, verify_area_theorem
+from .markoff import markoff_numbers_upto, markoff_of, mu, q_markoff
 
 __all__ = ["CHECKS", "run_checks", "BOUNDS"]
 
@@ -282,15 +282,17 @@ def check_three_statistics(level="desk"):
     """Admissible-vector, ideal and matching statistics, each by its
     scan and tallied over its listing, all equal the matrix-product pair.
 
-    All three models run one scan, the fence's path scan, so the three
+    All three models get their pair from one helper, the fence's path
+    scan on size polynomials (`fence._statistics`), so the three
     "transfer scan" rows scan the same word w.  Each row still holds its
     own public wrapper's choice of word: W(a) for the digits, the fence's
     own word, and theta of the snake's word for the matchings.  A wrong
     choice fails only in its own row.  Fence and snake also list by that
     scan, so all are held by references that share no code with it:
-    `theorem_pair` here; the digit descent of `partition`; the snake's
-    area and side, read by `enclosed_cells` and `classify` off each
-    listed matching; the subset filter and the backtracking matcher in
+    `theorem_pair` here; the digit descent of `enumerate_admissible`,
+    split into its two sides by `_oracle.partition`; the snake's area and
+    side, read by `enclosed_cells` and `classify` off each listed
+    matching; the subset filter and the backtracking matcher in
     `check_oracles`; and `phi_by_pop` in `check_bijections`.  The
     expansion, the word, the fence and the snake of each rational are
     built once and serve both paths."""
@@ -301,7 +303,7 @@ def check_three_statistics(level="desk"):
         f = _fence.Fence(w)
         g = _snake.Snake(_words.theta(w))
         reference = _qp.theorem_pair(a)
-        filled, empty = _num.partition(a)
+        filled, empty = _oracle.partition(a)
         paths = {
             "admissible vectors": (
                 _num.norm1_statistics(a),
@@ -397,7 +399,7 @@ def check_markoff(level="desk"):
     for w in _proper_christoffel_words(b["christoffel_len"]):
         if q_markoff(w) != _oracle.mu_q(w).b:
             _fail("q_markoff(%s) is %s, mu_q gives %s" % (w, q_markoff(w), _oracle.mu_q(w).b))
-        if not verify_area_theorem(w[1:-1]):
+        if not _oracle.verify_area_theorem(w[1:-1]):
             _fail("area theorem fails for the Christoffel word %s" % w)
 
 

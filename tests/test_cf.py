@@ -216,6 +216,22 @@ def test_cf_parse_reads_ascii_digits_only(text, named):
     assert str(info.value) == "expected [a0;a1,...], got " + named
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    (
+        ("[2;2,2,0]", "invalid partial quotients: a_3 < 1 in an expansion of length 4"),
+        ("[2;-2]", "invalid partial quotients: a_1 < 1 in an expansion of length 2"),
+        ("[-1;2]", "invalid partial quotients: a_0 < 0 in an expansion of length 2"),
+        ("[0]", "[0] does not expand a positive rational"),
+    ),
+)
+def test_cf_parse_keeps_the_reason_an_expansion_is_invalid(text, reason):
+    # well-formed integers that are no expansion are refused by check_cf
+    with pytest.raises(ValueError) as info:
+        cf_parse(text)
+    assert str(info.value) == reason
+
+
 @given(st.integers(0, 6))
 def test_parse_round_trip_on_tree_levels(depth):
     for x in sb_level(depth):

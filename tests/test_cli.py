@@ -217,6 +217,26 @@ def test_import_and_a_well_formed_call_load_no_argparse():
     assert proc.stdout == b"(q^4+q^3+2q^2+2q+1)/(q+1)\n0 False\n"
 
 
+def test_a_one_shot_command_loads_no_verify():
+    # verify and its oracles are imported by the verify subcommand alone
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "import qrationals.cli\n"
+        "code = qrationals.cli.main(['qrat', '7/2'])\n"
+        "print(code, [m for m in ('qrationals.verify', 'qrationals._oracle') if m in sys.modules])\n"
+        % os.path.dirname(os.path.dirname(qrationals.__file__))
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"(q^4+q^3+2q^2+2q+1)/(q+1)\n0 []\n"
+
+
+def test_val_writes_a_value_of_4300_digits(capsys):
+    nines = "9" * 4300
+    assert run(capsys, "val", nines, "--cf", "[%s]" % nines) == (0, nines + "\n", "")
+
+
 def _argparse_namespace(argv):
     """vars() of argparse's namespace for argv, or None where argparse exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -652,6 +672,9 @@ def test_parse_errors_exit_2(capsys, argv):
         (("rep", "3", "--cf", "2;2"), "expected [a0;a1,...], got a text of length 3"),
         (("rep", "3", "--cf", "[2;a]"), "expected [a0;a1,...], got 'a' at position 4 of 5"),
         (("rep", "3", "--cf", "[" + "1," * 2498 + "x]"), "expected [a0;a1,...], got 'x' at position 4998 of 4999"),
+        (("rep", "3", "--cf", "[2;2,2,0]"), "invalid partial quotients: a_3 < 1 in an expansion of length 4"),
+        (("rep", "3", "--cf", "[0]"), "[0] does not expand a positive rational"),
+        (("rep", "3", "--cf", "[2;-2]"), "invalid partial quotients: a_1 < 1 in an expansion of length 2"),
     ),
 )
 def test_parse_errors_name_the_input_by_length_and_first_bad_position(capsys, argv, message):
@@ -696,6 +719,15 @@ def _ones(k):
         (
             ("val", "1,1,0", "--cf", "[2;2,2]"),
             "digits not admissible for an expansion of length 3: b_2 = 0 but b_1 != 0",
+        ),
+        # valid digits whose value str() would refuse to write, in either format
+        (
+            ("val", "1,1," + "9" * 4000, "--cf", "[1;%s,%s]" % ("9" * 4000, "9" * 4000)),
+            "the value is a 8001-digit integer, over the limit of 4300 digits",
+        ),
+        (
+            ("val", "1,1," + "9" * 4000, "--cf", "[1;%s,%s]" % ("9" * 4000, "9" * 4000), "--format", "json"),
+            "the value is a 8001-digit integer, over the limit of 4300 digits",
         ),
     ),
 )

@@ -106,3 +106,37 @@ def test_benchmark_entry_points_exist():
         and not hasattr(getattr(qrationals, node.value.id), node.attr)
     )
     assert not missing, "the benchmark reads names the package lacks: %s" % ", ".join(missing)
+
+
+# Count hooks of bench/spans.py whose code is gone: Poly has had no __mul__
+# since its products moved into the packed kernel, snake.area_histogram and
+# polytope.separates were deleted.  Their counters read 0 until the hooks
+# are rewritten.
+DEAD_HOOKS = {"qpoly.Poly.__mul__", "qpoly.Poly.__rmul__", "snake.area_histogram", "polytope.separates"}
+
+
+def test_benchmark_count_hooks_resolve():
+    # the tracer wraps only the names in a module's __all__ (and the methods
+    # of the classes there), so a hooked name moved or made private would
+    # zero its counter while every other test stays green
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (hooks,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_hooks"]
+    keys = [
+        key.value
+        for node in ast.walk(hooks)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict)
+        for key in node.value.keys
+    ]
+    assert len(keys) > len(DEAD_HOOKS), "found no count hooks in %s" % path
+
+    def resolves(key):
+        module, name, *attr = key.split(".")
+        module = getattr(qrationals, module, None)
+        if module is None or name not in module.__all__:
+            return False
+        obj = getattr(module, name)
+        return attr[0] in vars(obj) if attr else inspect.isfunction(obj)
+
+    missing = {key for key in keys if not resolves(key)} - DEAD_HOOKS
+    assert not missing, "count hooks that no longer resolve: %s" % ", ".join(sorted(missing))

@@ -3,14 +3,13 @@ from math import gcd
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from qrationals._oracle import mu_q, nu_q
+from qrationals._oracle import mu_q, nu_q, verify_area_theorem
 from qrationals.markoff import (
     markoff_numbers_upto,
     markoff_of,
     markoff_row,
     mu,
     q_markoff,
-    verify_area_theorem,
 )
 from qrationals.verify import MARKOFF_UPTO_5000
 from qrationals.words import christoffel, christoffel_closure, gamma_prime

@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 import pytest
 
 from qrationals import cf, numeration
+from qrationals._oracle import partition
 from qrationals.cf import cf_even, cf_odd, convergents, r_sequence
 from qrationals.numeration import (
     enumerate_admissible,
@@ -13,7 +14,6 @@ from qrationals.numeration import (
     is_filled,
     norm1_statistics,
     numeration_rows,
-    partition,
     rep,
     val,
     z_interval,

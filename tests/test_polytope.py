@@ -4,9 +4,9 @@ from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from qrationals import _oracle, numeration, polytope, verify
-from qrationals._oracle import HullSystem, box_scan_report, in_hull
+from qrationals._oracle import HullSystem, box_scan_report, in_hull, partition
 from qrationals.cf import cf_value
-from qrationals.numeration import enumerate_admissible, is_admissible, partition
+from qrationals.numeration import enumerate_admissible, is_admissible
 from qrationals.polytope import convexity_report, halfspace, inequalities, verify_halfspace_split
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from qrationals import cli, fence, markoff, numeration, snake, verify
+from qrationals import _oracle, cli, fence, markoff, numeration, snake, verify
 from qrationals.cf import cf_even, cf_odd, cf_value, rational_of_word
 from qrationals.qpoly import theorem_pair
 from qrationals.verify import PREFIXES_84_37, SUFFIXES_84_37, _tally
@@ -47,7 +47,7 @@ def test_matching_scan_tallies_the_listed_matchings(w):
 def test_digit_scan_tallies_the_listed_vectors(w):
     x = rational_of_word(w)
     for a in (cf_even(x), cf_odd(x)):
-        filled, empty = numeration.partition(a)
+        filled, empty = _oracle.partition(a)
         listed = _tally([(True, sum(b)) for b in filled] + [(False, sum(b)) for b in empty])
         assert numeration.norm1_statistics(a) == listed
 
@@ -55,7 +55,9 @@ def test_digit_scan_tallies_the_listed_vectors(w):
 def _check_scans_against_the_matrix_pair(a):
     x = cf_value(a)
     reference = theorem_pair(a)
+    assert fence.ideal_statistics(fence.fence_of_rational(x)) == reference
     assert fence.rank_polynomials(x) == reference
+    assert snake.matching_statistics(snake.snake_of_rational(x)) == reference
     assert snake.area_statistics(x) == reference
     assert numeration.norm1_statistics(a) == reference
     assert snake.matching_counts(snake.snake_word(x)) == (x.numerator, x.denominator)
@@ -78,8 +80,7 @@ def no_polynomial(monkeypatch):
     def refuse(*args):
         raise AssertionError("a polynomial was built")
 
-    for module in (fence, numeration, snake):
-        monkeypatch.setattr(module, "Poly", refuse)
+    monkeypatch.setattr(fence, "Poly", refuse)
 
 
 @pytest.fixture
@@ -93,7 +94,7 @@ def no_enumerator(monkeypatch):
         (snake, "enumerate_matchings"),
         (snake, "matchings_by_backtracking"),
         (numeration, "enumerate_admissible"),
-        (numeration, "partition"),
+        (_oracle, "partition"),
         (cli, "enumerate_ideals"),
         (cli, "numeration_rows"),
         (cli, "enumerate_matchings"),
@@ -129,8 +130,8 @@ def test_table_equals_a_scan_per_row_on_every_short_word():
         _check_table_against_a_scan_per_row(w)
 
 
-def _counting(monkeypatch, module, name):
-    calls = []
+def _counting(monkeypatch, module, name, calls=None):
+    calls = [] if calls is None else calls
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: calls.append(1) or original(*args))
     return calls
@@ -170,25 +171,29 @@ def test_table_of_a_2000_letter_word_runs_no_scan(no_scan):
 @settings(max_examples=30)
 def test_listings_run_the_statistics_scan(w):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        snake_scans = _counting(monkeypatch, snake, "_path_scan")
-        fence_scans = _counting(monkeypatch, fence, "_path_scan")
+        # every scan is the fence's, called by the snake's listing under its
+        # own import of the name, and by the statistics through `_statistics`
+        scans = _counting(monkeypatch, fence, "_path_scan")
+        monkeypatch.setattr(snake, "_path_scan", fence._path_scan)
+        helper = []
+        for module in (fence, snake, numeration):
+            _counting(monkeypatch, module, "_statistics", helper)
         g, f = snake.Snake(w), fence.Fence(w)
         # one scan per listing and one per statistic, for both models
         assert snake.enumerate_matchings(g) == snake.matchings_by_backtracking(g)
-        assert len(snake_scans) == 1
+        assert (len(scans), len(helper)) == (1, 0)
         snake.matching_statistics(g)
-        assert len(snake_scans) == 2
+        assert (len(scans), len(helper)) == (2, 1)
         assert fence.enumerate_ideals(f) == fence.ideals_by_subset_filter(f)
-        assert len(fence_scans) == 1
+        assert (len(scans), len(helper)) == (3, 1)
         fence.ideal_statistics(f)
-        assert len(fence_scans) == 2
+        assert (len(scans), len(helper)) == (4, 2)
         # the digit statistics of either expansion are one scan over W(a)
-        digit_scans = _counting(monkeypatch, numeration, "_path_scan")
         x = rational_of_word(w)
         numeration.norm1_statistics(cf_even(x))
-        assert len(digit_scans) == 1
+        assert (len(scans), len(helper)) == (5, 3)
         numeration.norm1_statistics(cf_odd(x))
-        assert len(digit_scans) == 2
+        assert (len(scans), len(helper)) == (6, 4)
 
 
 def _suffixes_swapped(original):
