@@ -108,11 +108,12 @@ def cf_str(a):
 
 def cf_parse(text):
     """Parse "[a0;a1,...,ak-1]" (or "[a0]") back to a tuple; integers that
-    are no expansion are refused with `check_cf`'s reason."""
+    are no expansion are refused with `check_cf`'s reason, and a ";" with
+    no quotient after it, as in "[1;]", like any other text."""
     s = text.strip()
     if s.startswith("[") and s.endswith("]"):
-        head, _, tail = s[1:-1].partition(";")
-        parts = [head] + (tail.split(",") if tail else [])
+        head, separator, tail = s[1:-1].partition(";")
+        parts = [head] + (tail.split(",") if separator else [])
         try:
             a = tuple(map(_decimal, parts))
         except ValueError:
@@ -152,9 +153,7 @@ def _runs(a):
 
 
 def rational_of_word(w):
-    """Inverse of word_of_rational: r/s from r = s = 1, reading w right to
-    left, since prepending 1 to the word of r/s gives (r+s)/s and
-    prepending 0 gives r/(r+s).
+    """Inverse of word_of_rational: the last pair of `_suffix_pairs`.
 
     >>> rational_of_word("")
     Fraction(1, 1)
@@ -162,13 +161,26 @@ def rational_of_word(w):
     Fraction(1, 2)
     """
     check_word(w)
+    return Fraction(*_suffix_pairs(w)[-1])
+
+
+def _suffix_pairs(w):
+    """(r, s) of the rationals whose words are the suffixes of w, by length
+    0..len(w): from r = s = 1, reading w right to left, since prepending 1
+    to the word of r/s gives (r+s)/s and prepending 0 gives r/(r+s).
+
+    >>> _suffix_pairs("10")
+    [(1, 1), (1, 2), (3, 2)]
+    """
     r = s = 1
+    pairs = [(1, 1)]
     for c in reversed(w):
         if c == "1":
             r += s
         else:
             s += r
-    return Fraction(r, s)
+        pairs.append((r, s))
+    return pairs
 
 
 def convergents(a):

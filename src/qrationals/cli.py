@@ -4,6 +4,9 @@ One subcommand per task: exact q-deformation of a rational, the
 numeration codec in both directions, enumeration of the three
 combinatorial families, SVG/dot rendering, the prefix/suffix table,
 Markoff utilities, rational trees, and the verification harness.
+`enum --count` prints the counting theorem's split (r, s) of r/s, which
+`verify` holds against the path scans, and a rational is written as
+`str` writes its Fraction.
 
 Each subcommand returns its JSON payload and its text lines, and `main`
 alone prints one or the other.  `_json` writes the payload, in the same
@@ -39,15 +42,7 @@ from .fence import enumerate_ideals, fence_of_rational, fence_to_dot, fence_to_s
 from .markoff import markoff_numbers_upto, markoff_of, markoff_row, markoff_snake_word
 from .numeration import _integer, numeration_rows, rep, val
 from .qpoly import q_rational, q_shift_identity_check
-from .snake import (
-    enumerate_matchings,
-    matching_counts,
-    matching_edges,
-    prefix_suffix_table,
-    snake_of_rational,
-    snake_to_svg,
-    snake_word,
-)
+from .snake import enumerate_matchings, matching_edges, prefix_suffix_table, snake_of_rational, snake_to_svg
 from .words import _decimal, _summary
 
 __all__ = ["main"]
@@ -57,14 +52,13 @@ __all__ = ["main"]
 # exponentially with the input, so larger requests exit 2 before any work.
 MAX_LISTED_ELEMENTS = 10**6
 MAX_TREE_DEPTH = 16
-# `qrat`, `enum --count`, `table` and `markoff --word` take time
-# quadratic in the length of the word they work on: at 2,000 letters
-# `qrat` on a Fibonacci ratio takes 0.31-0.44 s and `table` 24 ms on a
-# 2-core Xeon, and every `enum --count`, one path scan on ints, about
-# 2 ms.  Of the `qrat` time, 0.33-0.37 s is the q-product kernel;
-# unpacking its result takes about 3 ms and printing it about 16 ms
-# (2,001 coefficients of up to 420 digits).  Longer words exit 2 before
-# any work.
+# `qrat`, `table` and `markoff --word` take time quadratic in the length
+# of the word they work on: at 2,000 letters `qrat` on a Fibonacci ratio
+# takes 0.31-0.44 s and `table` 24 ms on a 2-core Xeon.  Of the `qrat`
+# time, 0.33-0.37 s is the q-product kernel; unpacking its result takes
+# about 3 ms and printing it about 16 ms (2,001 coefficients of up to 420
+# digits).  Longer words exit 2 before any work, also for `enum --count`,
+# which reads its counts off the rational and runs no scan.
 MAX_WORD_LENGTH = 2000
 # `markoff --upto N` lists about (log N)^2 numbers of up to log N digits:
 # a 200-digit bound lists 38,512 numbers, 5.2 MB of text, in 0.26 s on
@@ -99,7 +93,7 @@ def _parse_rational(text):
 def _rational_name(x):
     """A rational parsed by `_parse_rational`, named in a message: in full up
     to 40 characters, else by the digit counts of its two parts."""
-    name = _frac_str(x)
+    name = str(x)
     if len(name) > 40:  # str() is safe: int() parsed each part from at most 4,300 digits
         name = "a %d/%d-digit rational" % (len(str(x.numerator)), len(str(x.denominator)))
     return name
@@ -126,24 +120,17 @@ def _parse_digits(text):
         raise ValueError("digits must be comma-separated integers, got %s" % _summary(text, "0123456789,"))
 
 
-def _frac_str(x):
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
-
-
 def _cmd_qrat(args):
     x = _parse_rational(args.rational)
     qx = q_rational(x)
-    payload = {"x": _frac_str(x)}
+    payload = {"x": str(x)}
     payload.update(qx.to_json())
     lines = [qx.fraction_str()]
     if not args.shift_check:
         return payload, lines, None
     payload["shift_check"] = q_shift_identity_check(x)
     if not payload["shift_check"]:
-        return payload, lines, "FAIL shift identity for %s" % _frac_str(x)
+        return payload, lines, "FAIL shift identity for %s" % x
     return payload, lines + ["shift-check ok"], None
 
 
@@ -177,7 +164,7 @@ def _enum_ideals(x):
     fence = fence_of_rational(x)
     elements = [[i for i in range(fence.size) if m >> i & 1] for m in enumerate_ideals(fence)]
     lines = ("{%s}" % ",".join(str(i) for i in ideal) for ideal in elements)
-    return {"x": _frac_str(x), "ideals": elements}, lines, None
+    return {"x": str(x), "ideals": elements}, lines, None
 
 
 def _enum_matchings(x):
@@ -195,16 +182,16 @@ def _enum_matchings(x):
         "class=%s area=%d edges=%s" % (row["class"], row["area"], ",".join(map(label.__getitem__, row["edges"])))
         for row in rows
     )
-    return {"x": _frac_str(x), "matchings": rows}, lines, None
+    return {"x": str(x), "matchings": rows}, lines, None
 
 
 def _cmd_enum(args):
     x = _parse_rational(args.rational)
     if args.count:
-        # psi and phi split the three families of x alike: the counts are
-        # the fence's path scan over W(x) on ints, whatever the family
+        # the counting theorem: each family of r/s splits as (r, s), which
+        # verify holds against the scans
         first, second = ("perp", "par") if args.family == "matchings" else ("filled", "empty")
-        m, n = matching_counts(snake_word(x))
+        m, n = x.numerator, x.denominator
         return {first: m, second: n, "total": m + n}, ["%s=%d %s=%d total=%d" % (first, m, second, n, m + n)], None
     objects, length = x.numerator + x.denominator, sum(cf_even(x)) + 1
     if objects * length > MAX_LISTED_ELEMENTS:
@@ -284,7 +271,7 @@ def _cmd_tree(args):
             "depth %d would build 2^%d rationals, over the limit of depth %d"
             % (args.depth, args.depth, MAX_TREE_DEPTH)
         )
-    level = [_frac_str(x) for x in (sb_level(args.depth) if args.kind == "sb" else cw_level(args.depth))]
+    level = [str(x) for x in (sb_level(args.depth) if args.kind == "sb" else cw_level(args.depth))]
     return {"kind": args.kind, "depth": args.depth, "level": level}, [" ".join(level)], None
 
 

@@ -3,14 +3,18 @@
 Markoff numbers are the coordinates of positive solutions of
 x^2 + y^2 + z^2 = 3xyz, generated from (1,1,1) by the two moves
 (x,y,z) -> (x, 3xy-z, y) and (y, 3yz-x, z).  Each one is the (1,2)
-entry of mu over a Christoffel word, where mu maps 0 and 1 to fixed
-integer matrices; mu_q deforms those matrices, mu_q(0) = R_q L_q and
-mu_q(1) = R_q^2 L_q^2, so that the (1,2) entry becomes the area
+entry of mu over a Christoffel word, the product of RL per 0 and
+R^2 L^2 per 1, for R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]].  Over
+the exponents a of those powers, mu is [[p_{k-1}, p_{k-2}], [q_{k-1},
+q_{k-2}]] for the continuants p, q of a (Graham, Knuth & Patashnik,
+Concrete Mathematics, 6.7).  mu_q deforms R and L, and its (1,2) entry,
+the packed kernel's product over the same exponents, becomes the area
 polynomial of a snake graph.  That area theorem is checked by
 `_oracle.verify_area_theorem`; this module reads only the snake's
 matching counts, for the table row.
 """
 
+from .cf import _convergents
 from .qpoly import Poly, _q_product_vector
 from .snake import matching_counts
 from .words import check_word, gamma, is_christoffel
@@ -23,17 +27,6 @@ __all__ = [
     "markoff_snake_word",
     "markoff_row",
 ]
-
-_M0 = ((2, 1), (1, 1))
-_M1 = ((5, 2), (2, 1))
-
-
-def _mat_mul(m, n):
-    return (
-        (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
-        (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
-    )
-
 
 def markoff_numbers_upto(bound):
     """Sorted Markoff numbers <= bound, from the recursive triple tree.
@@ -70,9 +63,15 @@ def _check_domain(w):
         raise ValueError("the Markoff word of %d letters is not a Christoffel word" % len(w))
 
 
+def _exponents(w):
+    """The exponents of R and L in mu(w): 1, 1 per 0 and 2, 2 per 1."""
+    return [e for c in w for e in ((1, 1) if c == "0" else (2, 2))]
+
+
 def mu(w):
-    """Integer matrix product over a nonempty binary word, 0 and 1 each a
-    fixed matrix; a monoid map, so any word will do.
+    """The integer matrix of a nonempty binary word, RL per 0 and R^2 L^2
+    per 1, from the continuants of its exponents; a monoid map, so any
+    word will do.
 
     >>> mu("00101")
     ((463, 194), (284, 119))
@@ -82,10 +81,8 @@ def mu(w):
     check_word(w)
     if not w:
         raise ValueError("empty word")
-    m = ((1, 0), (0, 1))
-    for c in w:
-        m = _mat_mul(m, _M0 if c == "0" else _M1)
-    return m
+    p, q = _convergents(_exponents(w))
+    return (p[-1], p[-2]), (q[-1], q[-2])
 
 
 def markoff_of(w):
@@ -109,8 +106,7 @@ def q_markoff(w):
     '1'
     """
     _check_domain(w)
-    a = [e for c in w for e in ((1, 1) if c == "0" else (2, 2))]
-    x, _, width = _q_product_vector(a, (0, 1))
+    x, _, width = _q_product_vector(_exponents(w), (0, 1))
     return Poly.from_packed(x, width)
 
 
@@ -127,11 +123,14 @@ def markoff_snake_word(w):
 
 def markoff_row(w):
     """Table row: word, Markoff number, q-polynomial, and for proper
-    words the snake word with its matching count, from the counting scan."""
+    words the snake word with its matching count, from the counting scan.
+    The number is the q-polynomial's value at q = 1, so a row runs one
+    product and checks its word once."""
+    poly = q_markoff(w)
     row = {
         "word": w,
-        "number": markoff_of(w),
-        "q_polynomial": q_markoff(w),
+        "number": poly.eval_at_one(),
+        "q_polynomial": poly,
         "snake_word": None,
         "matching_count": None,
     }

@@ -46,7 +46,7 @@ from functools import cache, cached_property
 from itertools import compress
 from operator import add, concat
 
-from .cf import word_of_rational
+from .cf import _suffix_pairs, word_of_rational
 from .fence import _path_scan, _statistics
 from .words import check_word, theta
 
@@ -343,7 +343,7 @@ def prefix_suffix_table(x):
     For the snake word w = theta(u) of n letters, theta(w[n-j:]) is
     u[n-j:], and theta(w[:j]) is u[:j], or its complement (pair swapped)
     when n - j is odd.  So a running product M(u[:j]) and the suffix pairs
-    of u, built right to left, give the table in O(n) integer additions.
+    of u, `cf._suffix_pairs`, give the table in O(n) integer additions.
     `verify` holds every row against a `matching_counts` scan.
 
     >>> from fractions import Fraction
@@ -363,15 +363,7 @@ def prefix_suffix_table(x):
             a, c = a + b, c + d
         prefixes.append((c + d, a + b) if swap else (a + b, c + d))
         swap = not swap
-    r = s = 1  # M(u[n-j:]) applied to (1, 1)
-    suffixes = [(1, 1)]
-    for letter in reversed(u):
-        if letter == "1":
-            r += s
-        else:
-            s += r
-        suffixes.append((r, s))
-    return {"word": theta(u), "prefixes": prefixes, "suffixes": suffixes}
+    return {"word": theta(u), "prefixes": prefixes, "suffixes": _suffix_pairs(u)}
 
 
 def snake_to_svg(g, matching=None):

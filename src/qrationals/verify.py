@@ -125,10 +125,6 @@ def _fail(message):
     raise AssertionError(message)
 
 
-def _rationals(bound):
-    return list(_cf.rationals_with_sum_upto(bound))
-
-
 def check_qrational_goldens(level="desk"):
     """Frozen q-deformations of 7/2, 2/7 and 4/5, byte for byte, and the
     same pairs from the Mat2 product."""
@@ -259,12 +255,12 @@ def check_bijections(level="desk"):
     """Counting theorem, valuation bijection, psi and phi, plus the
     exhaustive order-isomorphism check at a lower bound."""
     b = BOUNDS[level]
-    for x in _rationals(b["bijection_sum"]):
+    for x in _cf.rationals_with_sum_upto(b["bijection_sum"]):
         _check_val_bijection(_cf.cf_even(x))
         _check_val_bijection(_cf.cf_odd(x))
         _check_psi(x)
         _check_phi(x, x.numerator, x.denominator)
-    for x in _rationals(b["order_sum"]):
+    for x in _cf.rationals_with_sum_upto(b["order_sum"]):
         _check_order_preservation(x)
 
 
@@ -297,7 +293,7 @@ def check_three_statistics(level="desk"):
     expansion, the word, the fence and the snake of each rational are
     built once and serve both paths."""
     b = BOUNDS[level]
-    for x in _rationals(b["stats_sum"]):
+    for x in _cf.rationals_with_sum_upto(b["stats_sum"]):
         a = _cf.cf_even(x)
         w = _cf.word_of(a)
         f = _fence.Fence(w)
@@ -341,7 +337,7 @@ def check_prefix_suffix(level="desk"):
     """The recurrence, row by row, against a counting scan per row that
     shares no code with it, on every small rational; the frozen 84/37 table;
     prefixes meet the convergents, suffixes walk the subtractive Euclid chain."""
-    for x in _rationals(BOUNDS[level]["table_sum"]):
+    for x in _cf.rationals_with_sum_upto(BOUNDS[level]["table_sum"]):
         table = _snake.prefix_suffix_table(x)
         w = table["word"]
         for side, want in _counted_table(w).items():
@@ -483,7 +479,7 @@ def check_properties(level="desk"):
         x = _cf.rational_of_word(w)
         if _cf.word_of(_cf.cf_even(x)) != w:
             _fail("codec round trip fails on %r" % w)
-    for x in _rationals(b["property_sum"]):
+    for x in _cf.rationals_with_sum_upto(b["property_sum"]):
         a = _cf.cf_even(x)
         w = _cf.word_of(a)
         if _cf.rational_of_word(w) != x:
@@ -505,7 +501,7 @@ def check_properties(level="desk"):
             _fail("rank polynomial of %s is not unimodal: %s" % (x, seq))
         if not _qp.q_shift_identity_check(x):
             _fail("shift identity fails for %s" % x)
-    for x in _rationals(b["mirror_sum"]):
+    for x in _cf.rationals_with_sum_upto(b["mirror_sum"]):
         g = _snake.snake_of_rational(x)
         h = _snake.snake_of_rational(1 / x)
         if h.word != _words.complement(g.word):

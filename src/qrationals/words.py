@@ -78,6 +78,13 @@ def hat(w):
     return complement(reversal(w))
 
 
+def _flip_every_other(w, start):
+    """w with the letters at start, start + 2, ... complemented."""
+    letters = list(w)
+    letters[start::2] = w[start::2].translate(_COMPLEMENT)
+    return "".join(letters)
+
+
 def theta(w):
     """Flip the letters at even distance from the right end.
 
@@ -87,11 +94,7 @@ def theta(w):
     '0111001'
     """
     check_word(w)
-    n = len(w)
-    return "".join(
-        c if (n - 1 - i) % 2 else ("1" if c == "0" else "0")
-        for i, c in enumerate(w)
-    )
+    return _flip_every_other(w, 1 - len(w) % 2)
 
 
 def eta(w):
@@ -105,9 +108,7 @@ def eta(w):
     '10'
     """
     check_word(w)
-    return "".join(
-        c if i % 2 else ("1" if c == "0" else "0") for i, c in enumerate(w)
-    )
+    return _flip_every_other(w, 0)
 
 
 def gamma(w):

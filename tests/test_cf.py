@@ -130,7 +130,7 @@ def _rational_of_word_by_runs(w):
 
 
 def test_rational_of_word_equals_the_run_based_route():
-    for w in all_words(12):
+    for w in all_words(14):
         assert rational_of_word(w) == _rational_of_word_by_runs(w), w
 
 
@@ -199,6 +199,10 @@ def test_cf_bracket_syntax():
         cf_parse("[2,2,2]")
     with pytest.raises(ValueError):
         cf_parse("[2;a]")
+    # a ";" needs a quotient after it, and so does each ","
+    for text in ("[1;]", "[1;2,]"):
+        with pytest.raises(ValueError, match=r"^expected \[a0;a1,\.\.\.\], got a text of length %d$" % len(text)):
+            cf_parse(text)
 
 
 @pytest.mark.parametrize(

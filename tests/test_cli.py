@@ -8,14 +8,15 @@ import pkgutil
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
 import qrationals
-from qrationals import _oracle, cli, qpoly, verify
+from qrationals import _oracle, cli, fence, qpoly, snake, verify
 from qrationals._oracle import Mat2
-from qrationals.cf import rational_of_word
+from qrationals.cf import rational_of_word, rationals_with_sum_upto
 from qrationals.cli import main
 from qrationals.markoff import markoff_of
 from qrationals.qpoly import Q, ZERO
@@ -398,6 +399,28 @@ def test_enum_admissible_count_values_no_vector(capsys, monkeypatch):
     code, out, _ = run(capsys, "enum", "admissible", "84/37", "--count")
     assert code == 0
     assert out == "filled=84 empty=37 total=121\n"
+
+
+def test_enum_count_is_the_counting_theorem_with_no_scan(capsys, monkeypatch):
+    """Each family of r/s splits as (r, s): the scan's counts, computed
+    first, are printed again with every scan made to raise."""
+    r, s = _fibonacci(2001), _fibonacci(2000)
+    texts = [str(x) for x in rationals_with_sum_upto(12)] + ["%d/%d" % (r, s), "%d/%d" % (s, r)]
+    expected = {}
+    for text in texts:
+        m, n = snake.matching_counts(snake.snake_word(Fraction(text)))
+        for family in ("admissible", "ideals", "matchings"):
+            first, second = ("perp", "par") if family == "matchings" else ("filled", "empty")
+            expected[text, family, "text"] = "%s=%d %s=%d total=%d\n" % (first, m, second, n, m + n)
+            expected[text, family, "json"] = json.dumps({first: m, second: n, "total": m + n}, indent=2) + "\n"
+
+    def refuse(*args):
+        raise AssertionError("--count runs no scan")
+
+    for module, name in ((snake, "matching_counts"), (snake, "_path_scan"), (fence, "_path_scan")):
+        monkeypatch.setattr(module, name, refuse)
+    for (text, family, fmt), want in expected.items():
+        assert run(capsys, "enum", family, text, "--count", "--format", fmt) == (0, want, ""), (text, family, fmt)
 
 
 def test_enum_ideals(capsys):

@@ -12,9 +12,26 @@ from qrationals.markoff import (
     q_markoff,
 )
 from qrationals.verify import MARKOFF_UPTO_5000
-from qrationals.words import christoffel, christoffel_closure, gamma_prime
+from qrationals.words import all_words, christoffel, christoffel_closure, gamma_prime
 
 words = st.text(alphabet="01", max_size=8)
+
+
+def _christoffel_words(max_length):
+    return [christoffel(p, n - p) for n in range(1, max_length + 1) for p in range(n + 1) if gcd(p, n - p) == 1]
+
+
+# mu's letters as integer matrices: RL per 0 and R^2 L^2 per 1
+_LETTER_MATRICES = {"0": ((2, 1), (1, 1)), "1": ((5, 2), (2, 1))}
+
+
+def _mu_by_matrices(w):
+    """mu as the product of its letters' matrices, left to right."""
+    (a, b), (c, d) = (1, 0), (0, 1)
+    for letter in w:
+        (e, f), (g, h) = _LETTER_MATRICES[letter]
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return (a, b), (c, d)
 
 
 def test_markoff_numbers():
@@ -22,6 +39,11 @@ def test_markoff_numbers():
     assert markoff_numbers_upto(200) == [1, 2, 5, 13, 29, 34, 89, 169, 194]
     assert markoff_numbers_upto(1) == [1]
     assert markoff_numbers_upto(0) == []
+
+
+def test_mu_is_the_product_of_its_letter_matrices():
+    for w in [*all_words(12, 1), *_christoffel_words(200)]:
+        assert mu(w) == _mu_by_matrices(w), w
 
 
 def test_mu_goldens():
@@ -122,6 +144,10 @@ def test_markoff_rows():
     assert row["number"] == 194
     assert row["snake_word"] == "0000110000"
     assert row["matching_count"] == 194
+    for w in _christoffel_words(60):
+        row = markoff_row(w)
+        assert row["number"] == markoff_of(w), w
+        assert row["matching_count"] in (None, row["number"]), w
 
 
 def test_every_proper_word_length_five_satisfies_the_area_theorem():

@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import given, strategies as st
 import pytest
 
@@ -17,6 +19,23 @@ from qrationals.words import (
 )
 
 words = st.text(alphabet="01", max_size=14)
+
+
+def _theta_by_letters(w):
+    n = len(w)
+    return "".join(c if (n - 1 - i) % 2 else ("1" if c == "0" else "0") for i, c in enumerate(w))
+
+
+def _eta_by_letters(w):
+    return "".join(c if i % 2 else ("1" if c == "0" else "0") for i, c in enumerate(w))
+
+
+def test_theta_and_eta_equal_the_letter_by_letter_flips():
+    rng = random.Random(2026)
+    long_words = ["".join(rng.choices("01", k=rng.randint(200, 2000))) for _ in range(100)]
+    for w in [*all_words(14), *long_words]:
+        assert theta(w) == _theta_by_letters(w), w
+        assert eta(w) == _eta_by_letters(w), w
 
 
 @pytest.mark.parametrize(
