@@ -14,6 +14,7 @@ which is a bijection from positive rationals onto all binary words.
 from fractions import Fraction
 from itertools import cycle
 from math import gcd
+from operator import index
 
 from .words import _decimal, _summary, check_word
 
@@ -35,8 +36,19 @@ __all__ = [
 ]
 
 
+def _integers(values, name):
+    """The values as ints, refusing a non-integer by its position alone."""
+    out = []
+    for i, v in enumerate(values):
+        try:
+            out.append(index(v))
+        except TypeError:
+            raise ValueError("%s_%d is not an integer" % (name, i)) from None
+    return tuple(out)
+
+
 def check_cf(a):
-    a = tuple(map(int, a))
+    a = _integers(a, "a")
     if not a:
         raise ValueError("empty expansion")
     if a[0] < 0 or any(x < 1 for x in a[1:]):

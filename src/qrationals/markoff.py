@@ -10,13 +10,11 @@ q_{k-2}]] for the continuants p, q of a (Graham, Knuth & Patashnik,
 Concrete Mathematics, 6.7).  mu_q deforms R and L, and its (1,2) entry,
 the packed kernel's product over the same exponents, becomes the area
 polynomial of a snake graph.  That area theorem is checked by
-`_oracle.verify_area_theorem`; this module reads only the snake's
-matching counts, for the table row.
+`_oracle.verify_area_theorem`; at q = 1 a row's number is its matching count.
 """
 
 from .cf import _convergents
 from .qpoly import Poly, _q_product_vector
-from .snake import matching_counts
 from .words import check_word, gamma, is_christoffel
 
 __all__ = [
@@ -86,7 +84,7 @@ def mu(w):
 
 
 def markoff_of(w):
-    """The Markoff number of a Christoffel word: entry (1,2) of mu.
+    """The Markoff number of a Christoffel word: entry (1,2) of mu, p_{k-2}.
 
     >>> markoff_of("00101")
     194
@@ -94,7 +92,7 @@ def markoff_of(w):
     1
     """
     _check_domain(w)
-    return mu(w)[0][1]
+    return _convergents(_exponents(w))[0][-2]
 
 
 def q_markoff(w):
@@ -123,18 +121,16 @@ def markoff_snake_word(w):
 
 def markoff_row(w):
     """Table row: word, Markoff number, q-polynomial, and for proper
-    words the snake word with its matching count, from the counting scan.
-    The number is the q-polynomial's value at q = 1, so a row runs one
-    product and checks its word once."""
+    words the snake word with its matching count.  The number is the
+    q-polynomial's value at q = 1, and by the area theorem at q = 1 so is
+    the matching count: a row runs one product and no scan."""
     poly = q_markoff(w)
-    row = {
+    number = poly.eval_at_one()
+    proper = len(w) >= 2
+    return {
         "word": w,
-        "number": poly.eval_at_one(),
+        "number": number,
         "q_polynomial": poly,
-        "snake_word": None,
-        "matching_count": None,
+        "snake_word": markoff_snake_word(w) if proper else None,
+        "matching_count": number if proper else None,
     }
-    if len(w) >= 2:
-        row["snake_word"] = markoff_snake_word(w)
-        row["matching_count"] = sum(matching_counts(row["snake_word"]))
-    return row

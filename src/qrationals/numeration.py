@@ -43,13 +43,12 @@ def is_admissible(b, a):
     >>> is_admissible((0, 1, 0, 0), (0, 1, 3, 1))
     False
     """
-    return _violation(b, _cf.check_cf(a)) is None
+    return _violation(_cf._integers(b, "b"), _cf.check_cf(a)) is None
 
 
 def _violation(b, a):
-    """None if b is admissible for a, else the first rule that b breaks,
-    named by digit indices alone, since b and a can be arbitrarily long."""
-    b = tuple(map(int, b))
+    """None if the int digits b are admissible for a, else the first rule
+    that b breaks, named by digit indices alone, since b can be long."""
     if len(b) != len(a):
         raise ValueError("digit vector has length %d, expansion %d" % (len(b), len(a)))
     for i, (bi, ai) in enumerate(zip(b, a)):
@@ -118,6 +117,7 @@ def val(b, a):
     >>> val((2, 2, 2, 2), (2, 2, 2, 2))
     -24
     """
+    b = _cf._integers(b, "b")
     a = _cf.check_cf(a)
     broken = _violation(b, a)
     if broken:

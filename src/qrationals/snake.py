@@ -12,12 +12,11 @@ the basic matching, and the map to the rational world goes through
 theta: the snake of x is G(theta(W(x))).
 
 Both rules of the area statistic read off the word.  The basic matching
-takes each cell's boundary sides (those shared with no other cell): the
-vertical ones when the cell is an even number of cells from the last
-cell, the horizontal ones when the distance is odd.  A row of the snake
-is one run of cells, so a leftward ray from a cell's centre crosses the
-left sides of its row up to its own: a cell is enclosed iff an odd
-number of those differ from the basic matching.
+takes each cell's boundary sides (those shared with no other cell), by
+the parity of its distance from the last cell (`_basic_sides`).  A row
+of the snake is one run of cells, so a leftward ray from a cell's centre
+crosses the left sides of its row up to its own: a cell is enclosed iff
+an odd number of those differ from the basic matching.
 
 The matchings are the ideals of the fence F(theta(w)), twisted.  `phi`
 takes a matching to the ideal of its enclosed cells, and back again the
@@ -30,11 +29,11 @@ for orientations of graphs", 2002).  So the snake runs the fence's scan
 (`fence._path_scan`) over theta(w): on edge masks, starting from the
 basic matching and twisting each cell it takes, it lists the matchings;
 on dense size polynomials (`fence._statistics`) it gives the area
-statistics, since area is size; on ints, the counts.  The perpendicular
-matchings are those whose ideal holds y_0, the scan's first value.  What
-keeps the snake honest shares no code with the scan: the backtracking matcher
-(`matchings_by_backtracking`), which checks the listing, and the tally of
-`enclosed_cells` and `classify` over that listing.
+statistics, since area is size; on ints, the counts.  A matching is
+perpendicular iff its ideal holds y_0: iff it is off the basic one on edge 0.
+What keeps the snake honest shares no code with the scan: the backtracking
+matcher (`matchings_by_backtracking`), which checks the listing, the tally
+of `enclosed_cells` over it, and in `verify` the pop recursion.
 
 `prefix_suffix_table` runs no scan: the counts of a snake are the pair of
 a rational, so the counts of every prefix and every suffix come from a
@@ -90,10 +89,10 @@ def _letter_pairs(word):
 
 @cache
 def _basic_sides(prev, letter, odd):
-    """Sides of the basic matching in a cell entered after `prev`, left by
-    `letter` and an odd (`odd` = 1) or even (0) number of cells before the
-    last cell: the cell's boundary sides, the vertical ones at an even
-    distance and the horizontal ones at an odd one."""
+    """Sides of the basic matching, the snake's one parity rule, in a cell
+    entered after `prev`, left by `letter` and an odd (`odd` = 1) or even
+    (0) number of cells before the last cell: the cell's boundary sides,
+    the vertical ones at an even distance and the horizontal ones at an odd."""
     shared = (_ENTRY_SIDE.get(prev), _EXIT_SIDE.get(letter))
     return tuple(j for j in ((0, 2) if odd else (1, 3)) if j not in shared)
 
@@ -158,9 +157,9 @@ class Snake:
         return "Snake(%r)" % self.word
 
     def classify(self, mask):
-        """'perp' or 'par', as `_side` reads the bottom edge of the first
-        cell: 'perp' iff the first edge is not the basic one."""
-        return ("perp", "par")[_side(mask >> self.squares[0][0] & 1, len(self.word))]
+        """'perp' iff the matching is off the basic one on edge 0, the first
+        cell's bottom side, which only the first cell's twist touches."""
+        return "perp" if (mask ^ self.basic_mask) & 1 else "par"
 
     def enclosed_cells(self, mask):
         """Cells inside the cycles of the symmetric difference with the
@@ -257,14 +256,6 @@ def matchings_by_backtracking(g):
         return out
 
     return sorted(complete(0))
-
-
-def _side(first, n):
-    """0 (perpendicular) or 1 (parallel) for a matching of the snake of an
-    n-letter word that holds (first = 1) or leaves (first = 0) the bottom
-    edge of the first cell: perpendicular means horizontal first edge for
-    even n, vertical for odd n."""
-    return int(first != (n % 2 == 0))
 
 
 def matching_statistics(g):

@@ -286,10 +286,10 @@ def check_three_statistics(level="desk"):
     choice fails only in its own row.  Fence and snake also list by that
     scan, so all are held by references that share no code with it:
     `theorem_pair` here; the digit descent of `enumerate_admissible`,
-    split into its two sides by `_oracle.partition`; the snake's area and
-    side, read by `enclosed_cells` and `classify` off each listed
-    matching; the subset filter and the backtracking matcher in
-    `check_oracles`; and `phi_by_pop` in `check_bijections`.  The
+    split into its two sides by `_oracle.partition`; the snake's area,
+    read by `enclosed_cells` off each listed matching; the subset filter
+    and the backtracking matcher in `check_oracles`; and `phi_by_pop` in
+    `check_bijections`, which also holds the side `classify` reads.  The
     expansion, the word, the fence and the snake of each rational are
     built once and serve both paths."""
     b = BOUNDS[level]

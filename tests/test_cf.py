@@ -63,6 +63,21 @@ def test_check_cf_rejects_malformed():
         check_cf((-1, 2))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (lambda: convergents((2.9, 1.5)), "a_0 is not an integer"),
+        (lambda: cf_str((2.5, 3)), "a_0 is not an integer"),
+        (lambda: check_cf((1, "2")), "a_1 is not an integer"),
+        (lambda: cf_value((1,) * 4999 + (1.0,)), "a_4999 is not an integer"),
+    ),
+)
+def test_check_cf_refuses_non_integer_quotients_by_position(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_convergents_and_r_sequence():
     p, q = convergents((2, 2, 2))
     assert p == (1, 2, 5, 12)

@@ -51,22 +51,37 @@ def test_no_assert_statements(module):
     assert not lines, "assert statements in %s at lines %s" % (path, lines)
 
 
+def _imports_of(path, module):
+    """Lines of the file at `path` that import `module` or a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if module in (name.split(".")[-1] for name in names):
+            found.append("%s:%d" % (path, node.lineno))
+    return found
+
+
 def test_only_verify_imports_the_oracle():
     # the production path never leans on the brute-force oracles
-    found = []
-    for path in sorted(Path(qrationals.__file__).parent.glob("*.py")):
-        if path.stem == "verify":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [alias.name for alias in node.names]
-            elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            else:
-                continue
-            if "_oracle" in (name.split(".")[-1] for name in names):
-                found.append("%s:%d" % (path, node.lineno))
+    found = [
+        line
+        for path in sorted(Path(qrationals.__file__).parent.glob("*.py"))
+        if path.stem != "verify"
+        for line in _imports_of(path, "_oracle")
+    ]
     assert not found, "production modules import _oracle at %s" % ", ".join(found)
+
+
+def test_markoff_imports_nothing_from_snake():
+    # a Markoff row's matching count is its number, the area polynomial at
+    # q = 1; the snake's scan is only its reference, in verify and the tests
+    found = _imports_of(Path(inspect.getsourcefile(qrationals.markoff)), "snake")
+    assert not found, "markoff imports snake at %s" % ", ".join(found)
 
 
 def test_only_main_prints_in_the_cli():

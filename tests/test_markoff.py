@@ -3,16 +3,18 @@ from math import gcd
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
+from qrationals import fence, markoff, snake
 from qrationals._oracle import mu_q, nu_q, verify_area_theorem
 from qrationals.markoff import (
     markoff_numbers_upto,
     markoff_of,
     markoff_row,
+    markoff_snake_word,
     mu,
     q_markoff,
 )
 from qrationals.verify import MARKOFF_UPTO_5000
-from qrationals.words import all_words, christoffel, christoffel_closure, gamma_prime
+from qrationals.words import all_words, check_word, christoffel, christoffel_closure, gamma_prime
 
 words = st.text(alphabet="01", max_size=8)
 
@@ -131,7 +133,7 @@ def test_area_theorem_rejects_improper_interiors():
         verify_area_theorem("10")
 
 
-def test_markoff_rows():
+def test_markoff_rows(monkeypatch):
     row = markoff_row("0")
     assert row["number"] == 1
     assert str(row["q_polynomial"]) == "1"
@@ -144,10 +146,36 @@ def test_markoff_rows():
     assert row["number"] == 194
     assert row["snake_word"] == "0000110000"
     assert row["matching_count"] == 194
-    for w in _christoffel_words(60):
+    # each proper row's count against the snake's scan, run first; the
+    # rows are then read with every scan made to raise
+    christoffel_words = _christoffel_words(60)
+    scanned = {w: sum(snake.matching_counts(markoff_snake_word(w))) for w in christoffel_words if len(w) >= 2}
+
+    def refuse(*args):
+        raise AssertionError("a Markoff row runs no scan")
+
+    for module, name in ((snake, "matching_counts"), (snake, "_path_scan"), (fence, "_path_scan")):
+        monkeypatch.setattr(module, name, refuse)
+    for w in christoffel_words:
         row = markoff_row(w)
         assert row["number"] == markoff_of(w), w
-        assert row["matching_count"] in (None, row["number"]), w
+        assert row["matching_count"] == scanned.get(w), w
+
+
+def test_markoff_of_checks_its_word_once(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return check_word(w)
+
+    # markoff binds check_word by name, so both bindings are counted
+    monkeypatch.setattr("qrationals.words.check_word", counted)
+    monkeypatch.setattr(markoff, "check_word", counted)
+    christoffel_words = _christoffel_words(30)
+    for w in christoffel_words:
+        markoff_of(w)
+    assert len(calls) == len(christoffel_words)
 
 
 def test_every_proper_word_length_five_satisfies_the_area_theorem():

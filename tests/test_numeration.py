@@ -205,6 +205,22 @@ def test_errors_name_long_inputs_by_length_and_first_bad_index(call, message):
     assert len(message) < 120
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (lambda: is_admissible((0.5, 0), (1, 1)), "b_0 is not an integer"),
+        (lambda: is_admissible((0, 0), (1, 1.0)), "a_1 is not an integer"),
+        (lambda: val((1.9,), (2,)), "b_0 is not an integer"),
+        (lambda: val(("1", 0), (2, 2)), "b_0 is not an integer"),
+        (lambda: val((0,) * 4999 + (0.0,), (1,) * 5000), "b_4999 is not an integer"),
+    ),
+)
+def test_non_integer_digits_are_refused_by_position(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @given(rationals)
 def test_sequences_of_both_expansion_parities_count_the_numerator(x):
     assert len(enumerate_admissible(cf_even(x))) == x.numerator + x.denominator

@@ -369,6 +369,22 @@ def test_basic_matching_is_parallel_with_empty_ideal():
         assert phi(g, g.basic_mask) == 0
 
 
+def _side_by_parity(first, n):
+    """0 (perpendicular) or 1 (parallel) for a matching of the snake of an
+    n-letter word that holds (first = 1) or leaves (first = 0) the bottom
+    edge of the first cell: perpendicular means horizontal first edge for
+    even n, vertical for odd n."""
+    return int(first != (n % 2 == 0))
+
+
+def test_classify_is_the_parity_rule_on_every_short_word():
+    for w in all_words(12):
+        g = Snake(w)
+        bottom = g.squares[0][0]
+        for m in enumerate_matchings(g):
+            assert g.classify(m) == ("perp", "par")[_side_by_parity(m >> bottom & 1, len(w))], (w, m)
+
+
 @given(rationals)
 def test_mirror_snake_is_the_diagonal_reflection(x):
     g = snake_of_rational(x)
