@@ -39,11 +39,11 @@ from types import SimpleNamespace
 
 from .cf import cf_even, cf_parse, cw_level, sb_level
 from .fence import enumerate_ideals, fence_of_rational, fence_to_dot, fence_to_svg
-from .markoff import markoff_numbers_upto, markoff_of, markoff_row, markoff_snake_word
+from .markoff import markoff_numbers_upto, markoff_of, markoff_row
 from .numeration import _integer, numeration_rows, rep, val
 from .qpoly import q_rational, q_shift_identity_check
 from .snake import enumerate_matchings, matching_edges, prefix_suffix_table, snake_of_rational, snake_to_svg
-from .words import _decimal, _summary
+from .words import _decimal, _summary, check_word
 
 __all__ = ["main"]
 
@@ -245,7 +245,10 @@ def _cmd_markoff(args):
         number = markoff_of(args.word)
         return {"word": args.word, "number": number}, [str(number)], None
     if len(args.word) >= 2:
-        _check_word_length("the snake word of the Markoff word", len(markoff_snake_word(args.word)))
+        # 0 gamma(w[1:-1]) 0 has 2 letters per letter of w but one, and 2 more per
+        # inner 1; a word that is not binary is refused as one before its length
+        check_word(args.word)
+        _check_word_length("the snake word of the Markoff word", 2 * (len(args.word) - 1 + args.word.count("1", 1, -1)))
     row = markoff_row(args.word)
     payload = dict(row)
     payload["q_polynomial"] = row["q_polynomial"].to_json()

@@ -7,10 +7,12 @@ on 0's, and the fence of a rational (through the even-length expansion)
 starts with a down step exactly when x < 1.
 
 Ideals are stored as bitmasks over the elements; bit i is element y_i.
-One scan along the path (`_path_scan`) runs on lists of bitmasks to list
-the ideals and on dense size polynomials to count them by size; that
-second run, `_statistics`, gives all three models their statistics.  The
-subset filter (`ideals_by_subset_filter`) shares no code with it and is
+One scan along the path (`_path_scan`), last element to first, so that
+one run ends on the split by y_0, runs on lists of bitmasks to list the
+ideals and on packed size polynomials, each one integer (Kronecker
+substitution, as in `qpoly`), to count them by size; that second run,
+`_statistics`, gives all three models their statistics.  The subset
+filter (`ideals_by_subset_filter`) shares no code with it and is
 the listing's independent reference.  It is bitsliced: one integer of
 2^size bits holds every subset at once, bit m standing for subset m,
 and each cover relation clears the subsets it rules out in a handful of
@@ -21,10 +23,10 @@ order, and a stable sort by size puts them in the listing's order.
 
 from functools import cache
 from itertools import accumulate
-from operator import concat
+from operator import add, concat
 
-from .cf import word_of_rational
-from .qpoly import Poly, _plus
+from .cf import _suffix_pairs, word_of_rational
+from .qpoly import Poly
 from .words import check_word
 
 __all__ = [
@@ -72,36 +74,45 @@ def fence_of_rational(x):
 
 
 def _path_scan(word, one, add, join):
-    """(value over the ideals containing y_0, value over the rest), by one
-    scan along the path, first element to last, that keeps one value per
-    membership of the previous element, since only it constrains the next
-    one.  `one` is the value of the empty ideal, `add(value, i)` puts y_i
-    into every ideal a value stands for, and `join` unites two values.
-    The value of no ideal at all is `one * 0`: the empty list when the
-    values are lists (of masks or of coefficients), 0 when they are
-    counts.  The snake runs this scan too, over theta of its word."""
-    pair = []
-    none = one * 0
-    for first in (1, 0):
-        inside, outside = (add(one, 0), none) if first else (none, one)
-        for i, letter in enumerate(word, start=1):
-            if letter == "1":  # y_i covers y_{i-1}: y_i joins only after it
-                inside, outside = add(inside, i), join(inside, outside)
-            else:  # y_{i-1} covers y_i: y_{i-1} in the ideal forces y_i in
-                inside, outside = add(join(inside, outside), i), outside
-        pair.append(join(inside, outside))
-    return pair
-
-
-def _times_q(poly, i):
-    """A dense size polynomial with one more element: times q."""
-    return [0] + poly
+    """[value over the ideals containing y_0, value over the rest], by one
+    scan along the path, last element to first, that keeps one value per
+    membership of the element reached last, since only it constrains the
+    next one.  `one` is the value of the empty ideal, `add(value, i)` puts
+    y_i into every ideal a value stands for, and `join` unites two values.
+    The snake runs this scan too, over theta of its word."""
+    inside, outside = add(one, len(word)), one
+    for i in range(len(word) - 1, -1, -1):
+        if word[i] == "1":  # y_{i+1} covers y_i: y_{i+1} in forces y_i in
+            inside, outside = add(join(inside, outside), i), outside
+        else:  # y_i covers y_{i+1}: y_i in forces y_{i+1} in
+            inside, outside = add(inside, i), join(inside, outside)
+    return [inside, outside]
 
 
 def _statistics(word):
     """The statistics pair of every model, over its own word: the path scan
-    on dense size polynomials over the ideals of the fence of `word`."""
-    return tuple(map(Poly, _path_scan(word, [1], _times_q, _plus)))
+    on packed size polynomials over the ideals of the fence of `word`.
+
+    Each size polynomial is packed into one integer, its value at
+    q = 2^width (Kronecker substitution, as in `qpoly._q_product_vector`):
+    the empty ideal is 1, adding an element is a shift by `width` bits
+    and a join is one addition.  The width is exact.  Every value met
+    counts a set of ideals of a suffix y_i, ..., y_n of the fence, so its
+    coefficients are nonnegative and at most its value at q = 1.  At
+    q = 1 a letter 1 maps (inside, outside) to (inside + outside,
+    outside) and a letter 0 to (inside, inside + outside), so the total
+    inside + outside never falls along the scan, and the last join, made
+    at y_0 over the ideals of y_1, ..., y_n, becomes one side of the
+    pair.  By the counting theorem the pair is (r, s) for the word's
+    rational r/s, the last of `cf._suffix_pairs`, found in O(n) integer
+    additions.  So every value met is at most max(r, s); `width` bits,
+    the least multiple of 8 with max(r, s) < 2^width, hold every
+    coefficient, and no join carries into the next one.
+    `Poly.from_packed` unpacks each side."""
+    width = (max(_suffix_pairs(word)[-1]).bit_length() + 7) // 8 * 8
+    return tuple(
+        Poly.from_packed(side, width) for side in _path_scan(word, 1, lambda v, i: v << width, add)
+    )
 
 
 def enumerate_ideals(fence):
@@ -185,7 +196,7 @@ def ideals_by_subset_filter(fence):
 def ideal_statistics(fence):
     """(sum over ideals containing y_0, sum over the rest) of q^|I|.
 
-    The path scan on dense size polynomials; no ideal is listed.
+    The path scan on packed size polynomials; no ideal is listed.
 
     >>> tuple(str(p) for p in ideal_statistics(Fence("")))
     ('q', '1')

@@ -15,7 +15,7 @@ polynomial of a snake graph.  That area theorem is checked by
 
 from .cf import _convergents
 from .qpoly import Poly, _q_product_vector
-from .words import check_word, gamma, is_christoffel
+from .words import _gamma, check_word, is_christoffel
 
 __all__ = [
     "markoff_numbers_upto",
@@ -115,15 +115,20 @@ def markoff_snake_word(w):
     >>> markoff_snake_word("00101")
     '0000110000'
     """
-    check_word(w)
-    return "0" + gamma(w[1:-1]) + "0"
+    return _snake_word(check_word(w))
+
+
+def _snake_word(w):
+    """markoff_snake_word of a checked word."""
+    return "0" + _gamma(w[1:-1]) + "0"
 
 
 def markoff_row(w):
     """Table row: word, Markoff number, q-polynomial, and for proper
     words the snake word with its matching count.  The number is the
     q-polynomial's value at q = 1, and by the area theorem at q = 1 so is
-    the matching count: a row runs one product and no scan."""
+    the matching count: a row runs one product and no scan, and checks
+    its word once, in `q_markoff`."""
     poly = q_markoff(w)
     number = poly.eval_at_one()
     proper = len(w) >= 2
@@ -131,6 +136,6 @@ def markoff_row(w):
         "word": w,
         "number": number,
         "q_polynomial": poly,
-        "snake_word": markoff_snake_word(w) if proper else None,
+        "snake_word": _snake_word(w) if proper else None,
         "matching_count": number if proper else None,
     }

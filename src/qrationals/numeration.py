@@ -13,9 +13,9 @@ r_k exactly once.  Digits are stored least-significant (b_0) first.
 
 `fence.psi` takes the ideals of the fence of W(a) onto these vectors,
 keeping size (|I| = b_0 + ... + b_{k-1}) and side (y_0 in I iff b is
-filled), so the digit statistics are the fence's statistics scan
-(`fence._statistics`) over W(a).  Both expansions of a rational,
-[..., a, 1] and [..., a + 1], have one W(a).  `enumerate_admissible` is
+filled), so the digit statistics are the fence's statistics scan on
+packed size polynomials (`fence._statistics`) over W(a).  Both
+expansions of a rational, [..., a, 1] and [..., a + 1], have one W(a).  `enumerate_admissible` is
 the digit model's reference lister; its split into the filled and the
 empty vectors, `partition`, is an oracle and lives in `_oracle`.
 """
@@ -61,6 +61,16 @@ def _violation(b, a):
     return None
 
 
+def _admissible(b, a):
+    """(b, a) as checked ints, refusing digits not admissible for a."""
+    b = _cf._integers(b, "b")
+    a = _cf.check_cf(a)
+    broken = _violation(b, a)
+    if broken:
+        raise ValueError("digits not admissible for an expansion of length %d: %s" % (len(a), broken))
+    return b, a
+
+
 def _rule_holds(i, prev, digit, a):
     """Admissibility rule i > 0 on the digit pair (b_{i-1}, b_i) = (prev, digit)."""
     if i % 2 == 1:
@@ -99,8 +109,13 @@ def enumerate_admissible(a):
 
 def is_filled(b, a):
     """Membership in the distinguished half of the partition:
-    either 0 < b_0, or b_0 = a_0 = 0 < b_1 = a_1."""
-    return _filled(b, _cf.check_cf(a))
+    either 0 < b_0, or b_0 = a_0 = 0 < b_1 = a_1.  Digits that are not
+    admissible for a are refused, as by `val`.
+
+    >>> is_filled((0, 1), (0, 1)), is_filled((0, 0), (0, 1))
+    (True, False)
+    """
+    return _filled(*_admissible(b, a))
 
 
 def _filled(b, a):
@@ -117,11 +132,7 @@ def val(b, a):
     >>> val((2, 2, 2, 2), (2, 2, 2, 2))
     -24
     """
-    b = _cf._integers(b, "b")
-    a = _cf.check_cf(a)
-    broken = _violation(b, a)
-    if broken:
-        raise ValueError("digits not admissible for an expansion of length %d: %s" % (len(a), broken))
+    b, a = _admissible(b, a)
     r = _cf.r_sequence(a)
     return sum((-1) ** i * bi * r[i + 1] for i, bi in enumerate(b))
 

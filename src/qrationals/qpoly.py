@@ -1,8 +1,9 @@
 """Polynomials in q with integer coefficients, and q-rationals.
 
 A polynomial (`Poly`) is its dense coefficient tuple c_0, ..., c_d with
-c_d != 0: the form the kernel below unpacks and the statistic scans of
-the three models build, each through the one constructor.
+c_d != 0: the form into which `Poly.from_packed` reads back the packed
+integers of the kernel below and of the statistics scan of the three
+models (`fence._statistics`), each through the one constructor.
 
 The q-analog of a positive rational r/s replaces the elementary matrices
 L = [[1,0],[1,1]] and R = [[1,1],[0,1]] in the continued-fraction product
@@ -29,7 +30,7 @@ addition carries into the next one.
 
 The two stages after the product run as a few calls each rather than a
 Python step per coefficient: `Poly.from_packed` splits the bytes of the
-packing into its B-bit fields with one `struct.Struct`, and `str` writes
+packing into its B-bit fields with one `struct` call, and `str` writes
 a polynomial of eight or more terms with one format string repeated per
 term, then drops the "1" of each coefficient +-1.
 """
@@ -37,7 +38,7 @@ term, then drops the "1" of each coefficient +-1.
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import add
-from struct import Struct
+from struct import Struct, unpack
 
 from . import cf as _cf
 
@@ -77,18 +78,27 @@ class Poly:
     def from_packed(cls, x, width):
         """The polynomial whose coefficient of q^e is bits e*width up to
         (e+1)*width of the integer x >= 0, for width a multiple of 8: the
-        packing of `_q_product_vector` read back.  The little-endian bytes
-        of x are split into fields by one `Struct` call, each field read by
-        `int.from_bytes`; at width 8 the bytes are the coefficients.
+        packing of `_q_product_vector` and `fence._statistics` read back.
+        At width 8 the little-endian bytes of x are the coefficients; at
+        16, 32 and 64 one standard-size `struct.unpack` reads them as
+        unsigned fields; at any other width they are split into fields by
+        one `Struct` call, each field read by `int.from_bytes`.
 
+        >>> Poly.from_packed(0x03_00_01, 8).dense
+        (1, 0, 3)
         >>> Poly.from_packed(0x0003_0000_0102, 16).dense
         (258, 0, 3)
+        >>> Poly.from_packed(0x000003_000000_010203, 24).dense
+        (66051, 0, 3)
         """
         size = width // 8
         count = -(-x.bit_length() // width)
         data = x.to_bytes(count * size, "little")
         if size == 1:
             return cls(data)
+        code = _FIELD_CODES.get(size)
+        if code:
+            return cls(unpack("<%d%s" % (count, code), data))
         return cls(map(int.from_bytes, Struct("%ds" % size * count).unpack(data), repeat("little")))
 
     @property
@@ -175,6 +185,9 @@ class Poly:
 # per-term loop costs less than building and fixing up one format.
 _FEW_TERMS = 8
 _FORMATS = {"*": ("%+d*q^%d", "%+d*q", "+1*q", "-1*q"), "": ("%+dq^%d", "%+dq", "+1q", "-1q")}
+
+# The standard-size unsigned struct codes of 2-, 4- and 8-byte fields.
+_FIELD_CODES = {2: "H", 4: "I", 8: "Q"}
 
 ZERO = Poly()
 ONE = Poly((1,))

@@ -28,7 +28,7 @@ matching lattice of a planar bipartite graph (Propp, "Lattice structure
 for orientations of graphs", 2002).  So the snake runs the fence's scan
 (`fence._path_scan`) over theta(w): on edge masks, starting from the
 basic matching and twisting each cell it takes, it lists the matchings;
-on dense size polynomials (`fence._statistics`) it gives the area
+on packed size polynomials (`fence._statistics`) it gives the area
 statistics, since area is size; on ints, the counts.  A matching is
 perpendicular iff its ideal holds y_0: iff it is off the basic one on edge 0.
 What keeps the snake honest shares no code with the scan: the backtracking
@@ -260,7 +260,7 @@ def matchings_by_backtracking(g):
 
 def matching_statistics(g):
     """(sum over perpendicular, sum over parallel) of q^area: the fence's
-    scan over theta(w) on dense size polynomials, since the area of a
+    scan over theta(w) on packed size polynomials, since the area of a
     matching is the size of its ideal; no matching is listed.
 
     >>> tuple(str(p) for p in matching_statistics(Snake("0100")))

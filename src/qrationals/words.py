@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 _COMPLEMENT = str.maketrans("01", "10")
+_GAMMA = str.maketrans({"0": "00", "1": "0110"})
 
 
 def _summary(text, allowed):
@@ -117,8 +118,12 @@ def gamma(w):
     >>> gamma("010")
     '00011000'
     """
-    check_word(w)
-    return "".join("00" if c == "0" else "0110" for c in w)
+    return _gamma(check_word(w))
+
+
+def _gamma(w):
+    """gamma of a checked word."""
+    return w.translate(_GAMMA)
 
 
 def gamma_prime(w):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 import qrationals
-from qrationals import _oracle, cli, fence, qpoly, snake, verify
+from qrationals import _oracle, cli, fence, markoff, qpoly, snake, verify, words
 from qrationals._oracle import Mat2
 from qrationals.cf import rational_of_word, rationals_with_sum_upto
 from qrationals.cli import main
@@ -925,6 +925,28 @@ def test_markoff_table_word_length_limit(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == "error: the snake word of the Markoff word has 6 letters, over the limit of 4 letters\n"
     assert run(capsys, "markoff", "--word", "011")[0] == 0
+
+
+def test_markoff_table_builds_its_snake_word_once(capsys, monkeypatch):
+    built = []
+
+    def counted(w):
+        built.append(w)
+        return words._gamma(w)
+
+    monkeypatch.setattr(markoff, "_gamma", counted)
+    code, out, _ = run(capsys, "markoff", "--word", "0010101", "--table")
+    assert code == 0 and "\t0000110000110000\t" in out
+    assert built == ["01010"]
+
+
+def test_markoff_table_refuses_a_word_that_is_not_binary_before_its_length(capsys, monkeypatch):
+    # 0a10 has 4 letters, and a snake word of 8 by its inner letters
+    monkeypatch.setattr(cli, "MAX_WORD_LENGTH", 4)
+    monkeypatch.setattr(cli, "markoff_row", None)
+    code, out, err = run(capsys, "markoff", "--word", "0a10", "--table")
+    assert (code, out) == (2, "")
+    assert err == "error: not a binary word: 'a' at position 2 of 4\n"
 
 
 @pytest.mark.parametrize("word", ("00101", "11011"))

@@ -178,6 +178,23 @@ def test_markoff_of_checks_its_word_once(monkeypatch):
     assert len(calls) == len(christoffel_words)
 
 
+def test_markoff_row_checks_its_word_once(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return check_word(w)
+
+    christoffel_words = _christoffel_words(30)
+    snake_words = [markoff_snake_word(w) if len(w) >= 2 else None for w in christoffel_words]
+    # markoff binds check_word by name, so both bindings are counted
+    monkeypatch.setattr("qrationals.words.check_word", counted)
+    monkeypatch.setattr(markoff, "check_word", counted)
+    rows = [markoff_row(w) for w in christoffel_words]
+    assert len(calls) == len(christoffel_words)
+    assert [row["snake_word"] for row in rows] == snake_words
+
+
 def test_every_proper_word_length_five_satisfies_the_area_theorem():
     for n in range(2, 6):
         for p in range(1, n):

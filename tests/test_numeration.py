@@ -101,6 +101,21 @@ def test_filled_rule_depends_on_the_leading_term():
 
 
 @pytest.mark.parametrize(
+    "b, a, message",
+    (
+        ((0.5, 0), (1, 1), "b_0 is not an integer"),
+        (("a",), (1,), "b_0 is not an integer"),
+        ((5, 9), (1, 1), "digits not admissible for an expansion of length 2: b_0 is outside [0, a_0]"),
+        ((), (1, 1), "digit vector has length 0, expansion 2"),
+    ),
+)
+def test_is_filled_refuses_digits_that_are_not_admissible(b, a, message):
+    with pytest.raises(ValueError) as refused:
+        is_filled(b, a)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
     "a, lo, hi",
     (
         ((2, 2, 2), 0, 17),

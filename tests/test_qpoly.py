@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 
 from hypothesis import example, given, settings, strategies as st
@@ -130,6 +131,19 @@ def packings(draw):
 def test_from_packed_is_a_divmod_unpack(packing):
     x, width = packing
     assert Poly.from_packed(x, width).dense == _unpack_by_divmod(x, width)
+
+
+@pytest.mark.parametrize("size", (1, 2, 3, 4, 5, 8, 9))
+def test_from_packed_reads_every_field_size_at_its_extremes(size):
+    # one field size per branch of from_packed: bytes, a standard struct
+    # code (2, 4, 8) or a field read by int.from_bytes; each field is 0 or
+    # all ones, so a field read at the wrong offset or width shows
+    width = 8 * size
+    top = (1 << width) - 1
+    for count in range(7):
+        for fields in product((0, top), repeat=count):
+            x = sum(c << e * width for e, c in enumerate(fields))
+            assert Poly.from_packed(x, width).dense == _unpack_by_divmod(x, width)
 
 
 def _format_by_terms(coefficients, star):

@@ -2,16 +2,18 @@
 fence's scan, run over the fence's word for the ideals, over W(a) for the
 digit vectors of either expansion and over theta of the snake's word for
 the matchings.  It equals the listings on short words and the matrix pair
-on long ones, never reaches an enumerator, and counts on ints."""
+on long ones; its packed statistics equal the same scan on dense lists;
+it never reaches an enumerator, and it counts on ints."""
 
 from fractions import Fraction
+from random import Random
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from qrationals import _oracle, cli, fence, markoff, numeration, snake, verify
-from qrationals.cf import cf_even, cf_odd, cf_value, rational_of_word
-from qrationals.qpoly import theorem_pair
+from qrationals.cf import cf_even, cf_odd, cf_value, rational_of_word, word_of
+from qrationals.qpoly import Poly, _plus, theorem_pair
 from qrationals.verify import PREFIXES_84_37, SUFFIXES_84_37, _tally
 from qrationals.words import all_words, theta
 
@@ -73,6 +75,27 @@ def test_scans_equal_the_matrix_pair_on_long_words(w):
 @settings(max_examples=8, deadline=None)
 def test_scans_equal_the_matrix_pair_on_tall_partial_quotients(a):
     _check_scans_against_the_matrix_pair(a)
+
+
+def _dense_statistics(word):
+    """The statistics scan on dense coefficient lists: the empty ideal is
+    [1], an element more is [0] + poly and a join adds coefficientwise."""
+    return tuple(map(Poly, fence._path_scan(word, [1], lambda poly, i: [0] + poly, _plus)))
+
+
+def test_packed_scan_equals_the_dense_scan_on_short_words():
+    for w in all_words(14):
+        assert fence._statistics(w) == _dense_statistics(w), w
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_packed_scan_equals_the_dense_scan_on_long_and_tall_words(seed):
+    rng = Random(seed)
+    long_word = "".join(rng.choice("01") for _ in range(rng.randint(200, 400)))
+    # [a_0; a_1, ..., a_{k-1}] with quotients up to 300, k even
+    tall = (rng.randint(0, 300),) + tuple(rng.randint(1, 300) for _ in range(2 * rng.randint(1, 2) - 1))
+    for w in (long_word, word_of(tall)):
+        assert fence._statistics(w) == _dense_statistics(w)
 
 
 @pytest.fixture
