@@ -8,7 +8,8 @@ the tests do.  Each oracle computes a result the slow and obvious way:
   L_q = [[q, 0], [q, 1]] and R_q = [[q, 1], [0, 1]] (`mat2_product_vector`,
   `matrix_q_rational`), the monoid maps `nu_q` and `mu_q`, and the (X, Y)
   recurrences and the transpose conjugation they satisfy;
-* the matching-to-ideal map by its one-cell recursion (`phi_by_pop`);
+* the matching-to-ideal map by its one-cell recursion (`phi_by_pop`),
+  and a matching's side by its first step (`first_cell_perp`);
 * the digit model's split of its reference listing into the filled and
   the empty vectors (`partition`);
 * the area theorem of q-Markoff polynomials, held against the snake's
@@ -192,10 +193,15 @@ def phi_by_pop(m, word):
     matching is perpendicular, pop the first cell, shift the rest up."""
     if not word:
         return 0 if m == _UNIT_VERTICALS else 1
-    horizontal = ((0, 0), (1, 0)) in m
-    perp = horizontal if len(word) % 2 == 0 else not horizontal
     rest = phi_by_pop(_pop_first_cell(m, word[0]), word[1:])
-    return rest << 1 | int(perp)
+    return rest << 1 | first_cell_perp(((0, 0), (1, 0)) in m, word)
+
+
+def first_cell_perp(horizontal, word):
+    """The side of a matching of the snake of `word`, read off its first
+    cell: perpendicular iff it holds the cell's bottom edge ((0, 0), (1, 0))
+    exactly when the word has even length."""
+    return horizontal == (len(word) % 2 == 0)
 
 
 def partition(a):

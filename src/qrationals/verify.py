@@ -5,14 +5,14 @@ frozen golden values.  The slow reference paths that no production code
 needs live in `_oracle`, which only this module and the tests import.
 `run_checks` executes them in order and collects (name, passed,
 message, seconds) rows; the CLI exposes this as `verify` and the test suite
-calls the same functions one per acceptance criterion.
+calls the same functions one per acceptance criterion.  Every failed claim
+raises through `_expect`, in one format that names the claim and its input.
 
 The `desk` level covers every documented bound; `deep` raises them a
 notch for longer runs.
 """
 
 from fractions import Fraction
-from itertools import zip_longest
 from time import perf_counter
 
 from . import _oracle
@@ -121,8 +121,17 @@ MARKOFF_UPTO_5000 = [
 # fmt: on
 
 
-def _fail(message):
-    raise AssertionError(message)
+def _expect(claim, case, got, want=True):
+    """The one failure path of every check: pass if got == want, else raise
+    AssertionError("<claim> fails on <case>: got <got>, expected <want>").
+    Of two lists, it names the first index where they differ and shows the
+    one-item slices there.  The message is built only on failure."""
+    if got == want:
+        return
+    if isinstance(got, list) and isinstance(want, list):
+        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+        case, got, want = "%s at index %d" % (case, i), got[i:i + 1], want[i:i + 1]
+    raise AssertionError("%s fails on %s: got %s, expected %s" % (claim, case, got, want))
 
 
 def check_qrational_goldens(level="desk"):
@@ -130,16 +139,10 @@ def check_qrational_goldens(level="desk"):
     same pairs from the Mat2 product."""
     for x, expected in QRAT_GOLDENS:
         qx = _qp.q_rational(x)
-        got = qx.fraction_str()
-        if got != expected:
-            _fail("q-analog of %s printed %r, expected %r" % (x, got, expected))
-        oracle = _oracle.matrix_q_rational(_cf.cf_even(x))
-        if oracle != qx:
-            _fail("q-analog of %s is %s, the Mat2 product gives %s" % (x, qx, oracle))
+        _expect("the q-analog golden", x, qx.fraction_str(), expected)
+        _expect("the q-analog against the Mat2 product", x, qx, _oracle.matrix_q_rational(_cf.cf_even(x)))
     pair = _qp.theorem_pair(_cf.cf_even(Fraction(4, 5)))
-    shown = tuple(str(p) for p in pair)
-    if shown != ("q^5+q^4+q^3+q^2", "q^4+q^3+q^2+q+1"):
-        _fail("matrix pair of 4/5 printed %r" % (shown,))
+    _expect("the matrix pair golden", "4/5", tuple(map(str, pair)), ("q^5+q^4+q^3+q^2", "q^4+q^3+q^2+q+1"))
 
 
 def check_numeration_goldens(level="desk"):
@@ -149,83 +152,53 @@ def check_numeration_goldens(level="desk"):
         ((2, 2, 2, 2), TABLE_2222),
         ((1, 1, 1, 1, 1, 1), TABLE_NEGAFIB),
     ):
-        rows = _num.numeration_rows(a)
-        if rows != list(table):
-            for got, want in zip(rows, table):
-                if got != want:
-                    _fail("table for %s: got %s, expected %s" % (a, got, want))
-            _fail("table for %s has %d rows, expected %d" % (a, len(rows), len(table)))
+        _expect("the numeration table", a, _num.numeration_rows(a), list(table))
 
 
 def _check_val_bijection(a):
     seqs = _num.enumerate_admissible(a)
     lo, hi = _num.z_interval(a)
     values = [_num.val(b, a) for b in seqs]
-    if sorted(values) != list(range(lo, hi)):
-        _fail("val image for %s is not the interval [%d, %d)" % (a, lo, hi))
-    for b, n in zip(seqs, values):
-        if _num.rep(n, a) != b:
-            _fail("rep(%d) for %s gave %s, expected %s" % (n, a, _num.rep(n, a), b))
+    _expect("the val image", a, sorted(values), list(range(lo, hi)))
+    _expect("rep after val", a, [_num.rep(n, a) for n in values], seqs)
 
 
 def _check_psi(x):
     a = _cf.cf_even(x)
-    f = _fence.fence_of_rational(x)
-    ideals = _fence.enumerate_ideals(f)
-    images = []
-    for mask in ideals:
-        b = _fence.psi(mask, a)
-        if not _num.is_admissible(b, a):
-            _fail("psi image %s of %s not admissible for %s" % (b, bin(mask), a))
-        if sum(b) != bin(mask).count("1"):
-            _fail("psi does not preserve size on %s" % bin(mask))
-        if _num._filled(b, a) != bool(mask & 1):  # b was checked just above
-            _fail("psi does not preserve the partition on %s" % bin(mask))
-        if _fence.psi_inverse(b, a) != mask:
-            _fail("psi_inverse(psi) != id on %s for %s" % (bin(mask), a))
-        images.append(b)
-    if sorted(images) != sorted(_num.enumerate_admissible(a)):
-        _fail("psi is not onto B(%s)" % (a,))
+    ideals = _fence.enumerate_ideals(_fence.fence_of_rational(x))
+    images = [_fence.psi(mask, a) for mask in ideals]
+    _expect("psi's image in B", x, [b for b in images if not _num.is_admissible(b, a)], [])
+    _expect("psi keeping size", x, [sum(b) for b in images], [mask.bit_count() for mask in ideals])
+    sides = [_num._filled(b, a) for b in images]  # each b was checked above
+    _expect("psi keeping the side", x, sides, [bool(mask & 1) for mask in ideals])
+    _expect("psi_inverse after psi", x, [_fence.psi_inverse(b, a) for b in images], ideals)
+    _expect("psi onto B", x, sorted(images), sorted(_num.enumerate_admissible(a)))
 
 
 def _check_phi(x, r, s):
     g = _snake.snake_of_rational(x)
-    f = _fence.fence_of_rational(x)
     matchings = _snake.enumerate_matchings(g)
-    if len(matchings) != r + s:
-        _fail("snake of %s has %d matchings, expected %d" % (x, len(matchings), r + s))
-    perp = sum(1 for m in matchings if g.classify(m) == "perp")
-    if (perp, len(matchings) - perp) != (r, s):
-        _fail("snake of %s split %s, expected %s" % (x, (perp, len(matchings) - perp), (r, s)))
-    images = set()
-    for m in matchings:
-        ideal = _snake.phi(g, m)
-        popped = _oracle.phi_by_pop(frozenset(_snake.matching_edges(g, m)), g.word)
-        if ideal != popped:
-            _fail(
-                "phi of matching %s on the snake of %s is %s, the pop recursion gives %s"
-                % (bin(m), x, bin(ideal), bin(popped))
-            )
-        if g.area(m) != bin(ideal).count("1"):
-            _fail("phi does not preserve area/size on %s" % x)
-        if (g.classify(m) == "perp") != bool(ideal & 1):
-            _fail("phi does not preserve the dichotomy on %s" % x)
-        images.add(ideal)
-    if images != set(_fence.enumerate_ideals(f)):
-        _fail("phi images differ from the ideals of the fence of %s" % x)
+    sides = [g.classify(m) == "perp" for m in matchings]
+    _expect("the counting theorem", x, (sum(sides), len(sides) - sum(sides)), (r, s))
+    ideals = [_snake.phi(g, m) for m in matchings]
+    popped = [_oracle.phi_by_pop(frozenset(_snake.matching_edges(g, m)), g.word) for m in matchings]
+    _expect("phi against the pop recursion", x, ideals, popped)
+    _expect("phi keeping area as size", x, [g.area(m) for m in matchings], [i.bit_count() for i in ideals])
+    _expect("phi keeping the side", x, sides, [bool(i & 1) for i in ideals])
+    _expect("phi onto the ideals", x, set(ideals), set(_fence.enumerate_ideals(_fence.fence_of_rational(x))))
 
 
 def _check_order_preservation(x):
     a = _cf.cf_even(x)
-    f = _fence.fence_of_rational(x)
-    ideals = _fence.enumerate_ideals(f)
+    ideals = _fence.enumerate_ideals(_fence.fence_of_rational(x))
     digit = {mask: _fence.psi(mask, a) for mask in ideals}
     for i in ideals:
-        for j in ideals:
-            inc = i | j == j
-            le = all(p <= q for p, q in zip(digit[i], digit[j]))
-            if inc != le:
-                _fail("psi is not an order isomorphism for %s" % x)
+        _expect(
+            "psi as an order isomorphism",
+            "ideal %s of %s" % (bin(i), x),
+            [i | j == j for j in ideals],
+            [all(p <= q for p, q in zip(digit[i], digit[j])) for j in ideals],
+        )
     g = _snake.snake_of_rational(x)
     matchings = _snake.enumerate_matchings(g)
     region = {m: frozenset(g.enclosed_cells(m)) for m in matchings}
@@ -237,18 +210,21 @@ def _check_order_preservation(x):
     # iff their popped ideals differ by element j alone
     cell_of_twist = {sum(1 << e for e in square): j for j, square in enumerate(g.squares)}
     for m1 in matchings:
-        for m2 in matchings:
-            inc = region[m1] <= region[m2]
-            le = popped[m1] | popped[m2] == popped[m2]
-            if inc != le:
-                _fail("phi is not an order isomorphism for %s" % x)
-            diff = popped[m1] ^ popped[m2]
-            element = diff.bit_length() - 1 if diff and not diff & diff - 1 else None
-            if cell_of_twist.get(m1 ^ m2) != element:
-                _fail(
-                    "matchings %s and %s of the snake of %s break the face-twist rule"
-                    % (bin(m1), bin(m2), x)
-                )
+        case = "matching %s of the snake of %s" % (bin(m1), x)
+        ideal = popped[m1]
+        diffs = [ideal ^ popped[m2] for m2 in matchings]
+        _expect(
+            "the face-twist rule",
+            case,
+            [cell_of_twist.get(m1 ^ m2) for m2 in matchings],
+            [d.bit_length() - 1 if d and not d & d - 1 else None for d in diffs],
+        )
+        _expect(
+            "phi as an order isomorphism",
+            case,
+            [region[m1] <= region[m2] for m2 in matchings],
+            [ideal | popped[m2] == popped[m2] for m2 in matchings],
+        )
 
 
 def check_bijections(level="desk"):
@@ -287,11 +263,13 @@ def check_three_statistics(level="desk"):
     scan, so all are held by references that share no code with it:
     `theorem_pair` here; the digit descent of `enumerate_admissible`,
     split into its two sides by `_oracle.partition`; the snake's area,
-    read by `enclosed_cells` off each listed matching; the subset filter
-    and the backtracking matcher in `check_oracles`; and `phi_by_pop` in
-    `check_bijections`, which also holds the side `classify` reads.  The
-    expansion, the word, the fence and the snake of each rational are
-    built once and serve both paths."""
+    read by `enclosed_cells` off each listed matching, and its side, read
+    by `_oracle.first_cell_perp` off the first cell's bottom edge (the
+    first step of `phi_by_pop`) rather than off the basic matching the
+    listing starts from; the subset filter and the backtracking matcher in
+    `check_oracles`; and `phi_by_pop` in `check_bijections`, which also
+    holds the side `classify` reads.  The expansion, the word, the fence
+    and the snake of each rational are built once and serve both paths."""
     b = BOUNDS[level]
     for x in _cf.rationals_with_sum_upto(b["stats_sum"]):
         a = _cf.cf_even(x)
@@ -300,6 +278,8 @@ def check_three_statistics(level="desk"):
         g = _snake.Snake(_words.theta(w))
         reference = _qp.theorem_pair(a)
         filled, empty = _oracle.partition(a)
+        matchings = _snake.enumerate_matchings(g)
+        bottom = g.edges.index(((0, 0), (1, 0)))  # the first cell's bottom edge
         paths = {
             "admissible vectors": (
                 _num.norm1_statistics(a),
@@ -307,20 +287,16 @@ def check_three_statistics(level="desk"):
             ),
             "order ideals": (
                 _fence.ideal_statistics(f),
-                _tally([(bool(m & 1), bin(m).count("1")) for m in _fence.enumerate_ideals(f)]),
+                _tally([(bool(m & 1), m.bit_count()) for m in _fence.enumerate_ideals(f)]),
             ),
             "matchings": (
                 _snake.matching_statistics(g),
-                _tally([(g.classify(m) == "perp", g.area(m)) for m in _snake.enumerate_matchings(g)]),
+                _tally([(_oracle.first_cell_perp(m >> bottom & 1, g.word), g.area(m)) for m in matchings]),
             ),
         }
-        for name, (scanned, listed) in paths.items():
-            for path, pair in (("transfer scan", scanned), ("enumeration", listed)):
-                if pair != reference:
-                    _fail(
-                        "%s statistics of %s by %s disagree with the matrix pair: %s vs %s"
-                        % (name, x, path, tuple(map(str, pair)), tuple(map(str, reference)))
-                    )
+        for name, pairs in paths.items():
+            for path, pair in zip(("transfer scan", "enumeration"), pairs):
+                _expect("%s statistics by %s" % (name, path), x, pair, reference)
 
 
 def _counted_table(w):
@@ -339,31 +315,21 @@ def check_prefix_suffix(level="desk"):
     prefixes meet the convergents, suffixes walk the subtractive Euclid chain."""
     for x in _cf.rationals_with_sum_upto(BOUNDS[level]["table_sum"]):
         table = _snake.prefix_suffix_table(x)
-        w = table["word"]
-        for side, want in _counted_table(w).items():
-            for j, (got, row) in enumerate(zip_longest(table[side + "es"], want)):
-                if got != row:
-                    _fail(
-                        "%s row %d of %s (word %r) is %s, the per-row scan gives %s"
-                        % (side, j, x, w, got, row)
-                    )
-    table = _snake.prefix_suffix_table(Fraction(84, 37))
-    if table["prefixes"] != PREFIXES_84_37:
-        _fail("84/37 prefix column %s" % (table["prefixes"],))
-    if table["suffixes"] != SUFFIXES_84_37:
-        _fail("84/37 suffix column %s" % (table["suffixes"],))
+        case = "%s (word %r)" % (x, table["word"])
+        for side, want in _counted_table(table["word"]).items():
+            _expect("the %s column against the per-row scan" % side, case, table[side + "es"], want)
+    x = Fraction(84, 37)
+    table = _snake.prefix_suffix_table(x)
+    _expect("the prefix column golden", x, table["prefixes"], PREFIXES_84_37)
+    _expect("the suffix column golden", x, table["suffixes"], SUFFIXES_84_37)
     pairs = set(table["prefixes"])
-    for p, q in CONVERGENTS_84_37:
-        if (p, q) not in pairs and (q, p) not in pairs:
-            _fail("convergent %d/%d missing from the prefix table" % (p, q))
+    _expect("the convergents in the prefix column", x, [c for c in CONVERGENTS_84_37 if not {c, c[::-1]} & pairs], [])
     chain = [(84, 37)]
     while chain[-1] != (1, 1):
         p, q = chain[-1]
         chain.append((p - q, q) if p > q else (p, q - p))
-    if table["suffixes"] != chain[::-1]:
-        _fail("84/37 suffixes do not follow the Euclid chain")
-    if _snake.prefix_suffix_table(1)["prefixes"] != [(1, 1)]:
-        _fail("table of 1 should be the single row (1, 1)")
+    _expect("the suffix column as the Euclid chain", x, table["suffixes"], chain[::-1])
+    _expect("the prefix column golden", 1, _snake.prefix_suffix_table(1)["prefixes"], [(1, 1)])
 
 
 def _proper_christoffel_words(max_length):
@@ -382,21 +348,13 @@ def check_markoff(level="desk"):
     """Markoff number list, the mu goldens, and q_markoff against mu_q and
     the area theorem over all proper Christoffel words."""
     b = BOUNDS[level]
-    got = markoff_numbers_upto(5000)
-    if got != MARKOFF_UPTO_5000:
-        _fail("markoff_numbers_upto(5000) = %s" % got)
-    if mu("00101") != ((463, 194), (284, 119)):
-        _fail("mu(00101) = %s" % (mu("00101"),))
-    if markoff_of("00101") != 194:
-        _fail("markoff_of(00101) = %d" % markoff_of("00101"))
-    total = sum(_snake.matching_counts("001100001100"))
-    if total != 433:
-        _fail("snake of 001100001100 has %d matchings, expected 433" % total)
+    _expect("the Markoff numbers golden", "5000", markoff_numbers_upto(5000), MARKOFF_UPTO_5000)
+    _expect("the mu golden", "'00101'", mu("00101"), ((463, 194), (284, 119)))
+    _expect("the Markoff number golden", "'00101'", markoff_of("00101"), 194)
+    _expect("the matching count golden", "'001100001100'", sum(_snake.matching_counts("001100001100")), 433)
     for w in _proper_christoffel_words(b["christoffel_len"]):
-        if q_markoff(w) != _oracle.mu_q(w).b:
-            _fail("q_markoff(%s) is %s, mu_q gives %s" % (w, q_markoff(w), _oracle.mu_q(w).b))
-        if not _oracle.verify_area_theorem(w[1:-1]):
-            _fail("area theorem fails for the Christoffel word %s" % w)
+        _expect("q_markoff against mu_q", repr(w), q_markoff(w), _oracle.mu_q(w).b)
+        _expect("the area theorem", repr(w), _oracle.verify_area_theorem(w[1:-1]))
 
 
 def _expansions(k_max, sum_max):
@@ -421,32 +379,20 @@ def check_polytope(level="desk"):
     the side counts list it."""
     b = BOUNDS[level]
     for a in _expansions(b["polytope_k"], b["polytope_sum"]):
-        report = _poly.convexity_report(a)
         points = _num.enumerate_admissible(a)  # B, listed once for both oracles
-        for field, want in _oracle.box_scan_report(a, points).items():
-            if report.get(field) != want:
-                _fail(
-                    "convexity report of %s has %s %r, the box-scan oracle gives %r"
-                    % (a, field, report.get(field), want)
-                )
-        if not _poly.verify_halfspace_split(a):
-            _fail("half-space split fails for %s" % (a,))
+        report = _poly.convexity_report(a)
+        _expect("the convexity report against the box scan", a, report, _oracle.box_scan_report(a, points))
+        _expect("the half-space split", a, _poly.verify_halfspace_split(a))
         k = len(a)
         if k % 2 == 0:
             filled, empty = [], []
             for v in points:
                 (filled if _num._filled(v, a) else empty).append(v)
             y, t = _poly.halfspace(a)
-            if any(_oracle.dot(y, v) >= t for v in empty) or any(
-                _oracle.dot(y, v) < t for v in filled
-            ):
-                _fail("half-space cut of %s disagrees with the listed partition" % (a,))
+            cut = [v for v in empty if _oracle.dot(y, v) >= t] + [v for v in filled if _oracle.dot(y, v) < t]
+            _expect("the half-space cut against the listed partition", a, cut, [])
             p, q = _cf.convergents(a)
-            if (len(filled), len(empty)) != (p[k], q[k]):
-                _fail(
-                    "side counts for %s are %s, expected %s"
-                    % (a, (len(filled), len(empty)), (p[k], q[k]))
-                )
+            _expect("the side counts", a, (len(filled), len(empty)), (p[k], q[k]))
 
 
 def _is_unimodal(seq):
@@ -464,52 +410,37 @@ def check_properties(level="desk"):
     identity."""
     b = BOUNDS[level]
     for w in _words.all_words(b["word_len"]):
-        if _words.theta(_words.theta(w)) != w:
-            _fail("theta is not an involution on %r" % w)
-        if _words.eta(_words.eta(w)) != w:
-            _fail("eta is not an involution on %r" % w)
-        if _words.hat(_words.hat(w)) != w:
-            _fail("hat is not an involution on %r" % w)
-        if _words.complement(_words.complement(w)) != w or _words.reversal(_words.reversal(w)) != w:
-            _fail("complement/reversal not involutive on %r" % w)
-        if _words.hat(_words.theta(w)) != _words.eta(_words.hat(w)):
-            _fail("theta/eta conjugacy fails on %r" % w)
-        if _words.theta(_words.complement(w)) != _words.complement(_words.theta(w)):
-            _fail("theta does not commute with complement on %r" % w)
-        x = _cf.rational_of_word(w)
-        if _cf.word_of(_cf.cf_even(x)) != w:
-            _fail("codec round trip fails on %r" % w)
+        case = repr(w)
+        for claim, flip in (
+            ("theta as an involution", _words.theta),
+            ("eta as an involution", _words.eta),
+            ("hat as an involution", _words.hat),
+            ("complement as an involution", _words.complement),
+            ("reversal as an involution", _words.reversal),
+        ):
+            _expect(claim, case, flip(flip(w)), w)
+        _expect("the theta/eta conjugacy", case, _words.hat(_words.theta(w)), _words.eta(_words.hat(w)))
+        flipped = _words.complement(_words.theta(w))
+        _expect("theta commuting with complement", case, _words.theta(_words.complement(w)), flipped)
+        _expect("the codec round trip", case, _cf.word_of(_cf.cf_even(_cf.rational_of_word(w))), w)
     for x in _cf.rationals_with_sum_upto(b["property_sum"]):
         a = _cf.cf_even(x)
         w = _cf.word_of(a)
-        if _cf.rational_of_word(w) != x:
-            _fail("codec round trip fails on %s" % x)
-        if _cf.word_of(_cf.cf_even(1 / x)) != _words.complement(w):
-            _fail("reciprocal/complement law fails on %s" % x)
+        _expect("the codec round trip", x, _cf.rational_of_word(w), x)
+        _expect("the reciprocal/complement law", x, _cf.word_of(_cf.cf_even(1 / x)), _words.complement(w))
         qx = _qp.q_rational(x)
         lowered = _oracle.mat2_product_vector(a[:-1] + (a[-1] - 1,), (_qp.ONE, _qp.ONE))
-        for display, oracle in (
-            ("q^-1 times the product on (1,0)", _oracle.matrix_q_rational(a)),
-            ("the lowered product on (1,1)", _qp.QRational(*lowered)),
-        ):
-            if oracle != qx:
-                _fail("q-analog of %s is %s, %s gives %s" % (x, qx, display, oracle))
-        if qx.at_one() != x or qx.den.eval_at_zero() != 1:
-            _fail("q-analog %s of %s has the wrong value at q = 1 or S(0) != 1" % (qx, x))
-        seq = list(sum(_qp.theorem_pair(a), _qp.ZERO).dense)
-        if not _is_unimodal(seq):
-            _fail("rank polynomial of %s is not unimodal: %s" % (x, seq))
-        if not _qp.q_shift_identity_check(x):
-            _fail("shift identity fails for %s" % x)
+        _expect("the q-analog against q^-1 times the product on (1,0)", x, qx, _oracle.matrix_q_rational(a))
+        _expect("the q-analog against the lowered product on (1,1)", x, qx, _qp.QRational(*lowered))
+        _expect("the q-analog's value at 1 and S(0)", x, (qx.at_one(), qx.den.eval_at_zero()), (x, 1))
+        _expect("unimodality of the rank polynomial", x, _is_unimodal(sum(_qp.theorem_pair(a), _qp.ZERO).dense))
+        _expect("the shift identity", x, _qp.q_shift_identity_check(x))
     for x in _cf.rationals_with_sum_upto(b["mirror_sum"]):
         g = _snake.snake_of_rational(x)
         h = _snake.snake_of_rational(1 / x)
-        if h.word != _words.complement(g.word):
-            _fail("mirror words differ for %s" % x)
-        if set(h.cells) != set((cy, cx) for cx, cy in g.cells):
-            _fail("mirror snake of %s is not the diagonal reflection" % x)
-        if len(_snake.enumerate_matchings(g)) != len(_snake.enumerate_matchings(h)):
-            _fail("mirror matching counts differ for %s" % x)
+        _expect("the mirror word", x, h.word, _words.complement(g.word))
+        _expect("the mirror snake as the diagonal reflection", x, set(h.cells), set((cy, cx) for cx, cy in g.cells))
+        _expect("the mirror matching count", x, len(_snake.enumerate_matchings(h)), len(_snake.enumerate_matchings(g)))
 
 
 def check_oracles(level="desk"):
@@ -518,12 +449,11 @@ def check_oracles(level="desk"):
     the backtracking matcher, which share no code with them, word by word."""
     b = BOUNDS[level]
     for w in _words.all_words(b["oracle_word_len"]):
+        case = repr(w)
         g = _snake.Snake(w)
-        if _snake.enumerate_matchings(g) != _snake.matchings_by_backtracking(g):
-            _fail("matching enumerators disagree on %r" % w)
+        _expect("the matching listing", case, _snake.enumerate_matchings(g), _snake.matchings_by_backtracking(g))
         f = _fence.Fence(w)
-        if _fence.enumerate_ideals(f) != _fence.ideals_by_subset_filter(f):
-            _fail("ideal enumerators disagree on %r" % w)
+        _expect("the ideal listing", case, _fence.enumerate_ideals(f), _fence.ideals_by_subset_filter(f))
 
 
 CHECKS = (
@@ -550,7 +480,7 @@ def run_checks(level="desk", report=None):
         try:
             func(level)
         except AssertionError as exc:
-            ok, msg = False, str(exc) or "internal invariant failed"
+            ok, msg = False, str(exc)
         except Exception as exc:
             ok, msg = False, "%s: %s" % (type(exc).__name__, exc)
         else:

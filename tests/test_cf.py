@@ -44,6 +44,20 @@ def test_expansions_of_both_parities(x, even, odd):
     assert cf_odd(x) == odd
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (lambda: cf_even(0), "need a positive rational, got 0"),
+        (lambda: cf_even(-1), "need a positive rational, got -1"),
+        (lambda: cf_odd(-1), "need a positive rational, got -1"),
+    ),
+)
+def test_expansions_refuse_a_rational_that_is_not_positive(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @given(rationals)
 def test_expansions_evaluate_back(x):
     assert cf_value(cf_even(x)) == x
@@ -208,6 +222,7 @@ def test_cf_bracket_syntax():
     assert cf_parse("[2;2,2]") == (2, 2, 2)
     assert cf_parse("[0;3,1,1]") == (0, 3, 1, 1)
     assert cf_str((2, 3, 1, 2, 2, 1)) == "[2;3,1,2,2,1]"
+    assert cf_str((3,)) == "[3]" and cf_parse("[3]") == (3,)
     with pytest.raises(ValueError):
         cf_parse("2;2,2")
     with pytest.raises(ValueError):

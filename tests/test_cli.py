@@ -1001,6 +1001,16 @@ def test_verify_text_reports_each_check_and_its_seconds(capsys, monkeypatch):
     assert re.fullmatch(r"PASS alpha \(\d+\.\d\d s\)\nFAIL beta \(\d+\.\d\d s\): ValueError: broke\n", out)
 
 
+def test_a_failed_claim_names_its_case_and_the_first_difference():
+    with pytest.raises(AssertionError, match=r"^the table fails on \(2, 2\) at index 1: got \[5\], expected \[4\]$"):
+        verify._expect("the table", (2, 2), [3, 5, 6], [3, 4, 6])
+    with pytest.raises(AssertionError, match=r"^the table fails on 1/2 at index 2: got \[\], expected \[6\]$"):
+        verify._expect("the table", Fraction(1, 2), [3, 4], [3, 4, 6])
+    with pytest.raises(AssertionError, match=r"^the split fails on 1/2: got False, expected True$"):
+        verify._expect("the split", Fraction(1, 2), False)
+    verify._expect("the pair", Fraction(1, 2), (1, 2), (1, 2))
+
+
 def test_corrupted_build_names_the_failing_check(monkeypatch):
     # a wrong lower matrix must be caught by the first golden check
     monkeypatch.setattr(_oracle, "L_q", lambda: Mat2(Q, ZERO, Q, Q))
@@ -1009,7 +1019,7 @@ def test_corrupted_build_names_the_failing_check(monkeypatch):
     assert passed is False
     assert rows[0][0] == "q-rational goldens"
     assert rows[0][1] is False
-    assert rows[0][2]
+    assert re.fullmatch(r"the q-analog (golden|against the Mat2 product) fails on 7/2: got .+, expected .+", rows[0][2])
 
 
 def test_corrupted_kernel_names_the_failing_check(monkeypatch):
@@ -1020,4 +1030,4 @@ def test_corrupted_kernel_names_the_failing_check(monkeypatch):
     assert passed is False
     assert rows[0][0] == "q-rational goldens"
     assert rows[0][1] is False
-    assert rows[0][2]
+    assert re.fullmatch(r"the q-analog (golden|against the Mat2 product) fails on 7/2: got .+, expected .+", rows[0][2])

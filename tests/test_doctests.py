@@ -100,6 +100,23 @@ def test_only_main_prints_in_the_cli():
     assert not lines, "print called outside main in %s at lines %s" % (path, lines)
 
 
+def test_verify_fails_through_one_helper():
+    # every check reports a failed claim through `_expect`, so each message
+    # has one format: no other code in verify raises AssertionError
+    path = inspect.getsourcefile(qrationals.verify)
+    tree = ast.parse(inspect.getsource(qrationals.verify), path)
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_fail" not in functions, "%s defines _fail again" % path
+    raises = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and any(isinstance(name, ast.Name) and name.id == "AssertionError" for name in ast.walk(node))
+    ]
+    helper = [node.lineno for node in ast.walk(functions["_expect"]) if isinstance(node, ast.Raise)]
+    assert len(raises) == 1 and raises == helper, "AssertionError raised in %s at lines %s" % (path, raises)
+
+
 def test_benchmark_entry_points_exist():
     # the benchmark reads the package by module attribute; a name deleted
     # from the package would crash it while every other test stays green

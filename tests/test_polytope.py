@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 from hypothesis import assume, given, settings, strategies as st
@@ -55,6 +56,18 @@ def test_fractional_interior_membership_on_custom_hulls():
     point = HullSystem([(5,)])
     assert in_hull((5,), point)
     assert not in_hull((4,), point)
+
+
+def test_the_inequalities_cut_out_more_than_the_hull():
+    # P, the box cut by the rows of `inequalities`, is not conv(B): for
+    # a = (1, 2, 1) it holds (0, 1, 1/2), and twice that point lies outside
+    # the hull of 2B
+    a = (1, 2, 1)
+    c = (Fraction(0), Fraction(1), Fraction(1, 2))
+    assert all(0 <= ci <= ai for ci, ai in zip(c, a))
+    assert all(sum(u * v for u, v in zip(y, c)) <= t for y, t in inequalities(a))
+    doubled = HullSystem([tuple(2 * d for d in b) for b in enumerate_admissible(a)])
+    assert not in_hull(tuple(2 * ci for ci in c), doubled)
 
 
 def test_hull_system_rejects_garbage():

@@ -336,6 +336,12 @@ def test_theorem_pair_is_the_shifted_fraction(x):
     assert pair == (qx.num.shift(1), qx.den)
 
 
+@pytest.mark.parametrize("a", ((1,), (3, 6, 1), (0, 1, 4)))
+def test_theorem_pair_refuses_an_odd_length_expansion(a):
+    with pytest.raises(ValueError, match="^even-length form required$"):
+        theorem_pair(a)
+
+
 @given(rationals)
 def test_shift_identity(x):
     assert q_shift_identity_check(x)

@@ -338,8 +338,9 @@ def test_each_matching_is_the_basic_matching_twisted_at_its_ideal():
 
 
 def test_order_check_holds_the_face_twist_rule(monkeypatch):
-    # popped ideals read with the elements in reverse order keep every
-    # inclusion, so only the face-twist rule can see them
+    # popped ideals read with the elements in reverse order break the
+    # face-twist rule; `phi_by_pop` recurses through the module, so every
+    # level is reversed and inclusions break too, but the rule is held first
     x = Fraction(5, 8)
     n = len(snake_word(x)) + 1
 
@@ -348,7 +349,8 @@ def test_order_check_holds_the_face_twist_rule(monkeypatch):
         return sum(1 << n - 1 - j for j in range(n) if ideal >> j & 1)
 
     monkeypatch.setattr(_oracle, "phi_by_pop", reversed_pop)
-    with pytest.raises(AssertionError, match="of the snake of 5/8 break the face-twist rule"):
+    named = r"^the face-twist rule fails on matching 0b[01]+ of the snake of 5/8 at index \d+: got "
+    with pytest.raises(AssertionError, match=named):
         verify._check_order_preservation(x)
 
 

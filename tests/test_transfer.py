@@ -235,7 +235,9 @@ def test_table_check_names_the_rational_side_and_row(monkeypatch):
     passed, rows = verify.run_checks("desk")
     assert passed is False
     assert rows[0][:2] == ("prefix/suffix table", False)
-    assert rows[0][2] == "suffix row 1 of 1/2 (word '1') is (2, 1), the per-row scan gives (1, 2)"
+    assert rows[0][2] == (
+        "the suffix column against the per-row scan fails on 1/2 (word '1') at index 1: got [(2, 1)], expected [(1, 2)]"
+    )
 
 
 def test_listing_carries_each_matchings_area():
@@ -303,5 +305,14 @@ def _one_short(original):
 )
 def test_three_statistics_check_names_model_and_path(monkeypatch, module, name, plant, model, path):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
-    with pytest.raises(AssertionError, match="%s statistics of 1 by %s" % (model, path)):
+    with pytest.raises(AssertionError, match="^%s statistics by %s fails on 1: got " % (model, path)):
+        verify.check_three_statistics("desk")
+
+
+def test_three_statistics_check_holds_the_side_of_each_matching(monkeypatch):
+    # the basic matching at the other parity: the listing twists it, so its
+    # own y_0 bit agrees with the scan, but the first-cell edge rule does not
+    sides = snake._basic_sides.__wrapped__
+    monkeypatch.setattr(snake, "_basic_sides", lambda prev, letter, odd: sides(prev, letter, 1 - odd))
+    with pytest.raises(AssertionError, match="^matchings statistics by enumeration fails on 1: got "):
         verify.check_three_statistics("desk")
