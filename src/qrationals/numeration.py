@@ -20,6 +20,8 @@ the digit model's reference lister; its split into the filled and the
 empty vectors, `partition`, is an oracle and lives in `_oracle`.
 """
 
+from operator import index
+
 from . import cf as _cf
 from .fence import _statistics
 
@@ -174,6 +176,10 @@ def rep(n, a):
     >>> rep(0, (2, 2, 2, 2))
     (0, 0, 0, 0)
     """
+    try:
+        n = index(n)
+    except TypeError:
+        raise ValueError("n is not an integer") from None
     r = _cf.r_sequence(a)
     lo, hi = _interval(r)
     if not lo <= n < hi:

@@ -13,6 +13,7 @@ notch for longer runs.
 """
 
 from fractions import Fraction
+from math import gcd
 from time import perf_counter
 
 from . import _oracle
@@ -155,89 +156,66 @@ def check_numeration_goldens(level="desk"):
         _expect("the numeration table", a, _num.numeration_rows(a), list(table))
 
 
-def _check_val_bijection(a):
-    seqs = _num.enumerate_admissible(a)
-    lo, hi = _num.z_interval(a)
-    values = [_num.val(b, a) for b in seqs]
-    _expect("the val image", a, sorted(values), list(range(lo, hi)))
-    _expect("rep after val", a, [_num.rep(n, a) for n in values], seqs)
-
-
-def _check_psi(x):
-    a = _cf.cf_even(x)
-    ideals = _fence.enumerate_ideals(_fence.fence_of_rational(x))
-    images = [_fence.psi(mask, a) for mask in ideals]
-    _expect("psi's image in B", x, [b for b in images if not _num.is_admissible(b, a)], [])
-    _expect("psi keeping size", x, [sum(b) for b in images], [mask.bit_count() for mask in ideals])
-    sides = [_num._filled(b, a) for b in images]  # each b was checked above
-    _expect("psi keeping the side", x, sides, [bool(mask & 1) for mask in ideals])
-    _expect("psi_inverse after psi", x, [_fence.psi_inverse(b, a) for b in images], ideals)
-    _expect("psi onto B", x, sorted(images), sorted(_num.enumerate_admissible(a)))
-
-
-def _check_phi(x, r, s):
-    g = _snake.snake_of_rational(x)
-    matchings = _snake.enumerate_matchings(g)
-    sides = [g.classify(m) == "perp" for m in matchings]
-    _expect("the counting theorem", x, (sum(sides), len(sides) - sum(sides)), (r, s))
-    ideals = [_snake.phi(g, m) for m in matchings]
-    popped = [_oracle.phi_by_pop(frozenset(_snake.matching_edges(g, m)), g.word) for m in matchings]
-    _expect("phi against the pop recursion", x, ideals, popped)
-    _expect("phi keeping area as size", x, [g.area(m) for m in matchings], [i.bit_count() for i in ideals])
-    _expect("phi keeping the side", x, sides, [bool(i & 1) for i in ideals])
-    _expect("phi onto the ideals", x, set(ideals), set(_fence.enumerate_ideals(_fence.fence_of_rational(x))))
-
-
-def _check_order_preservation(x):
-    a = _cf.cf_even(x)
-    ideals = _fence.enumerate_ideals(_fence.fence_of_rational(x))
-    digit = {mask: _fence.psi(mask, a) for mask in ideals}
-    for i in ideals:
+def _check_orders(x, g, ideals, digits, matchings, popped):
+    """psi's order isomorphism and the face-twist rule, on the lists that
+    `check_bijections` built for x: the ideals with their digit vectors,
+    and the matchings of the snake g with their popped ideals.  The pass
+    has held phi equal to the pop recursion, so the face-twist rule is
+    phi's order check, on covers: two matchings differ by the four sides
+    of cell j iff their popped ideals differ by element j alone."""
+    for i, v in zip(ideals, digits):
         _expect(
             "psi as an order isomorphism",
             "ideal %s of %s" % (bin(i), x),
             [i | j == j for j in ideals],
-            [all(p <= q for p, q in zip(digit[i], digit[j])) for j in ideals],
+            [all(p <= q for p, q in zip(v, w)) for w in digits],
         )
-    g = _snake.snake_of_rational(x)
-    matchings = _snake.enumerate_matchings(g)
-    region = {m: frozenset(g.enclosed_cells(m)) for m in matchings}
-    popped = {
-        m: _oracle.phi_by_pop(frozenset(_snake.matching_edges(g, m)), g.word)
-        for m in matchings
-    }
-    # the face-twist rule: two matchings differ by the four sides of cell j
-    # iff their popped ideals differ by element j alone
     cell_of_twist = {sum(1 << e for e in square): j for j, square in enumerate(g.squares)}
-    for m1 in matchings:
-        case = "matching %s of the snake of %s" % (bin(m1), x)
-        ideal = popped[m1]
-        diffs = [ideal ^ popped[m2] for m2 in matchings]
+    for m1, ideal in zip(matchings, popped):
         _expect(
             "the face-twist rule",
-            case,
+            "matching %s of the snake of %s" % (bin(m1), x),
             [cell_of_twist.get(m1 ^ m2) for m2 in matchings],
-            [d.bit_length() - 1 if d and not d & d - 1 else None for d in diffs],
-        )
-        _expect(
-            "phi as an order isomorphism",
-            case,
-            [region[m1] <= region[m2] for m2 in matchings],
-            [ideal | popped[m2] == popped[m2] for m2 in matchings],
+            [d.bit_length() - 1 if d and not d & d - 1 else None for d in (ideal ^ p for p in popped)],
         )
 
 
 def check_bijections(level="desk"):
-    """Counting theorem, valuation bijection, psi and phi, plus the
-    exhaustive order-isomorphism check at a lower bound."""
+    """Counting theorem, valuation bijection, psi and phi, in one pass per
+    rational that lists each model once: B for each expansion, the
+    ideals, and the snake's matchings with the areas that `enum matchings`
+    prints.  phi is held against the pop recursion, and the listed area
+    against the popped size.  Up to a lower bound, the same lists also
+    go to the order check (`_check_orders`)."""
     b = BOUNDS[level]
     for x in _cf.rationals_with_sum_upto(b["bijection_sum"]):
-        _check_val_bijection(_cf.cf_even(x))
-        _check_val_bijection(_cf.cf_odd(x))
-        _check_psi(x)
-        _check_phi(x, x.numerator, x.denominator)
-    for x in _cf.rationals_with_sum_upto(b["order_sum"]):
-        _check_order_preservation(x)
+        a = _cf.cf_even(x)
+        listings = {c: _num.enumerate_admissible(c) for c in (a, _cf.cf_odd(x))}  # B, once per expansion
+        for c, seqs in listings.items():
+            values = [_num.val(v, c) for v in seqs]
+            _expect("the val image", c, sorted(values), list(range(*_num.z_interval(c))))
+            _expect("rep after val", c, [_num.rep(n, c) for n in values], seqs)
+        ideals = _fence.enumerate_ideals(_fence.fence_of_rational(x))
+        digits = [_fence.psi(mask, a) for mask in ideals]
+        _expect("psi's image in B", x, [v for v in digits if not _num.is_admissible(v, a)], [])
+        _expect("psi keeping size", x, [sum(v) for v in digits], [mask.bit_count() for mask in ideals])
+        filled = [_num._filled(v, a) for v in digits]  # each v was checked above
+        _expect("psi keeping the side", x, filled, [bool(mask & 1) for mask in ideals])
+        _expect("psi_inverse after psi", x, [_fence.psi_inverse(v, a) for v in digits], ideals)
+        _expect("psi onto B", x, sorted(digits), sorted(listings[a]))
+        g = _snake.snake_of_rational(x)
+        listed = _snake.enumerate_matchings(g, area=True)
+        matchings = [m for m, _ in listed]
+        sides = [g.classify(m) == "perp" for m in matchings]
+        _expect("the counting theorem", x, (sum(sides), len(sides) - sum(sides)), (x.numerator, x.denominator))
+        images = [_snake.phi(g, m) for m in matchings]
+        popped = [_oracle.phi_by_pop(frozenset(_snake.matching_edges(g, m)), g.word) for m in matchings]
+        _expect("phi against the pop recursion", x, images, popped)
+        _expect("the listed area as the popped size", x, [area for _, area in listed], [i.bit_count() for i in popped])
+        _expect("phi keeping the side", x, sides, [bool(i & 1) for i in images])
+        _expect("phi onto the ideals", x, set(images), set(ideals))
+        if x.numerator + x.denominator <= b["order_sum"]:
+            _check_orders(x, g, ideals, digits, matchings, popped)
 
 
 def _tally(rows):
@@ -299,25 +277,19 @@ def check_three_statistics(level="desk"):
                 _expect("%s statistics by %s" % (name, path), x, pair, reference)
 
 
-def _counted_table(w):
-    """Oracle for the prefix/suffix recurrence: one fresh `matching_counts`
-    scan (the fence's path scan over theta of the row's word, on ints) per
-    prefix and per suffix of w, sharing no code with it."""
-    return {
-        "prefix": [_snake.matching_counts(w[:j]) for j in range(len(w) + 1)],
-        "suffix": [_snake.matching_counts(w[len(w) - j:]) for j in range(len(w) + 1)],
-    }
-
-
 def check_prefix_suffix(level="desk"):
     """The recurrence, row by row, against a counting scan per row that
     shares no code with it, on every small rational; the frozen 84/37 table;
     prefixes meet the convergents, suffixes walk the subtractive Euclid chain."""
     for x in _cf.rationals_with_sum_upto(BOUNDS[level]["table_sum"]):
         table = _snake.prefix_suffix_table(x)
-        case = "%s (word %r)" % (x, table["word"])
-        for side, want in _counted_table(table["word"]).items():
-            _expect("the %s column against the per-row scan" % side, case, table[side + "es"], want)
+        w = table["word"]
+        case = "%s (word %r)" % (x, w)
+        rows = range(len(w) + 1)
+        counted = [_snake.matching_counts(w[:j]) for j in rows]
+        _expect("the prefix column against the per-row scan", case, table["prefixes"], counted)
+        counted = [_snake.matching_counts(w[len(w) - j:]) for j in rows]
+        _expect("the suffix column against the per-row scan", case, table["suffixes"], counted)
     x = Fraction(84, 37)
     table = _snake.prefix_suffix_table(x)
     _expect("the prefix column golden", x, table["prefixes"], PREFIXES_84_37)
@@ -332,18 +304,6 @@ def check_prefix_suffix(level="desk"):
     _expect("the prefix column golden", 1, _snake.prefix_suffix_table(1)["prefixes"], [(1, 1)])
 
 
-def _proper_christoffel_words(max_length):
-    out = []
-    for n in range(2, max_length + 1):
-        for p in range(1, n):
-            q = n - p
-            try:
-                out.append(_words.christoffel(p, q))
-            except ValueError:
-                continue
-    return out
-
-
 def check_markoff(level="desk"):
     """Markoff number list, the mu goldens, and q_markoff against mu_q and
     the area theorem over all proper Christoffel words."""
@@ -352,7 +312,8 @@ def check_markoff(level="desk"):
     _expect("the mu golden", "'00101'", mu("00101"), ((463, 194), (284, 119)))
     _expect("the Markoff number golden", "'00101'", markoff_of("00101"), 194)
     _expect("the matching count golden", "'001100001100'", sum(_snake.matching_counts("001100001100")), 433)
-    for w in _proper_christoffel_words(b["christoffel_len"]):
+    lengths = range(2, b["christoffel_len"] + 1)
+    for w in (_words.christoffel(p, n - p) for n in lengths for p in range(1, n) if gcd(p, n - p) == 1):
         _expect("q_markoff against mu_q", repr(w), q_markoff(w), _oracle.mu_q(w).b)
         _expect("the area theorem", repr(w), _oracle.verify_area_theorem(w[1:-1]))
 
@@ -379,15 +340,12 @@ def check_polytope(level="desk"):
     the side counts list it."""
     b = BOUNDS[level]
     for a in _expansions(b["polytope_k"], b["polytope_sum"]):
-        points = _num.enumerate_admissible(a)  # B, listed once for both oracles
+        filled, empty = _oracle.partition(a)  # B, listed once for both oracles
         report = _poly.convexity_report(a)
-        _expect("the convexity report against the box scan", a, report, _oracle.box_scan_report(a, points))
+        _expect("the convexity report against the box scan", a, report, _oracle.box_scan_report(a, filled + empty))
         _expect("the half-space split", a, _poly.verify_halfspace_split(a))
         k = len(a)
         if k % 2 == 0:
-            filled, empty = [], []
-            for v in points:
-                (filled if _num._filled(v, a) else empty).append(v)
             y, t = _poly.halfspace(a)
             cut = [v for v in empty if _oracle.dot(y, v) >= t] + [v for v in filled if _oracle.dot(y, v) < t]
             _expect("the half-space cut against the listed partition", a, cut, [])
@@ -440,7 +398,6 @@ def check_properties(level="desk"):
         h = _snake.snake_of_rational(1 / x)
         _expect("the mirror word", x, h.word, _words.complement(g.word))
         _expect("the mirror snake as the diagonal reflection", x, set(h.cells), set((cy, cx) for cx, cy in g.cells))
-        _expect("the mirror matching count", x, len(_snake.enumerate_matchings(h)), len(_snake.enumerate_matchings(g)))
 
 
 def check_oracles(level="desk"):

@@ -3,6 +3,7 @@
 import ast
 import doctest
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,83 @@ def test_verify_fails_through_one_helper():
     ]
     helper = [node.lineno for node in ast.walk(functions["_expect"]) if isinstance(node, ast.Raise)]
     assert len(raises) == 1 and raises == helper, "AssertionError raised in %s at lines %s" % (path, raises)
+
+
+# The fast paths that `verify` and the tests hold the references against.
+FAST_PATHS = (
+    (qrationals.fence, "_path_scan"),
+    (qrationals.fence, "_statistics"),
+    (qrationals.fence, "enumerate_ideals"),
+    (qrationals.qpoly, "_q_product_vector"),
+    (qrationals.qpoly, "_packed_times_q_integer"),
+    (qrationals.cf, "_suffix_pairs"),
+    (qrationals.numeration, "_digits"),
+    (qrationals.snake.Snake, "classify"),
+    (qrationals.snake.Snake, "enclosed_cells"),
+    (qrationals.snake, "enumerate_matchings"),
+    (qrationals.snake, "prefix_suffix_table"),
+    (qrationals.polytope, "convexity_report"),
+    (qrationals.polytope, "verify_halfspace_split"),
+)
+
+
+def test_no_reference_calls_a_fast_path(monkeypatch):
+    # a reference that reached a fast path would stop being independent of
+    # what it checks while every claim still passed.  `verify_area_theorem`
+    # is left out: it holds two production paths, q_markoff and the snake's
+    # statistics, against each other, and is no reference.
+    oracle, fence, numeration, snake = qrationals._oracle, qrationals.fence, qrationals.numeration, qrationals.snake
+    one = qrationals.qpoly.ONE
+    g = snake.Snake("0100")
+    edge_sets = [frozenset(snake.matching_edges(g, m)) for m in snake.enumerate_matchings(g)]
+    points = numeration.enumerate_admissible((1, 2, 1))
+    references = {
+        "mat2_product_vector": lambda: oracle.mat2_product_vector((2, 1, 3), (one, one)),
+        "matrix_q_rational": lambda: oracle.matrix_q_rational((3, 2)),
+        "mu_q": lambda: oracle.mu_q("0110"),
+        "phi_by_pop": lambda: [oracle.phi_by_pop(m, g.word) for m in edge_sets],
+        "first_cell_perp": lambda: [oracle.first_cell_perp(h, w) for h in (False, True) for w in ("", "0", "01")],
+        "partition": lambda: oracle.partition((0, 1, 3, 1)),
+        "box_scan_report": lambda: oracle.box_scan_report((1, 2, 1), points),
+        "matchings_by_backtracking": lambda: snake.matchings_by_backtracking(g),
+        "ideals_by_subset_filter": lambda: fence.ideals_by_subset_filter(fence.Fence("0110")),
+        "enumerate_admissible": lambda: numeration.enumerate_admissible((2, 2, 2)),
+        "christoffel_closure": lambda: qrationals.words.christoffel_closure(8),
+    }
+    unpatched = {name: call() for name, call in references.items()}
+    modules = [m for name, m in sys.modules.items() if name == "qrationals" or name.startswith("qrationals.")]
+    for owner, name in FAST_PATHS:
+        fast = getattr(owner, name)
+
+        def refuse(*args, _name=name, **kwargs):
+            raise RuntimeError("%s was called" % _name)
+
+        holders = [owner] if isinstance(owner, type) else modules
+        for holder in holders:
+            for attr, value in list(vars(holder).items()):
+                if value is fast:
+                    monkeypatch.setattr(holder, attr, refuse)
+    for name, call in references.items():
+        try:
+            got = call()
+        except RuntimeError as exc:
+            pytest.fail("the reference %s reaches a fast path: %s" % (name, exc))
+        assert got == unpatched[name], "the reference %s changed under the patches" % name
+
+
+def test_the_bounds_keep_each_dropped_claim_covered():
+    # verify drops two claims that the bijection row decides for r + s up to
+    # bijection_sum, and runs the order check inside that row's loop
+    for level, b in qrationals.verify.BOUNDS.items():
+        assert b["order_sum"] <= b["bijection_sum"], (
+            "%s: order_sum %d > bijection_sum %d: phi as an order isomorphism is decided by phi against the pop "
+            "recursion, and the order check runs, only up to bijection_sum"
+            % (level, b["order_sum"], b["bijection_sum"])
+        )
+        assert b["mirror_sum"] <= b["bijection_sum"], (
+            "%s: mirror_sum %d > bijection_sum %d: the mirror matching count is decided by the counting theorem "
+            "only up to bijection_sum" % (level, b["mirror_sum"], b["bijection_sum"])
+        )
 
 
 def test_benchmark_entry_points_exist():

@@ -193,6 +193,13 @@ def test_rep_rejects_out_of_range():
         rep(-1, (2, 2, 2))
 
 
+@pytest.mark.parametrize("n", (2.0, 1e30, 2.5, "3"), ids=repr)
+def test_rep_refuses_a_value_that_is_not_an_integer(n):
+    # n is read as val reads its digits, by operator.index
+    with pytest.raises(ValueError, match="^n is not an integer$"):
+        rep(n, (2, 2))
+
+
 def test_val_rejects_inadmissible_digits():
     with pytest.raises(ValueError):
         val((1, 2, 0), (2, 2, 2))

@@ -7,7 +7,7 @@ import pytest
 from qrationals import _oracle, verify
 from qrationals._oracle import phi_by_pop
 from qrationals.cf import cf_even, rational_of_word, word_of
-from qrationals.fence import Fence, enumerate_ideals
+from qrationals.fence import Fence, enumerate_ideals, fence_of_rational, psi
 from qrationals.snake import (
     Snake,
     _square_edges,
@@ -337,21 +337,44 @@ def test_each_matching_is_the_basic_matching_twisted_at_its_ideal():
             assert m == twisted, (w, bin(m))
 
 
+def _reversed_ideal(ideal, n):
+    """An ideal of n elements read with its elements in reverse order."""
+    return sum(1 << n - 1 - j for j in range(n) if ideal >> j & 1)
+
+
 def test_order_check_holds_the_face_twist_rule(monkeypatch):
-    # popped ideals read with the elements in reverse order break the
-    # face-twist rule; `phi_by_pop` recurses through the module, so every
-    # level is reversed and inclusions break too, but the rule is held first
+    # the lists of 5/8 as the bijection row builds them; popped ideals read
+    # in reverse order break the face-twist rule alone, since psi's order
+    # isomorphism reads the ideals and not the popped ones
     x = Fraction(5, 8)
-    n = len(snake_word(x)) + 1
-
-    def reversed_pop(m, word):
-        ideal = phi_by_pop(m, word)
-        return sum(1 << n - 1 - j for j in range(n) if ideal >> j & 1)
-
-    monkeypatch.setattr(_oracle, "phi_by_pop", reversed_pop)
+    a = cf_even(x)
+    ideals = enumerate_ideals(fence_of_rational(x))
+    digits = [psi(mask, a) for mask in ideals]
+    g = snake_of_rational(x)
+    matchings = [m for m, _ in enumerate_matchings(g, area=True)]
+    popped = [phi_by_pop(frozenset(matching_edges(g, m)), g.word) for m in matchings]
+    verify._check_orders(x, g, ideals, digits, matchings, popped)
+    planted = [_reversed_ideal(ideal, len(g.cells)) for ideal in popped]
     named = r"^the face-twist rule fails on matching 0b[01]+ of the snake of 5/8 at index \d+: got "
     with pytest.raises(AssertionError, match=named):
-        verify._check_order_preservation(x)
+        verify._check_orders(x, g, ideals, digits, matchings, planted)
+
+    # the whole row, with `phi_by_pop` reversed at its outermost call only:
+    # its recursion goes through the module name, so inner calls pass through
+    depth = 0
+
+    def outermost_reversed(m, word):
+        nonlocal depth
+        depth += 1
+        try:
+            ideal = phi_by_pop(m, word)
+        finally:
+            depth -= 1
+        return ideal if depth else _reversed_ideal(ideal, len(word) + 1)
+
+    monkeypatch.setattr(_oracle, "phi_by_pop", outermost_reversed)
+    with pytest.raises(AssertionError, match="^phi against the pop recursion fails on 1/2 at index "):
+        verify.check_bijections("desk")
 
 
 @given(words)
