@@ -1,19 +1,19 @@
-"""Independent oracles that `verify` and the tests hold the production paths against.
+"""Independent references that `verify` and the tests hold the production paths against.
 
 Nothing in the production modules imports this module; only `verify` and
-the tests do.  Each oracle computes a result the slow and obvious way:
+the tests do.  It holds reference values only, never a verdict: each
+reference computes a result the slow and obvious way, and the claims that
+compare it with a fast path live in `verify` and the tests.
 
-* the matrix product: 2x2 matrices of polynomials (`Mat2`), multiplied
+* the Mat2 products: 2x2 matrices of polynomials (`Mat2`), multiplied
   out entry by entry, for the q-deformed elementary matrices
   L_q = [[q, 0], [q, 1]] and R_q = [[q, 1], [0, 1]] (`mat2_product_vector`,
-  `matrix_q_rational`), the monoid maps `nu_q` and `mu_q`, and the (X, Y)
-  recurrences and the transpose conjugation they satisfy;
-* the matching-to-ideal map by its one-cell recursion (`phi_by_pop`),
-  and a matching's side by its first step (`first_cell_perp`);
+  `matrix_q_rational`), the monoid maps `nu_q` and `mu_q`, and the pair
+  (X, Y) that `nu_q` gives (`xy_pair`);
+* the matching-to-ideal map by its one-cell recursion (`phi_by_pop`);
+* a matching's side by its first cell (`first_cell_perp`);
 * the digit model's split of its reference listing into the filled and
   the empty vectors (`partition`);
-* the area theorem of q-Markoff polynomials, held against the snake's
-  statistics (`verify_area_theorem`);
 * lattice convexity of the digit polytope by a scan of the whole box
   (`box_scan_report`), with exact convex-hull membership decided by
   Fourier-Motzkin elimination (`in_hull`).
@@ -26,12 +26,10 @@ from itertools import product
 from math import gcd
 
 from .cf import check_cf
-from .markoff import markoff_snake_word, q_markoff
 from .numeration import _filled, enumerate_admissible
 from .polytope import _inequalities
 from .qpoly import ONE, Q, ZERO, Poly, QRational
-from .snake import Snake, matching_statistics
-from .words import check_word, hat
+from .words import check_word
 
 
 def times(p, r):
@@ -148,26 +146,6 @@ def xy_pair(w):
     return v1, v2.shift(-1)
 
 
-def xy_recurrence_check(w):
-    """Check the one-letter recurrences on top of w:
-    X(1w) = qX + qY, Y(1w) = Y, X(0w) = qX, Y(0w) = X + Y."""
-    x, y = xy_pair(w)
-    x1, y1 = xy_pair("1" + w)
-    x0, y0 = xy_pair("0" + w)
-    return (
-        x1 == (x + y).shift(1)
-        and y1 == y
-        and x0 == x.shift(1)
-        and y0 == x + y
-    )
-
-
-def conjugation_check(w):
-    """nu_q(w) diag(1,q) == diag(1,q) nu_q(hat(w))^T."""
-    d = Mat2(ONE, ZERO, ZERO, Q)
-    return nu_q(w) * d == d * nu_q(hat(w)).transpose()
-
-
 _UNIT_SQUARE = frozenset({((0, 0), (1, 0)), ((1, 0), (1, 1)), ((0, 1), (1, 1)), ((0, 0), (0, 1))})
 _UNIT_VERTICALS = frozenset({((0, 0), (0, 1)), ((1, 0), (1, 1))})
 
@@ -218,23 +196,6 @@ def partition(a):
     for b in enumerate_admissible(a):
         (filled if _filled(b, a) else empty).append(b)
     return filled, empty
-
-
-def verify_area_theorem(m):
-    """Check that the q-Markoff polynomial of 0m1 equals the area
-    generating polynomial over all matchings of the snake of 0 gamma(m) 0,
-    from the snake's statistics (the fence's scan over theta of its word).
-
-    >>> verify_area_theorem("101")
-    True
-    >>> verify_area_theorem("")
-    True
-    """
-    check_word(m)
-    word = "0" + m + "1"
-    q_polynomial = q_markoff(word)
-    perp, par = matching_statistics(Snake(markoff_snake_word(word)))
-    return q_polynomial == perp + par
 
 
 class HullSystem:

@@ -244,10 +244,14 @@ def psi(mask, a):
 def psi_inverse(b, a):
     """The ideal with digit vector b: take the b_i left-most elements of
     each even-indexed chain and the b_i right-most of each odd-indexed.
+    Refuses, as `val` does, digits that are not admissible for a.
 
     >>> bin(psi_inverse((2, 0, 2, 1, 1, 2), (3, 3, 2, 1, 3, 3)))
     '0b110001111000011'
     """
+    from .numeration import _admissible  # numeration imports fence when it loads
+
+    b, a = _admissible(b, a)
     mask = 0
     for i, block in enumerate(chains(a)):
         picked = block[: b[i]] if i % 2 == 0 else block[len(block) - b[i]:]

@@ -9,8 +9,8 @@ the exponents a of those powers, mu is [[p_{k-1}, p_{k-2}], [q_{k-1},
 q_{k-2}]] for the continuants p, q of a (Graham, Knuth & Patashnik,
 Concrete Mathematics, 6.7).  mu_q deforms R and L, and its (1,2) entry,
 the packed kernel's product over the same exponents, becomes the area
-polynomial of a snake graph.  That area theorem is checked by
-`_oracle.verify_area_theorem`; at q = 1 a row's number is its matching count.
+polynomial of a snake graph.  That area theorem is a claim of
+`verify.check_markoff`; at q = 1 a row's number is its matching count.
 """
 
 from .cf import _convergents

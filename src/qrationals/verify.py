@@ -24,7 +24,7 @@ from . import polytope as _poly
 from . import qpoly as _qp
 from . import snake as _snake
 from . import words as _words
-from .markoff import markoff_numbers_upto, markoff_of, mu, q_markoff
+from .markoff import markoff_numbers_upto, markoff_of, markoff_snake_word, mu, q_markoff
 
 __all__ = ["CHECKS", "run_checks", "BOUNDS"]
 
@@ -279,8 +279,9 @@ def check_three_statistics(level="desk"):
 
 def check_prefix_suffix(level="desk"):
     """The recurrence, row by row, against a counting scan per row that
-    shares no code with it, on every small rational; the frozen 84/37 table;
-    prefixes meet the convergents, suffixes walk the subtractive Euclid chain."""
+    shares no code with it, on every small rational; the frozen 84/37 table,
+    whose suffix column is the subtractive Euclid chain of 84/37 read up from
+    (1, 1); prefixes meet the convergents."""
     for x in _cf.rationals_with_sum_upto(BOUNDS[level]["table_sum"]):
         table = _snake.prefix_suffix_table(x)
         w = table["word"]
@@ -296,17 +297,13 @@ def check_prefix_suffix(level="desk"):
     _expect("the suffix column golden", x, table["suffixes"], SUFFIXES_84_37)
     pairs = set(table["prefixes"])
     _expect("the convergents in the prefix column", x, [c for c in CONVERGENTS_84_37 if not {c, c[::-1]} & pairs], [])
-    chain = [(84, 37)]
-    while chain[-1] != (1, 1):
-        p, q = chain[-1]
-        chain.append((p - q, q) if p > q else (p, q - p))
-    _expect("the suffix column as the Euclid chain", x, table["suffixes"], chain[::-1])
     _expect("the prefix column golden", 1, _snake.prefix_suffix_table(1)["prefixes"], [(1, 1)])
 
 
 def check_markoff(level="desk"):
-    """Markoff number list, the mu goldens, and q_markoff against mu_q and
-    the area theorem over all proper Christoffel words."""
+    """Markoff number list, the mu goldens, and q_markoff against mu_q and,
+    by the area theorem, against the area polynomial of the snake of
+    markoff_snake_word, over all proper Christoffel words."""
     b = BOUNDS[level]
     _expect("the Markoff numbers golden", "5000", markoff_numbers_upto(5000), MARKOFF_UPTO_5000)
     _expect("the mu golden", "'00101'", mu("00101"), ((463, 194), (284, 119)))
@@ -314,8 +311,10 @@ def check_markoff(level="desk"):
     _expect("the matching count golden", "'001100001100'", sum(_snake.matching_counts("001100001100")), 433)
     lengths = range(2, b["christoffel_len"] + 1)
     for w in (_words.christoffel(p, n - p) for n in lengths for p in range(1, n) if gcd(p, n - p) == 1):
-        _expect("q_markoff against mu_q", repr(w), q_markoff(w), _oracle.mu_q(w).b)
-        _expect("the area theorem", repr(w), _oracle.verify_area_theorem(w[1:-1]))
+        qm = q_markoff(w)
+        _expect("q_markoff against mu_q", repr(w), qm, _oracle.mu_q(w).b)
+        perp, par = _snake.matching_statistics(_snake.Snake(markoff_snake_word(w)))
+        _expect("the area theorem", repr(w), qm, perp + par)
 
 
 def _expansions(k_max, sum_max):
@@ -364,7 +363,7 @@ def _is_unimodal(seq):
 
 def check_properties(level="desk"):
     """Involution laws, conjugacy, codec round trips, the q-analog against
-    both Mat2 displays, mirror symmetry, unimodality, and the shift
+    the Mat2 product on (1,0), mirror symmetry, unimodality, and the shift
     identity."""
     b = BOUNDS[level]
     for w in _words.all_words(b["word_len"]):
@@ -387,9 +386,7 @@ def check_properties(level="desk"):
         _expect("the codec round trip", x, _cf.rational_of_word(w), x)
         _expect("the reciprocal/complement law", x, _cf.word_of(_cf.cf_even(1 / x)), _words.complement(w))
         qx = _qp.q_rational(x)
-        lowered = _oracle.mat2_product_vector(a[:-1] + (a[-1] - 1,), (_qp.ONE, _qp.ONE))
         _expect("the q-analog against q^-1 times the product on (1,0)", x, qx, _oracle.matrix_q_rational(a))
-        _expect("the q-analog against the lowered product on (1,1)", x, qx, _qp.QRational(*lowered))
         _expect("the q-analog's value at 1 and S(0)", x, (qx.at_one(), qx.den.eval_at_zero()), (x, 1))
         _expect("unimodality of the rank polynomial", x, _is_unimodal(sum(_qp.theorem_pair(a), _qp.ZERO).dense))
         _expect("the shift identity", x, _qp.q_shift_identity_check(x))

@@ -85,6 +85,21 @@ def test_markoff_imports_nothing_from_snake():
     assert not found, "markoff imports snake at %s" % ", ".join(found)
 
 
+def test_oracle_imports_only_the_lower_modules():
+    # the references import the encodings, the polynomial type, the digit
+    # model and the polytope's inequalities, never fence, snake or markoff,
+    # whose paths they are held against, nor verify or cli
+    allowed = {"cf", "numeration", "polytope", "qpoly", "words"}
+    path = Path(inspect.getsourcefile(qrationals._oracle))
+    found = [
+        line
+        for other in sorted(path.parent.glob("*.py"))
+        if other.stem not in allowed
+        for line in _imports_of(path, other.stem)
+    ]
+    assert not found, "_oracle imports a module outside %s at %s" % (sorted(allowed), ", ".join(found))
+
+
 def test_only_main_prints_in_the_cli():
     # subcommands return their result; main alone writes it out
     path = inspect.getsourcefile(qrationals.cli)
@@ -138,27 +153,46 @@ FAST_PATHS = (
 
 def test_no_reference_calls_a_fast_path(monkeypatch):
     # a reference that reached a fast path would stop being independent of
-    # what it checks while every claim still passed.  `verify_area_theorem`
-    # is left out: it holds two production paths, q_markoff and the snake's
-    # statistics, against each other, and is no reference.
+    # what it checks while every claim still passed.  The references are
+    # every public function and class that `_oracle` defines, and the four
+    # that live in production modules, where the benchmark calls them.
     oracle, fence, numeration, snake = qrationals._oracle, qrationals.fence, qrationals.numeration, qrationals.snake
-    one = qrationals.qpoly.ONE
+    one, q = qrationals.qpoly.ONE, qrationals.qpoly.Q
     g = snake.Snake("0100")
     edge_sets = [frozenset(snake.matching_edges(g, m)) for m in snake.enumerate_matchings(g)]
     points = numeration.enumerate_admissible((1, 2, 1))
+    hull = oracle.HullSystem(points)
     references = {
+        "times": lambda: oracle.times(q + one, q + q.shift(1)),
+        "Mat2": lambda: (oracle.Mat2(q, one, one, one) ** 3).transpose().apply((one, q)),
+        "L_q": lambda: oracle.L_q(),
+        "R_q": lambda: oracle.R_q(),
+        "nu_q": lambda: oracle.nu_q("0110"),
+        "mu_q": lambda: oracle.mu_q("0110"),
         "mat2_product_vector": lambda: oracle.mat2_product_vector((2, 1, 3), (one, one)),
         "matrix_q_rational": lambda: oracle.matrix_q_rational((3, 2)),
-        "mu_q": lambda: oracle.mu_q("0110"),
+        "xy_pair": lambda: oracle.xy_pair("0110"),
         "phi_by_pop": lambda: [oracle.phi_by_pop(m, g.word) for m in edge_sets],
         "first_cell_perp": lambda: [oracle.first_cell_perp(h, w) for h in (False, True) for w in ("", "0", "01")],
         "partition": lambda: oracle.partition((0, 1, 3, 1)),
+        "HullSystem": lambda: oracle.HullSystem.of_expansion((1, 2, 1)).points,
+        "in_hull": lambda: [oracle.in_hull(c, hull) for c in ((0, 0, 0), (1, 1, 1), (1, 2, 0), (0, 2, 1))],
+        "dot": lambda: oracle.dot((1, -2, 3), (4, 5, 6)),
         "box_scan_report": lambda: oracle.box_scan_report((1, 2, 1), points),
         "matchings_by_backtracking": lambda: snake.matchings_by_backtracking(g),
         "ideals_by_subset_filter": lambda: fence.ideals_by_subset_filter(fence.Fence("0110")),
         "enumerate_admissible": lambda: numeration.enumerate_admissible((2, 2, 2)),
         "christoffel_closure": lambda: qrationals.words.christoffel_closure(8),
     }
+    defined = [
+        name
+        for name, value in vars(oracle).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == oracle.__name__
+    ]
+    missing = [name for name in defined if name not in references]
+    assert not missing, "_oracle defines references with no small-input entry here: %s" % ", ".join(missing)
     unpatched = {name: call() for name, call in references.items()}
     modules = [m for name, m in sys.modules.items() if name == "qrationals" or name.startswith("qrationals.")]
     for owner, name in FAST_PATHS:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
+import pytest
 
 from qrationals import fence
 from qrationals._oracle import xy_pair
@@ -119,6 +120,23 @@ def test_psi_golden():
     mask = sum(1 << i for i in (0, 1, 6, 7, 8, 9, 13, 14))
     assert psi(mask, a) == (2, 0, 2, 1, 1, 2)
     assert psi_inverse((2, 0, 2, 1, 1, 2), a) == mask
+
+
+@pytest.mark.parametrize(
+    "b, a, reason",
+    (
+        ((0, 1), (1, 1), "^digits not admissible .*: b_1 = a_1 but b_0 != a_0$"),
+        ((0, 1, 0, 0), (0, 1, 3, 1), "^digits not admissible .*: b_2 = 0 but b_1 != 0$"),
+        ((0, 5), (1, 1), r"^digits not admissible .*: b_1 is outside \[0, a_1\]$"),
+        ((1, 1, 1), (1, 1), "^digit vector has length 3, expansion 2$"),
+        ((0,), (1, 1), "^digit vector has length 1, expansion 2$"),
+        ((1.5, 0), (2, 2), "^b_0 is not an integer"),
+    ),
+)
+def test_psi_inverse_refuses_digits_that_are_not_admissible(b, a, reason):
+    # an inadmissible vector has no ideal: psi_inverse refuses it as val does
+    with pytest.raises(ValueError, match=reason):
+        psi_inverse(b, a)
 
 
 @given(rationals)

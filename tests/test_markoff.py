@@ -1,10 +1,11 @@
 from math import gcd
+import re
 
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from qrationals import fence, markoff, snake
-from qrationals._oracle import mu_q, nu_q, verify_area_theorem
+from qrationals import fence, markoff, snake, verify
+from qrationals._oracle import mu_q, nu_q
 from qrationals.markoff import (
     markoff_numbers_upto,
     markoff_of,
@@ -124,13 +125,15 @@ def test_q_markoff_specializes_to_the_integer_matrix(w):
 
 @pytest.mark.parametrize("m", ("", "0", "1", "010", "101", "00100"))
 def test_area_theorem_samples(m):
-    assert verify_area_theorem(m)
+    w = "0" + m + "1"
+    perp, par = snake.matching_statistics(snake.Snake(markoff_snake_word(w)))
+    assert q_markoff(w) == perp + par
 
 
 def test_area_theorem_rejects_improper_interiors():
     # "0101" doubles the slope 1/1 word, so it is not Christoffel
     with pytest.raises(ValueError, match="Christoffel"):
-        verify_area_theorem("10")
+        q_markoff("0101")
 
 
 def test_markoff_rows(monkeypatch):
@@ -202,4 +205,20 @@ def test_every_proper_word_length_five_satisfies_the_area_theorem():
                 w = christoffel(p, n - p)
             except ValueError:
                 continue
-            assert verify_area_theorem(w[1:-1])
+            perp, par = snake.matching_statistics(snake.Snake(markoff_snake_word(w)))
+            assert q_markoff(w) == perp + par
+
+
+def test_area_theorem_check_fails_by_values(monkeypatch):
+    # one side of the snake's area polynomial shifted: the row shows both
+    # polynomials, not a bool
+    statistics = snake.matching_statistics
+
+    def shifted(g):
+        perp, par = statistics(g)
+        return perp.shift(1), par
+
+    monkeypatch.setattr(snake, "matching_statistics", shifted)
+    got, want = re.escape("q^3+2*q^2+q+1"), re.escape("q^4+q^3+q^2+q+1")
+    with pytest.raises(AssertionError, match="^the area theorem fails on '01': got %s, expected %s$" % (got, want)):
+        verify.check_markoff("desk")
