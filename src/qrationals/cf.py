@@ -164,7 +164,8 @@ def _runs(a):
 
 
 def rational_of_word(w):
-    """Inverse of word_of_rational: the last pair of `_suffix_pairs`.
+    """Inverse of word_of_rational: the last pair of `_suffix_pairs`, by
+    `_last_suffix_pair`.
 
     >>> rational_of_word("")
     Fraction(1, 1)
@@ -172,7 +173,7 @@ def rational_of_word(w):
     Fraction(1, 2)
     """
     check_word(w)
-    return Fraction(*_suffix_pairs(w)[-1])
+    return Fraction(*_last_suffix_pair(w))
 
 
 def _suffix_pairs(w):
@@ -192,6 +193,22 @@ def _suffix_pairs(w):
             s += r
         pairs.append((r, s))
     return pairs
+
+
+def _last_suffix_pair(w):
+    """`_suffix_pairs(w)[-1]`, the (r, s) of w's rational, by the same
+    recurrence keeping only the last pair.
+
+    >>> _last_suffix_pair("10")
+    (3, 2)
+    """
+    r = s = 1
+    for c in reversed(w):
+        if c == "1":
+            r += s
+        else:
+            s += r
+    return r, s
 
 
 def convergents(a):

@@ -54,11 +54,11 @@ MAX_LISTED_ELEMENTS = 10**6
 MAX_TREE_DEPTH = 16
 # `qrat`, `table` and `markoff --word` take time quadratic in the length
 # of the word they work on: at 2,000 letters `qrat` on a Fibonacci ratio
-# takes 0.31-0.44 s and `table` 24 ms on a 2-core Xeon.  Of the `qrat`
-# time, 0.33-0.37 s is the q-product kernel; unpacking its result takes
-# about 3 ms and printing it about 16 ms (2,001 coefficients of up to 420
-# digits).  Longer words exit 2 before any work, also for `enum --count`,
-# which reads its counts off the rational and runs no scan.
+# takes 0.17 s and `table` 15-19 ms on a 2-core Xeon (medians of 7 runs).
+# Of the `qrat` time, 0.15-0.16 s is the q-product kernel; unpacking its
+# result takes about 2 ms and printing it about 13 ms (2,001 coefficients
+# of up to 417 digits).  Longer words exit 2 before any work, also for
+# `enum --count`, which reads its counts off the rational and runs no scan.
 MAX_WORD_LENGTH = 2000
 # `markoff --upto N` lists about (log N)^2 numbers of up to log N digits:
 # a 200-digit bound lists 38,512 numbers, 5.2 MB of text, in 0.26 s on

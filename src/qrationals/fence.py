@@ -25,7 +25,7 @@ from functools import cache
 from itertools import accumulate
 from operator import add, concat
 
-from .cf import _suffix_pairs, word_of_rational
+from .cf import _last_suffix_pair, word_of_rational
 from .qpoly import Poly
 from .words import check_word
 
@@ -104,12 +104,12 @@ def _statistics(word):
     inside + outside never falls along the scan, and the last join, made
     at y_0 over the ideals of y_1, ..., y_n, becomes one side of the
     pair.  By the counting theorem the pair is (r, s) for the word's
-    rational r/s, the last of `cf._suffix_pairs`, found in O(n) integer
+    rational r/s, `cf._last_suffix_pair`, found in O(n) integer
     additions.  So every value met is at most max(r, s); `width` bits,
     the least multiple of 8 with max(r, s) < 2^width, hold every
     coefficient, and no join carries into the next one.
     `Poly.from_packed` unpacks each side."""
-    width = (max(_suffix_pairs(word)[-1]).bit_length() + 7) // 8 * 8
+    width = (max(_last_suffix_pair(word)).bit_length() + 7) // 8 * 8
     return tuple(
         Poly.from_packed(side, width) for side in _path_scan(word, 1, lambda v, i: v << width, add)
     )

@@ -15,28 +15,29 @@ and divides the resulting column vector by q.  Both components stay
 honest polynomials: the pair (R(q), S(q)) has S(0) = 1 and evaluates to
 (r, s) at q = 1.
 
-The powers have closed forms, R_q^n = [[q^n, [n]_q], [0, 1]] and
-L_q^n = [[q^n, 0], [q [n]_q, 1]] with [n]_q = 1 + q + ... + q^(n-1), so
-the product is applied to its vector right to left, one power at a time.
-Each component is packed into one integer, its value at q = 2^B
-(Kronecker substitution), so a power costs a few big-integer shifts and
-additions rather than one operation per coefficient.  The width B is
-exact: the matrices and the start vector have nonnegative entries, so
-every polynomial met along the product, partial sums included, has
-nonnegative coefficients, each at most the polynomial's value at q = 1,
-and those values only grow along the product.  B bits that hold the
-largest final value at q = 1 therefore hold every coefficient, and no
-addition carries into the next one.
+The product is applied to its vector right to left.  A power of at most
+three letters acts one letter at a time; a longer one acts by the closed
+forms R_q^n = [[q^n, [n]_q], [0, 1]] and L_q^n = [[q^n, 0], [q [n]_q, 1]]
+with [n]_q = 1 + q + ... + q^(n-1).  Each component is packed into one
+integer, its value at q = 2^B (Kronecker substitution), so a letter or a
+power costs a few big-integer shifts and additions rather than one
+operation per coefficient.  The width B is exact: the matrices and the
+start vector have nonnegative entries, so every polynomial met along the
+product, partial sums included, has nonnegative coefficients, each at
+most the polynomial's value at q = 1, and those values only grow along
+the product.  B bits that hold the largest final value at q = 1
+therefore hold every coefficient, and no addition carries into the next
+one.
 
 The two stages after the product run as a few calls each rather than a
 Python step per coefficient: `Poly.from_packed` splits the bytes of the
 packing into its B-bit fields with one `struct` call, and `str` writes
-a polynomial of eight or more terms with one format string repeated per
-term, then drops the "1" of each coefficient +-1.
+every polynomial with one format string, the powers of q of its nonzero
+terms joined, then drops the "1" of each coefficient +-1.
 """
 
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import add
 from struct import Struct, unpack
 
@@ -136,36 +137,19 @@ class Poly:
         return self.dense[0] if self.dense else 0
 
     def _terms(self, star):
+        # One format for all terms, highest first: "%+d" and each term's
+        # power of q joined, filled with the nonzero coefficients; then
+        # each coefficient +-1 of a power of q loses its digit 1.
         dense = self.dense
-        # the exponents of the nonzero terms, highest first
-        exps = list(compress(range(len(dense) - 1, -1, -1), reversed(dense)))
-        if len(exps) < _FEW_TERMS:
-            text = ""
-            for e in exps:
-                c = dense[e]
-                if not e:
-                    text += "%+d" % c
-                else:
-                    power = "q^%d" % e if e > 1 else "q"
-                    if c == 1:
-                        text += "+" + power
-                    elif c == -1:
-                        text += "-" + power
-                    else:
-                        text += "%+d%s%s" % (c, star, power)
-            return text.removeprefix("+") or "0"
-        # One format for all terms: "%+d*q^%d" per exponent >= 2, then the
-        # q and constant terms; then each coefficient +-1 of a power of q
-        # loses its digit 1 (and the star).
-        high, linear, plus_one, minus_one = _FORMATS[star]
-        fmt, tail = "", ()
-        if exps[-1] == 0:
-            fmt, tail = "%+d", (dense[exps.pop()],)
-        if exps[-1] == 1:
-            fmt, tail = linear + fmt, (dense[exps.pop()],) + tail
-        args = (*chain.from_iterable(zip(map(dense.__getitem__, exps), exps)), *tail)
-        text = ((high * len(exps) + fmt) % args).replace(plus_one, "+q").replace(minus_one, "-q")
-        return text.removeprefix("+")
+        if not dense:
+            return "0"
+        powers = _POWERS[star]
+        if len(powers) < len(dense):
+            powers += ["%sq^%d" % (star, e) for e in range(len(powers), len(dense))]
+        exps = compress(range(len(dense) - 1, -1, -1), reversed(dense))
+        text = ("%+d" + "%+d".join(map(powers.__getitem__, exps))) % tuple(filter(None, reversed(dense)))
+        plus_one, minus_one = _ONES[star]
+        return text.replace(plus_one, "+q").replace(minus_one, "-q").removeprefix("+")
 
     def __str__(self):
         return self._terms("*")
@@ -181,10 +165,10 @@ class Poly:
         return {str(e): c for e, c in enumerate(self.dense) if c}
 
 
-# Below this many terms, _terms writes one term at a time: there the
-# per-term loop costs less than building and fixing up one format.
-_FEW_TERMS = 8
-_FORMATS = {"*": ("%+d*q^%d", "%+d*q", "+1*q", "-1*q"), "": ("%+dq^%d", "%+dq", "+1q", "-1q")}
+# The power of q that follows each coefficient in `_terms`, by exponent
+# and by star: "", "*q", "*q^2", ...; grown on demand.
+_POWERS = {"*": ["", "*q"], "": ["", "q"]}
+_ONES = {"*": ("+1*q", "-1*q"), "": ("+1q", "-1q")}
 
 # The standard-size unsigned struct codes of 2-, 4- and 8-byte fields.
 _FIELD_CODES = {2: "H", 4: "I", 8: "Q"}
@@ -199,6 +183,15 @@ def _plus(p, r):
     if len(p) < len(r):
         p, r = r, p
     return [*map(add, p, r), *p[len(r):]]
+
+
+# The longest power that `_q_product_vector` applies one letter at a time.
+# Stepped, a power of n letters costs 2n big-integer shifts and additions.
+# By its closed form, R_q^n costs 2 plus those of `_packed_times_q_integer`,
+# which are 0, 2, 4 and 4 for n = 1 to 4, and L_q^n one more.  So up to
+# n = 3 the letters cost no more and save a call; at n = 4 they cost 8
+# against 6.
+_STEPPED = 3
 
 
 def _packed_times_q_integer(p, n, width):
@@ -219,16 +212,21 @@ def _q_product_vector(a, v):
     nonnegative integers not both 0, as a pair of packed polynomials and
     their width.
 
-    The powers act right to left by their closed forms:
-    R_q^n (x, y) = (q^n x + [n]_q y, y) and L_q^n (x, y) = (q^n x, q [n]_q x + y).
+    The factors act right to left.  A power of at most `_STEPPED` letters
+    acts one letter at a time, R_q (x, y) = (q x + y, y) and
+    L_q (x, y) = (q x, q x + y), two shift-adds per letter and no call;
+    a longer one acts by its closed form,
+    R_q^n (x, y) = (q^n x + [n]_q y, y) and L_q^n (x, y) = (q^n x, q [n]_q x + y),
+    in O(log n) shift-adds.
     Run first in integers, at q = 1, the product gives the largest value
-    M that an entry reaches.  Every coefficient met, in the partial sums
-    of [n]_q y and [n]_q x too, is nonnegative and at most its
-    polynomial's value at q = 1, so at most M, and fits in `width` bits,
+    M that an entry reaches.  Every coefficient met is nonnegative and at
+    most its polynomial's value at q = 1: in the states after each
+    letter, which are partial products, and in the partial sums of
+    [n]_q y and [n]_q x.  So each is at most M, and fits in `width` bits,
     the least multiple of 8 with M < 2^width.  The product then runs at
-    q = 2^width, where a constant is its own packing and each power costs
-    O(log n) shifts and additions of whole integers; `Poly.from_packed`
-    unpacks the result."""
+    q = 2^width, where a constant is its own packing and every step is a
+    shift or an addition of whole integers; `Poly.from_packed` unpacks
+    the result."""
     x1, y1 = v
     for i in range(len(a) - 1, -1, -1):
         if i % 2:
@@ -239,12 +237,18 @@ def _q_product_vector(a, v):
     x, y = v
     for i in range(len(a) - 1, -1, -1):
         n = a[i]
-        if not n:
-            continue
-        if i % 2 == 0:
-            x = (x << n * width) + _packed_times_q_integer(y, n, width)
+        if n > _STEPPED:
+            if i % 2 == 0:
+                x = (x << n * width) + _packed_times_q_integer(y, n, width)
+            else:
+                x, y = x << n * width, (_packed_times_q_integer(x, n, width) << width) + y
+        elif i % 2 == 0:
+            for _ in range(n):
+                x = (x << width) + y
         else:
-            x, y = x << n * width, (_packed_times_q_integer(x, n, width) << width) + y
+            for _ in range(n):
+                x <<= width
+                y += x
     return x, y, width
 
 

@@ -1030,4 +1030,4 @@ def test_corrupted_kernel_names_the_failing_check(monkeypatch):
     assert passed is False
     assert rows[0][0] == "q-rational goldens"
     assert rows[0][1] is False
-    assert re.fullmatch(r"the q-analog (golden|against the Mat2 product) fails on 7/2: got .+, expected .+", rows[0][2])
+    assert re.fullmatch(r"the q-analog (golden|against the Mat2 product) fails on 9/2: got .+, expected .+", rows[0][2])

@@ -141,6 +141,7 @@ FAST_PATHS = (
     (qrationals.qpoly, "_q_product_vector"),
     (qrationals.qpoly, "_packed_times_q_integer"),
     (qrationals.cf, "_suffix_pairs"),
+    (qrationals.cf, "_last_suffix_pair"),
     (qrationals.numeration, "_digits"),
     (qrationals.snake.Snake, "classify"),
     (qrationals.snake.Snake, "enclosed_cells"),

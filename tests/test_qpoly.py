@@ -1,10 +1,12 @@
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
+import re
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
+from qrationals import qpoly, verify
 from qrationals._oracle import (
     L_q,
     Mat2,
@@ -39,6 +41,18 @@ def _even_expansions(quotients, max_size):
 
 long_expansions = _even_expansions(st.integers(1, 4), 39)
 tall_expansions = _even_expansions(st.integers(1, 300), 3)
+
+# The kernel steps a power of up to three letters one letter at a time and
+# takes a longer one by its closed form.  These quotients sit on both sides
+# of that boundary, on the R side (even index) and the L side (odd), and
+# the last one, lowered by `q_rational`, becomes 0 or 3.
+_BOUNDARY = (1, 2, 3, 4, 5, 8)
+boundary_expansions = st.builds(
+    lambda a0, middle, last: (a0, *middle, last),
+    st.sampled_from((0,) + _BOUNDARY),
+    st.lists(st.sampled_from(_BOUNDARY), max_size=12).filter(lambda t: len(t) % 2 == 0),
+    st.sampled_from((1, 4)),
+)
 
 
 def test_poly_str_formats():
@@ -232,6 +246,15 @@ def test_q_rational_and_theorem_pair_equal_the_mat2_product(a):
     assert theorem_pair(a) == (v1, v2.shift(-1))
 
 
+@settings(deadline=None)
+@given(boundary_expansions)
+def test_the_kernel_equals_the_mat2_product_across_its_stepped_powers(a):
+    v1, v2 = mat2_product_vector(a, (ONE, ZERO))
+    qx = q_rational(cf_value(a))
+    assert (qx.num, qx.den) == (v1.shift(-1), v2.shift(-1))
+    assert theorem_pair(a) == (v1, v2.shift(-1))
+
+
 def _golden_partner(r):
     """The s coprime to r nearest r/phi, so r/s has a long expansion of
     small partial quotients."""
@@ -343,6 +366,21 @@ def test_theorem_pair_refuses_an_odd_length_expansion(a):
 @given(rationals)
 def test_shift_identity(x):
     assert q_shift_identity_check(x)
+
+
+def test_shift_identity_check_fails_by_values(monkeypatch):
+    # the kernel's two entries swapped: q_rational(1) is (1, 1) either way,
+    # q_rational(2) becomes 1/(q+1), and the row shows both pairs, not a bool
+    kernel = qpoly._q_product_vector
+
+    def swapped(a, v):
+        x, y, width = kernel(a, v)
+        return y, x, width
+
+    monkeypatch.setattr(qpoly, "_q_product_vector", swapped)
+    got, want = re.escape("(1)/(q+1)"), re.escape("(q+1)/(1)")
+    with pytest.raises(AssertionError, match="^the shift identity fails on 1: got %s, expected %s$" % (got, want)):
+        verify.check_properties("desk")
 
 
 @given(words)
