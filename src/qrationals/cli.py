@@ -9,12 +9,14 @@ Markoff utilities, rational trees, and the verification harness.
 `str` writes its Fraction.
 
 Each subcommand returns its JSON payload and its text lines, and `main`
-alone prints one or the other.  `_json` writes the payload, in the same
-bytes as `json.dumps(payload, indent=2)`.  It renders each tuple object
-once per dump and indent, so an edge shared by many matchings of an
-`enum matchings` listing is written once.  Tuples are memoised by
-identity, not by equality: (True, 2) == (1, 2), yet they are written
-differently.
+alone prints one or the other.  `_json` writes a payload, in the same
+bytes as `json.dumps(payload, indent=2)`.  An `enum` listing writes its
+own JSON text instead, in the same bytes: it reads each row as integers
+off its lister and writes it in the format asked for by one format
+string over tables built once per listing, such as each element's or
+each edge's text.  Under `--format json` its payload is that text,
+which `main` writes as is; in text mode its payload is None and no JSON
+is built.
 
 One table, `_COMMANDS`, describes the subcommands.  `_parse` reads a
 well-formed argv from it and loads no argparse; `_build_parser` builds from
@@ -34,16 +36,17 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from .cf import cf_even, cf_parse, cw_level, sb_level
-from .fence import enumerate_ideals, fence_of_rational, fence_to_dot, fence_to_svg
+from .cf import cf_even, cf_parse, cw_level, sb_level, word_of
+from .fence import Fence, enumerate_ideals, fence_of_rational, fence_to_dot, fence_to_svg
 from .markoff import markoff_numbers_upto, markoff_of, markoff_row
 from .numeration import _integer, numeration_rows, rep, val
 from .qpoly import q_rational, q_shift_identity_check
-from .snake import enumerate_matchings, matching_edges, prefix_suffix_table, snake_of_rational, snake_to_svg
-from .words import _decimal, _summary, check_word
+from .snake import Snake, enumerate_matchings, prefix_suffix_table, snake_of_rational, snake_to_svg
+from .words import _decimal, _summary, check_word, theta
 
 __all__ = ["main"]
 
@@ -75,7 +78,8 @@ def _check_word_length(what, letters):
 
 
 def _parse_rational(text):
-    """A positive rational whose word is at most MAX_WORD_LENGTH letters."""
+    """A positive rational whose word is at most MAX_WORD_LENGTH letters,
+    and its even-length expansion."""
     try:
         if "/" in text:
             num, den = text.split("/", 1)
@@ -86,8 +90,9 @@ def _parse_rational(text):
         raise ValueError("not a rational: %s" % _summary(text, "0123456789/"))
     if x <= 0:
         raise ValueError("need a positive rational, got %s" % ("0" if x == 0 else "a negative one"))
-    _check_word_length("the word of %s" % _rational_name(x), sum(cf_even(x)) - 1)
-    return x
+    a = cf_even(x)
+    _check_word_length("the word of %s" % _rational_name(x), sum(a) - 1)
+    return x, a
 
 
 def _rational_name(x):
@@ -121,7 +126,7 @@ def _parse_digits(text):
 
 
 def _cmd_qrat(args):
-    x = _parse_rational(args.rational)
+    x, _ = _parse_rational(args.rational)
     qx = q_rational(x)
     payload = {"x": str(x)}
     payload.update(qx.to_json())
@@ -153,47 +158,64 @@ def _cmd_val(args):
     return {"cf": a, "digits": digits, "n": n}, [text], None
 
 
-def _enum_admissible(x):
-    a = cf_even(x)
-    rows = numeration_rows(a)
-    lines = ("%d\t%s" % (n, ",".join(str(d) for d in b)) for n, b in rows)
-    return {"cf": a, "rows": rows}, lines, None
+def _bits(mask):
+    """A mask's bits as bools for `compress`, bit i at position i: bin(mask)
+    read backwards, then "b" and "0", which select nothing."""
+    return map("1".__eq__, reversed(bin(mask)))
 
 
-def _enum_ideals(x):
-    fence = fence_of_rational(x)
-    elements = [[i for i in range(fence.size) if m >> i & 1] for m in enumerate_ideals(fence)]
-    lines = ("{%s}" % ",".join(str(i) for i in ideal) for ideal in elements)
-    return {"x": str(x), "ideals": elements}, lines, None
+def _listing_json(key, value, rows_key, rows):
+    """The JSON text of {key: value, rows_key: [...]} from the JSON text of
+    each row, written at the rows' indent."""
+    return '{\n  "%s": %s,\n  "%s": [\n    %s\n  ]\n}' % (key, _json(value, "\n  "), rows_key, ",\n    ".join(rows))
 
 
-def _enum_matchings(x):
-    g = snake_of_rational(x)
-    rows = [
-        {
-            "class": g.classify(m),
-            "area": area,
-            "edges": matching_edges(g, m),
-        }
+def _enum_admissible(x, a, as_json):
+    # every row is n and its len(a) digits
+    if as_json:
+        row = "[\n      %d,\n      [\n        " + ",\n        ".join(["%d"] * len(a)) + "\n      ]\n    ]"
+    else:
+        row = "%d\t" + ",".join(["%d"] * len(a))
+    lines = [row % (n, *b) for n, b in numeration_rows(a)]
+    return _listing_json("cf", a, "rows", lines) if as_json else lines
+
+
+def _enum_ideals(x, a, as_json):
+    fence = Fence(word_of(a))
+    if as_json:
+        row, table = "[%s\n    ]", ["\n      %d" % i for i in range(fence.size)]
+    else:
+        row, table = "{%s}", [str(i) for i in range(fence.size)]
+    lines = [row % ",".join(compress(table, _bits(m))) for m in enumerate_ideals(fence)]
+    if not as_json:
+        return lines
+    lines[0] = "[]"  # the empty ideal, which comes first
+    return _listing_json("x", str(x), "ideals", lines)
+
+
+def _enum_matchings(x, a, as_json):
+    g = Snake(theta(word_of(a)))
+    if as_json:
+        row = '{\n      "class": "%s",\n      "area": %d,\n      "edges": [%s\n      ]\n    }'
+        table = ["\n        " + _json(e, "\n        ") for e in g.edges]
+    else:
+        row, table = "class=%s area=%d edges=%s", ["(%d,%d)-(%d,%d)" % (e[0] + e[1]) for e in g.edges]
+    lines = [
+        row % (g.classify(m), area, ",".join(compress(table, _bits(m))))
         for m, area in enumerate_matchings(g, area=True)
     ]
-    label = {e: "(%d,%d)-(%d,%d)" % (e[0] + e[1]) for e in g.edges}
-    lines = (
-        "class=%s area=%d edges=%s" % (row["class"], row["area"], ",".join(map(label.__getitem__, row["edges"])))
-        for row in rows
-    )
-    return {"x": str(x), "matchings": rows}, lines, None
+    return _listing_json("x", str(x), "matchings", lines) if as_json else lines
 
 
 def _cmd_enum(args):
-    x = _parse_rational(args.rational)
+    x, a = _parse_rational(args.rational)
     if args.count:
         # the counting theorem: each family of r/s splits as (r, s), which
         # verify holds against the scans
         first, second = ("perp", "par") if args.family == "matchings" else ("filled", "empty")
         m, n = x.numerator, x.denominator
         return {first: m, second: n, "total": m + n}, ["%s=%d %s=%d total=%d" % (first, m, second, n, m + n)], None
-    objects, length = x.numerator + x.denominator, sum(cf_even(x)) + 1
+    objects, length = x.numerator + x.denominator, sum(a) + 1
     if objects * length > MAX_LISTED_ELEMENTS:
         raise ValueError(
             "enum %s %s would list %s objects of up to %d elements, over the "
@@ -205,11 +227,13 @@ def _cmd_enum(args):
         "ideals": _enum_ideals,
         "matchings": _enum_matchings,
     }[args.family]
-    return handler(x)
+    if args.format == "json":
+        return handler(x, a, True), (), None
+    return None, handler(x, a, False), None
 
 
 def _cmd_render(args):
-    x = _parse_rational(args.rational)
+    x, _ = _parse_rational(args.rational)
     if args.shape == "fence":
         fence = fence_of_rational(x)
         return None, [fence_to_svg(fence) if args.format == "svg" else fence_to_dot(fence)], None
@@ -219,7 +243,7 @@ def _cmd_render(args):
 
 
 def _cmd_table(args):
-    x = _parse_rational(args.rational)
+    x, _ = _parse_rational(args.rational)
     table = prefix_suffix_table(x)
     lines = ["word\t%s" % table["word"], "len\tprefix_perp\tprefix_par\tsuffix_perp\tsuffix_par"]
     lines += (
@@ -421,21 +445,13 @@ def _build_parser():
     return parser
 
 
-def _json(value, indent="\n", memo=None):
+def _json(value, indent="\n"):
     """`json.dumps(value, indent=2)`, byte for byte, for the values a
     payload holds: dicts with str keys, lists, tuples, str, int, None,
     bool and float.  On Python 3.11 `json.dumps` takes its pure-Python
-    encoder whenever it indents; this writes the same text faster, most of
-    all on listings whose rows share tuples.  `indent` is the newline and
-    the spaces before `value`.
-
-    `memo` maps (id, indent) to the text of each tuple written so far in
-    this dump, so a tuple shared by many rows, such as an edge of a snake
-    graph in every matching that holds it, is rendered once per indent.
-    The key is the tuple's identity, not its value: (True, 2) == (1, 2)
-    and (1.0,) == (1,) hash alike but are written differently.  The
-    payload holds every object until the dump ends, so no id is reused
-    during it.  A list or tuple of nothing but ints is written in one join."""
+    encoder whenever it indents; this writes the same text faster.
+    `indent` is the newline and the spaces before `value`.  A list or
+    tuple of nothing but ints is written in one join."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -444,27 +460,17 @@ def _json(value, indent="\n", memo=None):
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        if memo is None:
-            memo = {}
-        key = (id(value), indent)
-        text = memo.get(key)
-        if text is None:
-            inner = indent + "  "
-            if type(value[0]) is int is type(value[-1]) and set(map(type, value)) == {int}:
-                items = map(int.__repr__, value)
-            else:
-                items = [_json(v, inner, memo) for v in value]
-            text = "[" + inner + ("," + inner).join(items) + indent + "]"
-            if kind is tuple:
-                memo[key] = text
-        return text
+        inner = indent + "  "
+        if type(value[0]) is int is type(value[-1]) and set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
     if kind is dict:
         if not value:
             return "{}"
-        if memo is None:
-            memo = {}
         inner = indent + "  "
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner, memo) for k, v in value.items()]
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     return json.dumps(value)
 
@@ -479,7 +485,8 @@ def main(argv=None):
     try:
         payload, lines, failure = args.func(args)
         if args.format == "json":
-            sys.stdout.write(_json(payload) + "\n")
+            # an `enum` listing's payload is its JSON text already
+            sys.stdout.write((payload if type(payload) is str else _json(payload)) + "\n")
         else:
             lines = list(lines)
             if lines:  # one write; none for no lines, as in verify's text mode

@@ -116,14 +116,21 @@ def verify_halfspace_split(a):
     >>> verify_halfspace_split((2, 2, 2))
     True
     """
-    a = check_cf(a)
+    normal, wrong = _halfspace_misses(check_cf(a))
+    return not any(normal) and not wrong
+
+
+def _halfspace_misses(a):
+    """The two findings of the certificate, which holds iff the first has
+    no nonzero entry and the second is empty: the normal's entries past
+    its first nonzero one, b_j's, and the values of b_j in 0..a_j that the
+    cut puts on the wrong side."""
     y, t = _halfspace(a)
     j = next(i for i, yi in enumerate(y) if yi)
-    if any(y[j + 1:]):
-        return False
     digits = [0] * len(a)
+    wrong = []
     for u in range(a[j] + 1):
         digits[j] = u
         if (y[j] * u < t) == _filled(digits, a):
-            return False
-    return True
+            wrong.append(u)
+    return y[j + 1:], wrong

@@ -298,9 +298,8 @@ def area_statistics(x):
 
 
 def matching_edges(g, mask):
-    """Edge pairs of a matching mask, in index order.  They are the edge
-    objects of `g.edges` themselves, not copies, so the rows of a listing
-    share them: the CLI's JSON writer renders each shared edge once.
+    """Edge pairs of a matching mask, in index order: the edge objects of
+    `g.edges` themselves, not copies.
 
     >>> g = Snake("0")
     >>> edges = matching_edges(g, 0b100101)

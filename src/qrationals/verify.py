@@ -340,13 +340,17 @@ def check_polytope(level="desk"):
     """Lattice convexity by the inequalities, field by field against the
     box-scan oracle, and the half-space split over all small expansions:
     certified on its digit, and held against the listed partition where
-    the side counts list it."""
+    the side counts list it.  The certificate is compared by values: the
+    normal has no nonzero entry past the digit b_j it reads, and no value
+    of b_j in 0..a_j falls on the wrong side of the cut."""
     b = BOUNDS[level]
     for a in _expansions(b["polytope_k"], b["polytope_sum"]):
         filled, empty = _oracle.partition(a)  # B, listed once for both oracles
         report = _poly.convexity_report(a)
         _expect("the convexity report against the box scan", a, report, _oracle.box_scan_report(a, filled + empty))
-        _expect("the half-space split", a, _poly.verify_halfspace_split(a))
+        normal, wrong = _poly._halfspace_misses(a)
+        _expect("the half-space normal past its digit", a, normal, (0,) * len(normal))
+        _expect("the half-space split", a, wrong, [])
         k = len(a)
         if k % 2 == 0:
             y, t = _poly.halfspace(a)

@@ -16,10 +16,13 @@ import pytest
 import qrationals
 from qrationals import _oracle, cli, fence, markoff, qpoly, snake, verify, words
 from qrationals._oracle import Mat2
-from qrationals.cf import rational_of_word, rationals_with_sum_upto
+from qrationals.cf import cf_even, rational_of_word, rationals_with_sum_upto
 from qrationals.cli import main
+from qrationals.fence import enumerate_ideals, fence_of_rational
 from qrationals.markoff import markoff_of
+from qrationals.numeration import numeration_rows
 from qrationals.qpoly import Q, ZERO
+from qrationals.snake import enumerate_matchings, matching_edges, snake_of_rational
 from qrationals.words import christoffel, theta
 
 
@@ -118,17 +121,56 @@ def test_json_goldens(capsys, argv, golden):
     assert out == json.dumps(json.loads(golden), indent=2) + "\n"
 
 
+def _listing(family, x):
+    """The payload and text lines of `enum family x`, built as plain values:
+    the digit rows, each ideal's elements, and each matching as a dict
+    whose edges `matching_edges` lists."""
+    if family == "admissible":
+        a = cf_even(x)
+        rows = numeration_rows(a)
+        return {"cf": a, "rows": rows}, ["%d\t%s" % (n, ",".join(str(d) for d in b)) for n, b in rows]
+    if family == "ideals":
+        f = fence_of_rational(x)
+        ideals = [[i for i in range(f.size) if m >> i & 1] for m in enumerate_ideals(f)]
+        return {"x": str(x), "ideals": ideals}, ["{%s}" % ",".join(str(i) for i in ideal) for ideal in ideals]
+    g = snake_of_rational(x)
+    rows = [
+        {"class": g.classify(m), "area": area, "edges": matching_edges(g, m)}
+        for m, area in enumerate_matchings(g, area=True)
+    ]
+    label = {e: "(%d,%d)-(%d,%d)" % (e[0] + e[1]) for e in g.edges}
+    lines = [
+        "class=%s area=%d edges=%s" % (row["class"], row["area"], ",".join(label[e] for e in row["edges"]))
+        for row in rows
+    ]
+    return {"x": str(x), "matchings": rows}, lines
+
+
 @pytest.mark.parametrize(
     "argv",
     [argv for argv, _ in README_EXAMPLES]
-    # listings whose rows share tuple objects, such as the edges of matchings
     + [("enum", family, "34/55") for family in ("admissible", "ideals", "matchings")]
     + [("table", "84/37")],
 )
 def test_json_output_is_json_dumps_of_the_payload(capsys, argv):
-    args = cli._build_parser().parse_args(list(argv) + ["--format", "json"])
-    payload, _, _ = args.func(args)
+    if argv[0] == "enum" and "--count" not in argv:
+        # a listing's payload is its JSON text, so the payload it writes is built here
+        payload, _ = _listing(argv[1], Fraction(argv[2]))
+    else:
+        args = cli._build_parser().parse_args(list(argv) + ["--format", "json"])
+        payload, _, _ = args.func(args)
     assert run(capsys, *argv, "--format", "json") == (0, json.dumps(payload, indent=2) + "\n", "")
+
+
+@pytest.mark.parametrize("family", ("admissible", "ideals", "matchings"))
+def test_listings_write_the_payload_and_lines_they_list(capsys, family):
+    texts = [str(x) for x in rationals_with_sum_upto(40)]
+    assert {"1", "5", "1/5"} <= set(texts)
+    for text in texts:
+        payload, lines = _listing(family, Fraction(text))
+        assert run(capsys, "enum", family, text) == (0, "".join(line + "\n" for line in lines), ""), text
+        expected = json.dumps(payload, indent=2) + "\n"
+        assert run(capsys, "enum", family, text, "--format", "json") == (0, expected, ""), text
 
 
 json_values = st.recursive(
@@ -164,20 +206,38 @@ def test_json_writer_is_json_dumps_at_indent_2(value):
 
 
 def test_json_writer_renders_each_edge_once(capsys, monkeypatch):
-    # 68/161 has 229 matchings of an 11-letter snake with 37 distinct
-    # edges; one call per printed integer made 21,758 calls
+    # 68/161 has 229 matchings of an 11-letter snake with 37 edges; the
+    # listing writes each edge's JSON by one `_json` call from outside it,
+    # which recurses once per endpoint, and makes no call per row
     calls = []
+    depth = [0]
     write = cli._json
 
     def counting(*args):
-        calls.append(args)
-        return write(*args)
+        calls.append(depth[0])
+        depth[0] += 1
+        try:
+            return write(*args)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(cli, "_json", counting)
     code, out, _ = run(capsys, "enum", "matchings", "68/161", "--format", "json")
     matchings = len(json.loads(out)["matchings"])
     assert (code, matchings) == (0, 229)
-    assert len(calls) < 20 * matchings
+    assert len(snake_of_rational(Fraction(68, 161)).edges) == 37
+    assert calls.count(0) <= 37 + 2
+    assert len(calls) <= 3 * 37 + 2
+
+
+@pytest.mark.parametrize("family", ("admissible", "ideals", "matchings"))
+def test_text_listings_build_no_json(capsys, monkeypatch, family):
+    def refuse(*args):
+        raise AssertionError("a text listing built JSON")
+
+    monkeypatch.setattr(cli, "_json", refuse)
+    _, lines = _listing(family, Fraction(68, 161))
+    assert run(capsys, "enum", family, "68/161") == (0, "".join(line + "\n" for line in lines), "")
 
 
 def test_two_calls_build_one_parser(capsys, monkeypatch):

@@ -149,6 +149,7 @@ FAST_PATHS = (
     (qrationals.snake, "prefix_suffix_table"),
     (qrationals.polytope, "convexity_report"),
     (qrationals.polytope, "verify_halfspace_split"),
+    (qrationals.polytope, "_halfspace_misses"),
 )
 
 

@@ -115,6 +115,26 @@ def test_halfspace_split_refuses_a_shifted_cut(monkeypatch, a):
     assert not verify_halfspace_split(a)
 
 
+@pytest.mark.parametrize(
+    "plant, message",
+    (
+        # the bound one off either way, and a normal that reads a second digit
+        (lambda y, t: (y, t + 1), "the half-space split fails on (0, 1) at index 0: got [1], expected []"),
+        (lambda y, t: (y, t - 1), "the half-space split fails on (0, 1) at index 0: got [0], expected []"),
+        (
+            lambda y, t: (y[:-1] + (1,), t),
+            "the half-space normal past its digit fails on (0, 1, 1): got (1,), expected (0,)",
+        ),
+    ),
+)
+def test_half_space_claims_fail_by_values(monkeypatch, plant, message):
+    cut = polytope._halfspace
+    monkeypatch.setattr(polytope, "_halfspace", lambda a: plant(*cut(a)))
+    with pytest.raises(AssertionError) as failure:
+        verify.check_polytope("desk")
+    assert str(failure.value) == message
+
+
 def test_halfspace_normals():
     assert halfspace((2, 2, 2)) == ((1, 0, 0), 1)
     assert halfspace((0, 3, 1, 1)) == ((0, 1, 0, 0), 3)
