@@ -18,9 +18,8 @@ inequalities.  `cli`/`verify` expose everything as a command line tool
 with a re-derivation harness; `verify` holds the production paths
 against the brute-force oracles of the private module `_oracle` (the
 Mat2 matrix product, the pop recursion for matchings, the split of the
-listed digit vectors, the area theorem of q-Markoff polynomials, and a
-box scan with Fourier-Motzkin hull membership), which no production
-module imports.
+listed digit vectors, and a box scan with Fourier-Motzkin hull
+membership), which no production module imports.
 """
 
 __version__ = "0.1.0"

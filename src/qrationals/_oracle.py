@@ -184,7 +184,7 @@ def first_cell_perp(horizontal, word):
 
 def partition(a):
     """(filled, empty) sublists of `enumerate_admissible(a)`, order kept:
-    the reference lister's split, which the digit scan is held against.
+    the reference lister's split, which the digit statistics are held against.
 
     >>> [len(part) for part in partition((0, 1, 3, 1))]
     [4, 5]

@@ -84,9 +84,11 @@ def _cf_raw(x):
 
 
 def _with_parity(a, even):
-    # a raw expansion ends in 1 only as (1,), so n -> n - 1, 1 keeps it valid
+    # the rewrite [..., a, 1] <-> [..., a + 1] into the asked parity
     if (len(a) % 2 == 0) == even:
         return a
+    if len(a) > 1 and a[-1] == 1:
+        return a[:-2] + (a[-2] + 1,)
     return a[:-1] + (a[-1] - 1, 1)
 
 

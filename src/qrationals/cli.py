@@ -41,11 +41,11 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .cf import cf_even, cf_parse, cw_level, sb_level, word_of
-from .fence import Fence, enumerate_ideals, fence_of_rational, fence_to_dot, fence_to_svg
+from .fence import Fence, enumerate_ideals, fence_to_dot, fence_to_svg
 from .markoff import markoff_numbers_upto, markoff_of, markoff_row
 from .numeration import _integer, numeration_rows, rep, val
 from .qpoly import q_rational, q_shift_identity_check
-from .snake import Snake, enumerate_matchings, prefix_suffix_table, snake_of_rational, snake_to_svg
+from .snake import Snake, enumerate_matchings, prefix_suffix_table, snake_to_svg
 from .words import _decimal, _summary, check_word, theta
 
 __all__ = ["main"]
@@ -233,13 +233,13 @@ def _cmd_enum(args):
 
 
 def _cmd_render(args):
-    x, _ = _parse_rational(args.rational)
+    _, a = _parse_rational(args.rational)
     if args.shape == "fence":
-        fence = fence_of_rational(x)
+        fence = Fence(word_of(a))
         return None, [fence_to_svg(fence) if args.format == "svg" else fence_to_dot(fence)], None
     if args.format != "svg":
         raise ValueError("snake graphs render as svg only, not %r" % args.format)
-    return None, [snake_to_svg(snake_of_rational(x))], None
+    return None, [snake_to_svg(Snake(theta(word_of(a))))], None
 
 
 def _cmd_table(args):

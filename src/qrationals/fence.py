@@ -8,12 +8,12 @@ starts with a down step exactly when x < 1.
 
 Ideals are stored as bitmasks over the elements; bit i is element y_i.
 One scan along the path (`_path_scan`), last element to first, so that
-one run ends on the split by y_0, runs on lists of bitmasks to list the
-ideals and on packed size polynomials, each one integer (Kronecker
-substitution, as in `qpoly`), to count them by size; that second run,
-`_statistics`, gives all three models their statistics.  The subset
-filter (`ideals_by_subset_filter`) shares no code with it and is
-the listing's independent reference.  It is bitsliced: one integer of
+one run ends on the split by y_0, lists the ideals on lists of bitmasks.
+By the main theorem their sizes, split by y_0, are the pair
+`qpoly.theorem_pair` of the word's expansion, as for all three models,
+so `ideal_statistics` lists nothing.  The subset filter
+(`ideals_by_subset_filter`) shares no code with the scan and is the
+listing's independent reference.  It is bitsliced: one integer of
 2^size bits holds every subset at once, bit m standing for subset m,
 and each cover relation clears the subsets it rules out in a handful of
 big-integer operations (word-parallel "broadword" set filtering, Knuth,
@@ -23,10 +23,11 @@ order, and a stable sort by size puts them in the listing's order.
 
 from functools import cache
 from itertools import accumulate
-from operator import add, concat
+from operator import concat
 
-from .cf import _last_suffix_pair, word_of_rational
-from .qpoly import Poly
+from .cf import cf_even, rational_of_word, word_of_rational
+from .numeration import _admissible
+from .qpoly import theorem_pair
 from .words import check_word
 
 __all__ = [
@@ -87,32 +88,6 @@ def _path_scan(word, one, add, join):
         else:  # y_i covers y_{i+1}: y_i in forces y_{i+1} in
             inside, outside = add(inside, i), join(inside, outside)
     return [inside, outside]
-
-
-def _statistics(word):
-    """The statistics pair of every model, over its own word: the path scan
-    on packed size polynomials over the ideals of the fence of `word`.
-
-    Each size polynomial is packed into one integer, its value at
-    q = 2^width (Kronecker substitution, as in `qpoly._q_product_vector`):
-    the empty ideal is 1, adding an element is a shift by `width` bits
-    and a join is one addition.  The width is exact.  Every value met
-    counts a set of ideals of a suffix y_i, ..., y_n of the fence, so its
-    coefficients are nonnegative and at most its value at q = 1.  At
-    q = 1 a letter 1 maps (inside, outside) to (inside + outside,
-    outside) and a letter 0 to (inside, inside + outside), so the total
-    inside + outside never falls along the scan, and the last join, made
-    at y_0 over the ideals of y_1, ..., y_n, becomes one side of the
-    pair.  By the counting theorem the pair is (r, s) for the word's
-    rational r/s, `cf._last_suffix_pair`, found in O(n) integer
-    additions.  So every value met is at most max(r, s); `width` bits,
-    the least multiple of 8 with max(r, s) < 2^width, hold every
-    coefficient, and no join carries into the next one.
-    `Poly.from_packed` unpacks each side."""
-    width = (max(_last_suffix_pair(word)).bit_length() + 7) // 8 * 8
-    return tuple(
-        Poly.from_packed(side, width) for side in _path_scan(word, 1, lambda v, i: v << width, add)
-    )
 
 
 def enumerate_ideals(fence):
@@ -194,23 +169,22 @@ def ideals_by_subset_filter(fence):
 
 
 def ideal_statistics(fence):
-    """(sum over ideals containing y_0, sum over the rest) of q^|I|.
-
-    The path scan on packed size polynomials; no ideal is listed.
+    """(sum over ideals containing y_0, sum over the rest) of q^|I|:
+    `theorem_pair` of the word's expansion; no ideal is listed.
 
     >>> tuple(str(p) for p in ideal_statistics(Fence("")))
     ('q', '1')
     >>> tuple(str(p) for p in ideal_statistics(Fence("0111")))
     ('q^5+q^4+q^3+q^2', 'q^4+q^3+q^2+q+1')
     """
-    return _statistics(fence.word)
+    return theorem_pair(cf_even(rational_of_word(fence.word)))
 
 
 def rank_polynomials(x):
     """Cardinality statistics of the ideals of the fence of x, split by
     whether the ideal contains the first element: the same pair as
-    `ideal_statistics(fence_of_rational(x))`, by the scan over W(x) with
-    no Fence built.  It is kept only because the benchmark
+    `ideal_statistics(fence_of_rational(x))`, `theorem_pair` of cf_even(x)
+    with no Fence built.  It is kept only because the benchmark
     (`bench/workloads.py`) calls it by this module.
 
     >>> from fractions import Fraction
@@ -219,7 +193,7 @@ def rank_polynomials(x):
     >>> tuple(str(p) for p in rank_polynomials(1))
     ('q', '1')
     """
-    return _statistics(word_of_rational(x))
+    return theorem_pair(cf_even(x))
 
 
 def chains(a):
@@ -249,8 +223,6 @@ def psi_inverse(b, a):
     >>> bin(psi_inverse((2, 0, 2, 1, 1, 2), (3, 3, 2, 1, 3, 3)))
     '0b110001111000011'
     """
-    from .numeration import _admissible  # numeration imports fence when it loads
-
     b, a = _admissible(b, a)
     mask = 0
     for i, block in enumerate(chains(a)):

@@ -13,17 +13,17 @@ r_k exactly once.  Digits are stored least-significant (b_0) first.
 
 `fence.psi` takes the ideals of the fence of W(a) onto these vectors,
 keeping size (|I| = b_0 + ... + b_{k-1}) and side (y_0 in I iff b is
-filled), so the digit statistics are the fence's statistics scan on
-packed size polynomials (`fence._statistics`) over W(a).  Both
-expansions of a rational, [..., a, 1] and [..., a + 1], have one W(a).  `enumerate_admissible` is
-the digit model's reference lister; its split into the filled and the
-empty vectors, `partition`, is an oracle and lives in `_oracle`.
+filled), so the digit statistics are the fence's, `qpoly.theorem_pair`
+of the even-length expansion: both expansions of a rational, [..., a, 1]
+and [..., a + 1], have one W(a).  `enumerate_admissible` is the digit
+model's reference lister; its split into the filled and the empty
+vectors, `partition`, is an oracle and lives in `_oracle`.
 """
 
 from operator import index
 
 from . import cf as _cf
-from .fence import _statistics
+from .qpoly import theorem_pair
 
 __all__ = [
     "is_admissible",
@@ -87,8 +87,8 @@ def enumerate_admissible(a):
     vectors grow one layer at a time, b_{k-1} first, each entry extended
     by its allowed digits in ascending order.  This digit descent is the
     digit model's reference lister: no production path calls it, and
-    `verify` and the tests hold `val`, `rep` and the digit scan
-    (`norm1_statistics`, the fence's scan over W(a)) against it.
+    `verify` and the tests hold `val`, `rep` and the digit statistics
+    (`norm1_statistics`) against it.
 
     >>> len(enumerate_admissible((2, 2, 2)))
     17
@@ -221,15 +221,15 @@ def _integer(n):
 
 
 def norm1_statistics(a):
-    """(sum over filled, sum over empty) of q^(b_0 + ... + b_{k-1}): the
-    digit scan, the fence's path scan over W(a); no vector is listed.
+    """(sum over filled, sum over empty) of q^(b_0 + ... + b_{k-1}):
+    `theorem_pair` of a in its even-length form; no vector is listed.
 
     >>> tuple(str(p) for p in norm1_statistics((0, 1, 3, 1)))
     ('q^5+q^4+q^3+q^2', 'q^4+q^3+q^2+q+1')
     >>> tuple(str(p) for p in norm1_statistics((1, 1)))
     ('q^2+q', '1')
     """
-    return _statistics(_cf._runs(_cf.check_cf(a)))
+    return theorem_pair(_cf._with_parity(_cf.check_cf(a), True))
 
 
 def numeration_rows(a):

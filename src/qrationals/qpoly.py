@@ -2,8 +2,8 @@
 
 A polynomial (`Poly`) is its dense coefficient tuple c_0, ..., c_d with
 c_d != 0: the form into which `Poly.from_packed` reads back the packed
-integers of the kernel below and of the statistics scan of the three
-models (`fence._statistics`), each through the one constructor.
+integers of the kernel below, the one product behind every polynomial
+the package computes.
 
 The q-analog of a positive rational r/s replaces the elementary matrices
 L = [[1,0],[1,1]] and R = [[1,1],[0,1]] in the continued-fraction product
@@ -79,11 +79,11 @@ class Poly:
     def from_packed(cls, x, width):
         """The polynomial whose coefficient of q^e is bits e*width up to
         (e+1)*width of the integer x >= 0, for width a multiple of 8: the
-        packing of `_q_product_vector` and `fence._statistics` read back.
-        At width 8 the little-endian bytes of x are the coefficients; at
-        16, 32 and 64 one standard-size `struct.unpack` reads them as
-        unsigned fields; at any other width they are split into fields by
-        one `Struct` call, each field read by `int.from_bytes`.
+        packing of `_q_product_vector` read back.  At width 8 the
+        little-endian bytes of x are the coefficients; at 16, 32 and 64
+        one standard-size `struct.unpack` reads them as unsigned fields;
+        at any other width they are split into fields by one `Struct`
+        call, each field read by `int.from_bytes`.
 
         >>> Poly.from_packed(0x03_00_01, 8).dense
         (1, 0, 3)
@@ -306,16 +306,17 @@ def q_rational(x):
 
 
 def theorem_pair(a):
-    """diag(1,q)^-1 R_q^{a_0} ... L_q^{a_{2l-1}} (1,0)^T, the common pair
-    that the three enumeration statistics must reproduce: (q R(q), S(q)).
-    The last factor is a power of L_q, so q divides the second
-    component, and `shift(-1)` divides it out, checking the zero constant
-    term."""
+    """diag(1,q)^-1 R_q^{a_0} ... L_q^{a_{2l-1}} (1,0)^T = (q R(q), S(q)),
+    the pair of the main theorem: the size statistics of the admissible
+    vectors, the order ideals and the matchings, split by y_0, which
+    each model's statistics read off its own expansion.  The last factor
+    is a power of L_q, so q divides the second component, and dropping
+    its packing's lowest field divides it out."""
     a = _cf.check_cf(a)
     if len(a) % 2:
         raise ValueError("even-length form required")
     v1, v2, width = _q_product_vector(a, (1, 0))
-    return Poly.from_packed(v1, width), Poly.from_packed(v2, width).shift(-1)
+    return Poly.from_packed(v1, width), Poly.from_packed(v2 >> width, width)
 
 
 def q_shift_identity_check(x):

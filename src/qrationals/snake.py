@@ -28,9 +28,9 @@ matching lattice of a planar bipartite graph (Propp, "Lattice structure
 for orientations of graphs", 2002).  So the snake runs the fence's scan
 (`fence._path_scan`) over theta(w): on edge masks, starting from the
 basic matching and twisting each cell it takes, it lists the matchings;
-on packed size polynomials (`fence._statistics`) it gives the area
-statistics, since area is size; on ints, the counts.  A matching is
-perpendicular iff its ideal holds y_0: iff it is off the basic one on edge 0.
+on ints, the counts.  Area is size, so the area statistics are the
+fence's.  A matching is perpendicular iff its ideal holds y_0: iff it is
+off the basic one on edge 0.
 What keeps the snake honest shares no code with the scan: the backtracking
 matcher (`matchings_by_backtracking`), which checks the listing, the tally
 of `enclosed_cells` over it, and in `verify` the pop recursion.
@@ -45,8 +45,9 @@ from functools import cache, cached_property
 from itertools import compress
 from operator import add, concat
 
-from .cf import _suffix_pairs, word_of_rational
-from .fence import _path_scan, _statistics
+from .cf import _suffix_pairs, cf_even, rational_of_word, word_of_rational
+from .fence import _path_scan
+from .qpoly import theorem_pair
 from .words import check_word, theta
 
 __all__ = [
@@ -106,7 +107,7 @@ class Snake:
     sides as one mask, which the listing XORs; `vertex_edges`, the
     vertex-to-edges map of the backtracking matcher and the drawing; and
     the per-cell left sides that `enclosed_cells` walks.  The statistics
-    and counts read none of them: they scan the word alone."""
+    and counts read none of them, only the word."""
 
     def __init__(self, word):
         check_word(word)
@@ -259,14 +260,14 @@ def matchings_by_backtracking(g):
 
 
 def matching_statistics(g):
-    """(sum over perpendicular, sum over parallel) of q^area: the fence's
-    scan over theta(w) on packed size polynomials, since the area of a
-    matching is the size of its ideal; no matching is listed.
+    """(sum over perpendicular, sum over parallel) of q^area: area is
+    ideal size, so `theorem_pair` of the expansion of theta(w), the
+    fence's word; no matching is listed.
 
     >>> tuple(str(p) for p in matching_statistics(Snake("0100")))
     ('q^5+q^4', 'q^4+2*q^3+2*q^2+q+1')
     """
-    return _statistics(theta(g.word))
+    return theorem_pair(cf_even(rational_of_word(theta(g.word))))
 
 
 def matching_counts(w):
@@ -284,9 +285,9 @@ def matching_counts(w):
 def area_statistics(x):
     """Area statistics of the snake of x, split perpendicular/parallel:
     the same pair as `matching_statistics(snake_of_rational(x))`.  Its word
-    is theta(W(x)) and theta is an involution, so the scan runs over W(x)
-    itself, with no Snake built.  It is kept only because the benchmark
-    (`bench/workloads.py`) calls it by this module.
+    is theta(W(x)) and theta is an involution, so the pair is that of
+    cf_even(x) itself, with no Snake built.  It is kept only because the
+    benchmark (`bench/workloads.py`) calls it by this module.
 
     >>> from fractions import Fraction
     >>> tuple(str(p) for p in area_statistics(Fraction(2, 7)))
@@ -294,7 +295,7 @@ def area_statistics(x):
     >>> tuple(str(p) for p in area_statistics(1))
     ('q', '1')
     """
-    return _statistics(word_of_rational(x))
+    return theorem_pair(cf_even(x))
 
 
 def matching_edges(g, mask):

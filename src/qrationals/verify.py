@@ -234,24 +234,18 @@ def _tally(rows):
 
 def check_three_statistics(level="desk"):
     """Admissible-vector, ideal and matching statistics, each by its
-    scan and tallied over its listing, all equal the matrix-product pair.
+    wrapper and tallied over its listing, all equal the matrix-product pair.
 
-    All three models get their pair from one helper, the fence's path
-    scan on size polynomials (`fence._statistics`), so the three
-    "transfer scan" rows scan the same word w.  Each row still holds its
-    own public wrapper's choice of word: W(a) for the digits, the fence's
-    own word, and theta of the snake's word for the matchings.  A wrong
-    choice fails only in its own row.  Fence and snake also list by that
-    scan, so all are held by references that share no code with it:
-    `theorem_pair` here; the digit descent of `enumerate_admissible`,
-    split into its two sides by `_oracle.partition`; the snake's area,
-    read by `enclosed_cells` off each listed matching, and its side, read
-    by `_oracle.first_cell_perp` off the first cell's bottom edge (the
-    first step of `phi_by_pop`) rather than off the basic matching the
-    listing starts from; the subset filter and the backtracking matcher in
-    `check_oracles`; and `phi_by_pop` in `check_bijections`, which also
-    holds the side `classify` reads.  The expansion, the word, the fence
-    and the snake of each rational are built once and serve both paths."""
+    Each wrapper is `theorem_pair` of its model's expansion, so its row
+    holds its choice of expansion alone: the odd-length one rewritten
+    for the digits, the fence's word read back, and theta of the snake's
+    word.  The tallies share no code with the product: the digit descent
+    of `enumerate_admissible`, split by `_oracle.partition`; the ideals
+    and matchings of the path scan, which the subset filter and the
+    backtracking matcher hold in `check_oracles`; each matching's area
+    by `enclosed_cells`, and its side by `_oracle.first_cell_perp` off
+    the first cell's bottom edge (the first step of `phi_by_pop`), not
+    off the basic matching that the listing starts from."""
     b = BOUNDS[level]
     for x in _cf.rationals_with_sum_upto(b["stats_sum"]):
         a = _cf.cf_even(x)
@@ -264,7 +258,7 @@ def check_three_statistics(level="desk"):
         bottom = g.edges.index(((0, 0), (1, 0)))  # the first cell's bottom edge
         paths = {
             "admissible vectors": (
-                _num.norm1_statistics(a),
+                _num.norm1_statistics(_cf.cf_odd(x)),
                 _tally([(True, sum(v)) for v in filled] + [(False, sum(v)) for v in empty]),
             ),
             "order ideals": (
@@ -277,7 +271,7 @@ def check_three_statistics(level="desk"):
             ),
         }
         for name, pairs in paths.items():
-            for path, pair in zip(("transfer scan", "enumeration"), pairs):
+            for path, pair in zip(("the q-product", "enumeration"), pairs):
                 _expect("%s statistics by %s" % (name, path), x, pair, reference)
 
 

@@ -100,6 +100,14 @@ def test_oracle_imports_only_the_lower_modules():
     assert not found, "_oracle imports a module outside %s at %s" % (sorted(allowed), ", ".join(found))
 
 
+def test_numeration_imports_nothing_from_fence():
+    # the digit statistics are the kernel's pair, so the digit model sits
+    # below the fence, whose `psi_inverse` imports its admissibility check
+    # when the fence loads
+    found = _imports_of(Path(inspect.getsourcefile(qrationals.numeration)), "fence")
+    assert not found, "numeration imports fence at %s" % ", ".join(found)
+
+
 def test_only_main_prints_in_the_cli():
     # subcommands return their result; main alone writes it out
     path = inspect.getsourcefile(qrationals.cli)
@@ -136,7 +144,6 @@ def test_verify_fails_through_one_helper():
 # The fast paths that `verify` and the tests hold the references against.
 FAST_PATHS = (
     (qrationals.fence, "_path_scan"),
-    (qrationals.fence, "_statistics"),
     (qrationals.fence, "enumerate_ideals"),
     (qrationals.qpoly, "_q_product_vector"),
     (qrationals.qpoly, "_packed_times_q_integer"),

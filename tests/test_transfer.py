@@ -1,17 +1,21 @@
-"""The one path scan behind the three statistics and every count: the
-fence's scan, run over the fence's word for the ideals, over W(a) for the
-digit vectors of either expansion and over theta of the snake's word for
-the matchings.  It equals the listings on short words and the matrix pair
-on long ones; its packed statistics equal the same scan on dense lists;
-it never reaches an enumerator, and it counts on ints."""
+"""The three statistics and every count.  Each statistic is one
+q-product, `theorem_pair` of its model's expansion: of the fence's word,
+of either expansion for the digit vectors, and of theta of the snake's
+word for the matchings.  The fence's path scan lists ideals and
+matchings and counts on ints.  The statistics equal the listings on
+short words, the path scan on dense lists on every word of up to 14
+letters and on long and tall ones, and the matrix pair; neither they nor
+the counts reach an enumerator."""
 
+import re
 from fractions import Fraction
 from random import Random
+from time import perf_counter
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from qrationals import _oracle, cli, fence, markoff, numeration, snake, verify
+from qrationals import _oracle, cli, fence, markoff, numeration, qpoly, snake, verify
 from qrationals.cf import cf_even, cf_odd, cf_value, rational_of_word, word_of
 from qrationals.qpoly import Poly, _plus, theorem_pair
 from qrationals.verify import PREFIXES_84_37, SUFFIXES_84_37, _tally
@@ -78,14 +82,23 @@ def test_scans_equal_the_matrix_pair_on_tall_partial_quotients(a):
 
 
 def _dense_statistics(word):
-    """The statistics scan on dense coefficient lists: the empty ideal is
-    [1], an element more is [0] + poly and a join adds coefficientwise."""
+    """The path scan on dense coefficient lists, a reference for the packed
+    q-product: the empty ideal is [1], an element more is [0] + poly and a
+    join adds coefficientwise."""
     return tuple(map(Poly, fence._path_scan(word, [1], lambda poly, i: [0] + poly, _plus)))
+
+
+def _check_statistics_against_the_dense_scan(w):
+    reference = _dense_statistics(w)
+    assert fence.ideal_statistics(fence.Fence(w)) == reference, w
+    assert snake.matching_statistics(snake.Snake(theta(w))) == reference, w
+    # the odd-length expansion of W(a)'s rational, which the wrapper rewrites
+    assert numeration.norm1_statistics(cf_odd(rational_of_word(w))) == reference, w
 
 
 def test_packed_scan_equals_the_dense_scan_on_short_words():
     for w in all_words(14):
-        assert fence._statistics(w) == _dense_statistics(w), w
+        _check_statistics_against_the_dense_scan(w)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -95,7 +108,28 @@ def test_packed_scan_equals_the_dense_scan_on_long_and_tall_words(seed):
     # [a_0; a_1, ..., a_{k-1}] with quotients up to 300, k even
     tall = (rng.randint(0, 300),) + tuple(rng.randint(1, 300) for _ in range(2 * rng.randint(1, 2) - 1))
     for w in (long_word, word_of(tall)):
-        assert fence._statistics(w) == _dense_statistics(w)
+        _check_statistics_against_the_dense_scan(w)
+
+
+def test_statistics_of_twenty_thousand_letters_at_q_equals_one_zero_and_two():
+    # [1; 1000 x 20]: 20,000 letters in runs of 1,000, each one closed-form
+    # power in the kernel; a pass per letter over integers as wide as the
+    # output takes seconds
+    x = cf_value((1,) + (1000,) * 20)
+    a = cf_even(x)
+    v = (1, 0)  # the integer product of the q = 2 matrices
+    for i in range(len(a) - 1, -1, -1):
+        for _ in range(a[i]):
+            v = (2 * v[0] + v[1], v[1]) if i % 2 == 0 else (2 * v[0], 2 * v[0] + v[1])
+    start = perf_counter()
+    pairs = [fence.rank_polynomials(x), snake.area_statistics(x)]
+    seconds = perf_counter() - start
+    for first, second in pairs:
+        assert (first.eval_at_one(), second.eval_at_one()) == (x.numerator, x.denominator)
+        assert second.eval_at_zero() == 1
+        at_two = [sum(c << e for e, c in enumerate(p.dense)) for p in (first, second)]
+        assert at_two == [v[0], v[1] // 2]
+    assert seconds < 0.5, "two statistics of 20,000 letters took %.2f s" % seconds
 
 
 @pytest.fixture
@@ -103,7 +137,7 @@ def no_polynomial(monkeypatch):
     def refuse(*args):
         raise AssertionError("a polynomial was built")
 
-    monkeypatch.setattr(fence, "Poly", refuse)
+    monkeypatch.setattr(qpoly.Poly, "__init__", refuse)
 
 
 @pytest.fixture
@@ -195,28 +229,32 @@ def test_table_of_a_2000_letter_word_runs_no_scan(no_scan):
 def test_listings_run_the_statistics_scan(w):
     with pytest.MonkeyPatch.context() as monkeypatch:
         # every scan is the fence's, called by the snake's listing under its
-        # own import of the name, and by the statistics through `_statistics`
+        # own import of the name; every statistic is `theorem_pair`, called
+        # under each model's own import of the name, and one kernel product
         scans = _counting(monkeypatch, fence, "_path_scan")
         monkeypatch.setattr(snake, "_path_scan", fence._path_scan)
-        helper = []
+        pairs = []
         for module in (fence, snake, numeration):
-            _counting(monkeypatch, module, "_statistics", helper)
+            _counting(monkeypatch, module, "theorem_pair", pairs)
+        products = _counting(monkeypatch, qpoly, "_q_product_vector")
         g, f = snake.Snake(w), fence.Fence(w)
-        # one scan per listing and one per statistic, for both models
+        # one scan per listing
         assert snake.enumerate_matchings(g) == snake.matchings_by_backtracking(g)
-        assert (len(scans), len(helper)) == (1, 0)
-        snake.matching_statistics(g)
-        assert (len(scans), len(helper)) == (2, 1)
         assert fence.enumerate_ideals(f) == fence.ideals_by_subset_filter(f)
-        assert (len(scans), len(helper)) == (3, 1)
-        fence.ideal_statistics(f)
-        assert (len(scans), len(helper)) == (4, 2)
-        # the digit statistics of either expansion are one scan over W(a)
+        assert (len(scans), len(pairs), len(products)) == (2, 0, 0)
+        # one product and no scan per statistic, the digits' of either expansion
         x = rational_of_word(w)
-        numeration.norm1_statistics(cf_even(x))
-        assert (len(scans), len(helper)) == (5, 3)
-        numeration.norm1_statistics(cf_odd(x))
-        assert (len(scans), len(helper)) == (6, 4)
+        statistics = (
+            lambda: snake.matching_statistics(g),
+            lambda: fence.ideal_statistics(f),
+            lambda: fence.rank_polynomials(x),
+            lambda: snake.area_statistics(x),
+            lambda: numeration.norm1_statistics(cf_even(x)),
+            lambda: numeration.norm1_statistics(cf_odd(x)),
+        )
+        for n, statistic in enumerate(statistics, 1):
+            statistic()
+            assert (len(scans), len(pairs), len(products)) == (2, n, n)
 
 
 def _suffixes_swapped(original):
@@ -298,7 +336,7 @@ def _one_short(original):
 @pytest.mark.parametrize(
     "module, name, plant, model, path",
     (
-        (numeration, "norm1_statistics", _swapped, "admissible vectors", "transfer scan"),
+        (numeration, "norm1_statistics", _swapped, "admissible vectors", "the q-product"),
         (fence, "enumerate_ideals", _one_short, "order ideals", "enumeration"),
         (snake, "enumerate_matchings", _one_short, "matchings", "enumeration"),
     ),
@@ -315,4 +353,19 @@ def test_three_statistics_check_holds_the_side_of_each_matching(monkeypatch):
     sides = snake._basic_sides.__wrapped__
     monkeypatch.setattr(snake, "_basic_sides", lambda prev, letter, odd: sides(prev, letter, 1 - odd))
     with pytest.raises(AssertionError, match="^matchings statistics by enumeration fails on 1: got "):
+        verify.check_three_statistics("desk")
+
+
+def test_three_statistics_check_holds_the_odd_length_rule(monkeypatch):
+    # an odd-length expansion made even by appending a quotient 1 without
+    # lowering the last one: [..., a, 1] is [..., a + 1], another rational.
+    # Only the digits' row passes the odd-length expansion to its wrapper.
+    def unlowered(a):
+        return theorem_pair(a + (1,) if len(a) % 2 else a)
+
+    monkeypatch.setattr(numeration, "norm1_statistics", unlowered)
+    with pytest.raises(
+        AssertionError,
+        match="^" + re.escape("admissible vectors statistics by the q-product fails on 1: got (Poly(q^2+q), Poly(1)), expected (Poly(q), Poly(1))"),
+    ):
         verify.check_three_statistics("desk")
