@@ -165,6 +165,19 @@ def _runs(a):
     return "".join(map(str.__mul__, cycle("10"), a))[:-1]
 
 
+def _expansion_of_word(w):
+    """The even-length expansion a with `_runs(a) == w`, for a binary word
+    w: the run lengths of w + "0", after a quotient 0 when w + "0" starts
+    with 0.  It is cf_even(rational_of_word(w)) with no rational built.
+
+    >>> _expansion_of_word("1100010011"), _expansion_of_word("")
+    ((2, 3, 1, 2, 2, 1), (0, 1))
+    """
+    w += "0"
+    a = tuple(map(len, w.replace("01", "0 1").replace("10", "1 0").split()))
+    return a if w[0] == "1" else (0,) + a
+
+
 def rational_of_word(w):
     """Inverse of word_of_rational: the last pair of `_suffix_pairs`, by
     `_last_suffix_pair`.

@@ -13,10 +13,11 @@ alone prints one or the other.  `_json` writes a payload, in the same
 bytes as `json.dumps(payload, indent=2)`.  An `enum` listing writes its
 own JSON text instead, in the same bytes: it reads each row as integers
 off its lister and writes it in the format asked for by one format
-string over tables built once per listing, such as each element's or
-each edge's text.  Under `--format json` its payload is that text,
-which `main` writes as is; in text mode its payload is None and no JSON
-is built.
+string.  The text of each element or edge is written once per
+listing, and a row joins them a byte of its mask at a time, out of a
+byte table built for that listing alone.  Under `--format json` its
+payload is that text, which `main` writes as is; in text mode its
+payload is None and no JSON is built.
 
 One table, `_COMMANDS`, describes the subcommands.  `_parse` reads a
 well-formed argv from it and loads no argparse; `_build_parser` builds from
@@ -36,16 +37,17 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import compress
+from itertools import compress, product
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from types import SimpleNamespace
 
 from .cf import cf_even, cf_parse, cw_level, sb_level, word_of
 from .fence import Fence, enumerate_ideals, fence_to_dot, fence_to_svg
 from .markoff import markoff_numbers_upto, markoff_of, markoff_row
 from .numeration import _integer, numeration_rows, rep, val
-from .qpoly import q_rational, q_shift_identity_check
-from .snake import Snake, enumerate_matchings, prefix_suffix_table, snake_to_svg
+from .qpoly import _q_rational, q_shift_identity_check
+from .snake import Snake, _prefix_suffix_table, enumerate_matchings, snake_to_svg
 from .words import _decimal, _summary, check_word, theta
 
 __all__ = ["main"]
@@ -126,8 +128,8 @@ def _parse_digits(text):
 
 
 def _cmd_qrat(args):
-    x, _ = _parse_rational(args.rational)
-    qx = q_rational(x)
+    x, a = _parse_rational(args.rational)
+    qx = _q_rational(a)
     payload = {"x": str(x)}
     payload.update(qx.to_json())
     lines = [qx.fraction_str()]
@@ -158,10 +160,32 @@ def _cmd_val(args):
     return {"cf": a, "digits": digits, "n": n}, [text], None
 
 
-def _bits(mask):
-    """A mask's bits as bools for `compress`, bit i at position i: bin(mask)
-    read backwards, then "b" and "0", which select nothing."""
-    return map("1".__eq__, reversed(bin(mask)))
+# The bits of each byte value as `compress` selectors, bit j at position j.
+_BYTE_BITS = [bits[::-1] for bits in product((0, 1), repeat=8)]
+
+
+class _Pieces(dict):
+    """One listing's byte table: (byte index i, byte value) -> the
+    comma-joined texts of the bits that byte sets, bits 8i to 8i + 7
+    naming texts[8i:8i + 8], written the first time a mask holds it."""
+
+    def __init__(self, texts):
+        self.octets = [texts[j : j + 8] for j in range(0, len(texts), 8)]
+
+    def __missing__(self, key):
+        i, byte = key
+        piece = self[key] = ",".join(compress(self.octets[i], _BYTE_BITS[byte]))
+        return piece
+
+
+def _joined(texts, masks):
+    """For each mask in turn, the texts[i] of the bits i it sets, joined
+    by commas: the pieces of its nonzero bytes, out of a byte table made
+    for this listing alone, so a row costs a lookup per byte, not a step
+    per bit.  Each row is joined when it is read, so that no list of
+    them outlives its listing's lines."""
+    size, piece = (len(texts) + 7) // 8, _Pieces(texts).__getitem__
+    return (",".join(filter(None, map(piece, enumerate(m.to_bytes(size, "little"))))) for m in masks)
 
 
 def _listing_json(key, value, rows_key, rows):
@@ -183,10 +207,10 @@ def _enum_admissible(x, a, as_json):
 def _enum_ideals(x, a, as_json):
     fence = Fence(word_of(a))
     if as_json:
-        row, table = "[%s\n    ]", ["\n      %d" % i for i in range(fence.size)]
+        row, texts = "[%s\n    ]", ["\n      %d" % i for i in range(fence.size)]
     else:
-        row, table = "{%s}", [str(i) for i in range(fence.size)]
-    lines = [row % ",".join(compress(table, _bits(m))) for m in enumerate_ideals(fence)]
+        row, texts = "{%s}", [str(i) for i in range(fence.size)]
+    lines = list(map(row.__mod__, _joined(texts, enumerate_ideals(fence))))
     if not as_json:
         return lines
     lines[0] = "[]"  # the empty ideal, which comes first
@@ -197,13 +221,14 @@ def _enum_matchings(x, a, as_json):
     g = Snake(theta(word_of(a)))
     if as_json:
         row = '{\n      "class": "%s",\n      "area": %d,\n      "edges": [%s\n      ]\n    }'
-        table = ["\n        " + _json(e, "\n        ") for e in g.edges]
+        # an edge ((x, y), (x', y')) as `_json` writes it at its indent
+        point = "\n          [\n            %d,\n            %d\n          ]"
+        edge = "\n        [" + point + "," + point + "\n        ]"
     else:
-        row, table = "class=%s area=%d edges=%s", ["(%d,%d)-(%d,%d)" % (e[0] + e[1]) for e in g.edges]
-    lines = [
-        row % (g.classify(m), area, ",".join(compress(table, _bits(m))))
-        for m, area in enumerate_matchings(g, area=True)
-    ]
+        row, edge = "class=%s area=%d edges=%s", "(%d,%d)-(%d,%d)"
+    listed = enumerate_matchings(g, area=True)
+    edges = _joined([edge % (e[0] + e[1]) for e in g.edges], map(itemgetter(0), listed))
+    lines = [row % (g.classify(m), area, text) for (m, area), text in zip(listed, edges)]
     return _listing_json("x", str(x), "matchings", lines) if as_json else lines
 
 
@@ -243,8 +268,8 @@ def _cmd_render(args):
 
 
 def _cmd_table(args):
-    x, _ = _parse_rational(args.rational)
-    table = prefix_suffix_table(x)
+    _, a = _parse_rational(args.rational)
+    table = _prefix_suffix_table(word_of(a))
     lines = ["word\t%s" % table["word"], "len\tprefix_perp\tprefix_par\tsuffix_perp\tsuffix_par"]
     lines += (
         "%d\t%d\t%d\t%d\t%d" % (j, pre[0], pre[1], suf[0], suf[1])

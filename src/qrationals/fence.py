@@ -25,7 +25,7 @@ from functools import cache
 from itertools import accumulate
 from operator import concat
 
-from .cf import cf_even, rational_of_word, word_of_rational
+from .cf import _expansion_of_word, cf_even, word_of_rational
 from .numeration import _admissible
 from .qpoly import theorem_pair
 from .words import check_word
@@ -177,7 +177,7 @@ def ideal_statistics(fence):
     >>> tuple(str(p) for p in ideal_statistics(Fence("0111")))
     ('q^5+q^4+q^3+q^2', 'q^4+q^3+q^2+q+1')
     """
-    return theorem_pair(cf_even(rational_of_word(fence.word)))
+    return theorem_pair(_expansion_of_word(fence.word))
 
 
 def rank_polynomials(x):

@@ -10,6 +10,10 @@ b = (b_0, ..., b_{k-1}) subject to
 There are exactly r_k of them and the alternating valuation
 val(b) = sum (-1)^i b_i r_i hits every integer of an interval of width
 r_k exactly once.  Digits are stored least-significant (b_0) first.
+`numeration_rows` lists every n of that interval with its vector, in
+val order, by one descent from the top digit with no division: a digit
+of even index ascends and one of odd index descends, as `rep`'s floors
+do when n ascends.
 
 `fence.psi` takes the ideals of the fence of W(a) onto these vectors,
 keeping size (|I| = b_0 + ... + b_{k-1}) and side (y_0 in I iff b is
@@ -233,6 +237,29 @@ def norm1_statistics(a):
 
 
 def numeration_rows(a):
-    """[(n, rep(n, a))] for every n in the valuation interval, ascending."""
+    """[(n, rep(n, a))] for every n in the valuation interval, ascending,
+    listed by one descent with no division.
+
+    `rep` takes the digits top first, b_i as a floor of the remainder m
+    left by the digits above it: b_i = floor((m - r_{i-1} + r_i) / r_i)
+    at even i, b_i = -floor(m / r_i) at odd i, and in both cases the new
+    remainder m - (-1)^i b_i r_i grows with m while b_i stays put.  So as
+    n ascends, b_{k-1} ascends (k - 1 even) or descends (odd), the n with
+    one top digit form a contiguous run, and inside each run the same
+    holds for the next digit down.  Listing the admissible vectors top
+    digit first, a digit of even index ascending, one of odd index
+    descending, and a digit forced by the rule above it at its forced
+    value, gives them in val order, so they zip with range(lo, hi).
+
+    >>> numeration_rows((1, 2))
+    [(-3, (1, 2)), (-2, (0, 1)), (-1, (1, 1)), (0, (0, 0)), (1, (1, 0))]
+    """
+    a = _cf.check_cf(a)
     r = _cf.r_sequence(a)
-    return [(n, _digits(n, r)) for n in range(*_interval(r))]
+    free = [range(ai, -1, -1) if i % 2 else range(ai + 1) for i, ai in enumerate(a)]
+    vectors = [(d,) for d in free[-1]]  # (b_i, ..., b_{k-1}), in val order
+    for i in range(len(a) - 2, -1, -1):
+        # b_{i+1} = a_{i+1} at odd i + 1, or 0 at even i + 1, forces b_i
+        trigger, forced = (a[i + 1], (a[i],)) if i % 2 == 0 else (0, (0,))
+        vectors = [(d,) + v for v in vectors for d in (forced if v[0] == trigger else free[i])]
+    return list(zip(range(*_interval(r)), vectors))

@@ -300,7 +300,11 @@ def q_rational(x):
     the product with the last exponent lowered by one on (1,1)^T, since
     L_q (1,0)^T = q (1,1)^T; the second display needs no division.
     """
-    a = _cf.cf_even(x)
+    return _q_rational(_cf.cf_even(x))
+
+
+def _q_rational(a):
+    """`q_rational` of the rational whose even-length expansion is a."""
     num, den, width = _q_product_vector(a[:-1] + (a[-1] - 1,), (1, 1))
     return QRational(Poly.from_packed(num, width), Poly.from_packed(den, width))
 

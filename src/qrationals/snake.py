@@ -45,7 +45,7 @@ from functools import cache, cached_property
 from itertools import compress
 from operator import add, concat
 
-from .cf import _suffix_pairs, cf_even, rational_of_word, word_of_rational
+from .cf import _expansion_of_word, _suffix_pairs, cf_even, word_of_rational
 from .fence import _path_scan
 from .qpoly import theorem_pair
 from .words import check_word, theta
@@ -267,7 +267,7 @@ def matching_statistics(g):
     >>> tuple(str(p) for p in matching_statistics(Snake("0100")))
     ('q^5+q^4', 'q^4+2*q^3+2*q^2+q+1')
     """
-    return theorem_pair(cf_even(rational_of_word(theta(g.word))))
+    return theorem_pair(_expansion_of_word(theta(g.word)))
 
 
 def matching_counts(w):
@@ -343,7 +343,11 @@ def prefix_suffix_table(x):
     >>> prefix_suffix_table(Fraction(5, 2))["suffixes"]
     [(1, 1), (1, 2), (3, 2), (5, 2)]
     """
-    u = word_of_rational(x)
+    return _prefix_suffix_table(word_of_rational(x))
+
+
+def _prefix_suffix_table(u):
+    """`prefix_suffix_table` of the rational whose word is u."""
     a, b, c, d = 1, 0, 0, 1  # M(u[:j])
     prefixes = [(1, 1)]
     swap = len(u) % 2 == 0  # n - j is odd, for j = 1

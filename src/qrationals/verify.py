@@ -185,8 +185,9 @@ def _check_orders(x, g, ideals, digits, matchings, popped):
 
 
 def check_bijections(level="desk"):
-    """Counting theorem, valuation bijection, psi and phi, in one pass per
-    rational that lists each model once: B for each expansion, the
+    """Counting theorem, valuation bijection, the numeration rows, psi and
+    phi, in one pass per rational that lists each model once: B for each
+    expansion, which `numeration_rows` must give in val order, the
     ideals, and the snake's matchings with the areas that `enum matchings`
     prints.  phi is held against the pop recursion, and the listed area
     against the popped size.  Up to a lower bound, the same lists also
@@ -199,6 +200,7 @@ def check_bijections(level="desk"):
             values = [_num.val(v, c) for v in seqs]
             _expect("the val image", c, sorted(values), list(range(*_num.z_interval(c))))
             _expect("rep after val", c, [_num.rep(n, c) for n in values], seqs)
+            _expect("the numeration rows as B in val order", c, _num.numeration_rows(c), sorted(zip(values, seqs)))
         ideals = _fence.enumerate_ideals(_fence.fence_of_rational(x))
         digits = [_fence.psi(mask, a) for mask in ideals]
         _expect("psi's image in B", x, [v for v in digits if not _num.is_admissible(v, a)], [])

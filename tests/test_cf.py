@@ -163,6 +163,11 @@ def test_rational_of_word_equals_the_run_based_route():
         assert rational_of_word(w) == _rational_of_word_by_runs(w), w
 
 
+def test_expansion_of_word_is_the_expansion_of_its_rational():
+    for w in all_words(14):
+        assert qrationals.cf._expansion_of_word(w) == cf_even(rational_of_word(w)), w
+
+
 def test_the_last_suffix_pair_is_the_last_of_the_suffix_pairs():
     for w in all_words(12):
         assert qrationals.cf._last_suffix_pair(w) == qrationals.cf._suffix_pairs(w)[-1], w

@@ -150,6 +150,7 @@ FAST_PATHS = (
     (qrationals.cf, "_suffix_pairs"),
     (qrationals.cf, "_last_suffix_pair"),
     (qrationals.numeration, "_digits"),
+    (qrationals.numeration, "numeration_rows"),
     (qrationals.snake.Snake, "classify"),
     (qrationals.snake.Snake, "enclosed_cells"),
     (qrationals.snake, "enumerate_matchings"),

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -18,7 +19,7 @@ from qrationals.numeration import (
     val,
     z_interval,
 )
-from qrationals.verify import BOUNDS, TABLE_222, TABLE_2222, TABLE_NEGAFIB, _expansions
+from qrationals.verify import BOUNDS, TABLE_222, TABLE_2222, TABLE_NEGAFIB, _expansions, check_bijections
 
 rationals = st.builds(Fraction, st.integers(1, 80), st.integers(1, 80))
 
@@ -161,6 +162,48 @@ def test_numeration_rows_compute_the_weights_once(monkeypatch):
         calls.clear()
         assert numeration_rows(a) == rows
         assert calls == {"r_sequence": 1}
+
+
+def _short_expansions(k, total):
+    """Every expansion of at most k quotients summing to at most total."""
+    found, layer = [], [(a0,) for a0 in range(total + 1)]
+    for _ in range(k):
+        found += layer
+        layer = [a + (ai,) for a in layer for ai in range(1, total - sum(a) + 1)]
+    return found[1:]  # all but (0,)
+
+
+def test_numeration_rows_are_rep_of_each_value_with_no_division(monkeypatch):
+    # the descent lists every row in val order and runs no digit extraction
+    expansions = _short_expansions(6, 12) + [cf_even(Fraction(10946, 6765))]
+    assert len(expansions) == 4095
+    expected = [[(n, rep(n, a)) for n in range(*z_interval(a))] for a in expansions]
+
+    def refuse(*args):
+        raise AssertionError("numeration_rows extracted digits")
+
+    monkeypatch.setattr(numeration, "rep", refuse)
+    monkeypatch.setattr(numeration, "_digits", refuse)
+    for a, rows in zip(expansions, expected):
+        assert numeration_rows(a) == rows, a
+
+
+def test_bijection_check_names_rows_out_of_val_order(monkeypatch):
+    # a descent with its odd-index digits ascending, as every digit does in
+    # the reference lister, lists B out of val order from x = 1 = [0; 1] on
+    def ascending(a):
+        return list(zip(range(*z_interval(a)), enumerate_admissible(a)))
+
+    monkeypatch.setattr(numeration, "numeration_rows", ascending)
+    with pytest.raises(
+        AssertionError,
+        match="^"
+        + re.escape(
+            "the numeration rows as B in val order fails on (0, 1) at index 0: "
+            "got [(-1, (0, 0))], expected [(-1, (0, 1))]"
+        ),
+    ):
+        check_bijections("desk")
 
 
 def test_rep_goldens():
