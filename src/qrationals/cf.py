@@ -1,6 +1,8 @@
 """Continued fractions of positive rationals and the word codec.
 
-Rationals are `fractions.Fraction` values, always > 0 and auto-reduced.
+Rationals are ints or `fractions.Fraction` values, always > 0; other
+values go through `Fraction`.  Only the functions that build Fractions
+import `fractions`, when they run.
 Expansions are tuples of ints (a_0, ..., a_{k-1}) with a_0 >= 0 and
 a_i >= 1 for i > 0.  Every positive rational has exactly one even-length
 and one odd-length expansion; the two differ by the rewrite
@@ -11,7 +13,6 @@ and one odd-length expansion; the two differ by the rewrite
 which is a bijection from positive rationals onto all binary words.
 """
 
-from fractions import Fraction
 from itertools import cycle
 from math import gcd
 from operator import index
@@ -65,17 +66,31 @@ def cf_value(a):
     >>> cf_value((3, 6, 1))
     Fraction(22, 7)
     """
+    from fractions import Fraction
+
     p, q = convergents(a)
     return Fraction(p[-1], q[-1])
 
 
 def _cf_raw(x):
-    # plain Euclidean expansion; never ends in 1 except for x = 1 -> (1,)
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("need a positive rational, got %s" % x)
+    """The plain Euclidean expansion of x > 0, read off the numerator and
+    denominator of an int or a Fraction, else off `Fraction(x)`; it never
+    ends in 1 except for x = 1 -> (1,)."""
+    try:
+        num, den = x.numerator, x.denominator
+    except AttributeError:
+        from fractions import Fraction
+
+        x = Fraction(x)
+        num, den = x.numerator, x.denominator
+    if num <= 0:
+        raise ValueError("need a positive rational, got %d%s" % (num, "/%d" % den if den != 1 else ""))
+    return _quotients(num, den)
+
+
+def _quotients(num, den):
+    # the Euclidean expansion of num/den, for num, den > 0
     quotients = []
-    num, den = x.numerator, x.denominator
     while den:
         q, r = divmod(num, den)
         quotients.append(q)
@@ -95,6 +110,7 @@ def _with_parity(a, even):
 def cf_even(x):
     """The even-length expansion; cf_even(1) == (0, 1).
 
+    >>> from fractions import Fraction
     >>> cf_even(Fraction(22, 7))
     (3, 7)
     >>> cf_even(Fraction(4, 5))
@@ -106,6 +122,7 @@ def cf_even(x):
 def cf_odd(x):
     """The odd-length expansion; cf_odd(1) == (1,).
 
+    >>> from fractions import Fraction
     >>> cf_odd(Fraction(22, 7))
     (3, 6, 1)
     """
@@ -154,6 +171,7 @@ def word_of_rational(x):
     """The word W(x) of a positive rational, word_of(cf_even(x)) without a
     second check of the expansion cf_even has just built.
 
+    >>> from fractions import Fraction
     >>> word_of_rational(Fraction(84, 37))
     '1100010011'
     """
@@ -187,6 +205,8 @@ def rational_of_word(w):
     >>> rational_of_word("0")
     Fraction(1, 2)
     """
+    from fractions import Fraction
+
     check_word(w)
     return Fraction(*_last_suffix_pair(w))
 
@@ -264,12 +284,21 @@ def r_sequence(a):
 def sb_level(depth):
     """Level `depth` of the prefix (Stern-Brocot) tree, left to right.
 
-    Each node is the mediant of its bounds (p, q, p', q'), starting from
-    0/1 and 1/0; appending 0 or 1 to its word replaces the right or the
-    left bound by the node.
-
     >>> sb_level(2)
     [Fraction(1, 3), Fraction(2, 3), Fraction(3, 2), Fraction(3, 1)]
+    """
+    from fractions import Fraction
+
+    return [Fraction(p, q) for p, q in _sb_pairs(depth)]
+
+
+def _sb_pairs(depth):
+    """Level `depth` of the prefix tree as reduced pairs (r, s).
+
+    Each node is the mediant of its bounds (p, q, p', q'), starting from
+    0/1 and 1/0; appending 0 or 1 to its word replaces the right or the
+    left bound by the node.  Each node is reduced, since p' q - p q' = 1
+    for every pair of bounds.
     """
     level = [(0, 1, 1, 0)]
     for _ in range(depth):
@@ -277,24 +306,34 @@ def sb_level(depth):
         for p, q, p2, q2 in level:
             nxt += ((p, q, p + p2, q + q2), (p + p2, q + q2, p2, q2))
         level = nxt
-    return [Fraction(p + p2, q + q2) for p, q, p2, q2 in level]
+    return [(p + p2, q + q2) for p, q, p2, q2 in level]
 
 
 def cw_level(depth):
-    """Level `depth` of the suffix (Calkin-Wilf) tree, left to right:
-    prepending 0 or 1 to the word of r/s gives r/(r+s) or (r+s)/s.
+    """Level `depth` of the suffix (Calkin-Wilf) tree, left to right.
 
     >>> cw_level(2)
     [Fraction(1, 3), Fraction(3, 2), Fraction(2, 3), Fraction(3, 1)]
     """
+    from fractions import Fraction
+
+    return [Fraction(r, s) for r, s in _cw_pairs(depth)]
+
+
+def _cw_pairs(depth):
+    """Level `depth` of the suffix tree as reduced pairs (r, s): prepending
+    0 or 1 to the word of r/s gives r/(r+s) or (r+s)/s, and both are
+    reduced when r/s is."""
     level = [(1, 1)]
     for _ in range(depth):
         level = [child for r, s in level for child in ((r, r + s), (r + s, s))]
-    return [Fraction(r, s) for r, s in level]
+    return level
 
 
 def rationals_with_sum_upto(bound):
     """All positive rationals r/s with r+s <= bound, reduced."""
+    from fractions import Fraction
+
     out = []
     for total in range(2, bound + 1):
         for r in range(1, total):

@@ -5,8 +5,10 @@ numeration codec in both directions, enumeration of the three
 combinatorial families, SVG/dot rendering, the prefix/suffix table,
 Markoff utilities, rational trees, and the verification harness.
 `enum --count` prints the counting theorem's split (r, s) of r/s, which
-`verify` holds against the path scans, and a rational is written as
-`str` writes its Fraction.
+`verify` holds against the path scans.  A rational is read and carried
+as its reduced numerator and denominator, two ints, and written p/q, or
+p when q = 1, as `str` writes a Fraction; no subcommand but `verify`
+loads `fractions`, `decimal` or `json`.
 
 Each subcommand returns its JSON payload and its text lines, and `main`
 alone prints one or the other.  `_json` writes a payload, in the same
@@ -33,20 +35,25 @@ of at most 200 digits, and the value `val` prints has at most as many
 digits as str() writes (4,300 by default).
 """
 
-import json
 import sys
-from fractions import Fraction
 from functools import cache
 from itertools import compress, product
-from json.encoder import encode_basestring_ascii
+from math import gcd
 from operator import itemgetter
 from types import SimpleNamespace
 
-from .cf import cf_even, cf_parse, cw_level, sb_level, word_of
+# The C string writer that `json.encoder.encode_basestring_ascii` is on
+# CPython, imported without the `json` package.
+try:
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
+
+from .cf import _cw_pairs, _quotients, _sb_pairs, _with_parity, cf_parse, word_of
 from .fence import Fence, enumerate_ideals, fence_to_dot, fence_to_svg
 from .markoff import markoff_numbers_upto, markoff_of, markoff_row
 from .numeration import _integer, numeration_rows, rep, val
-from .qpoly import _q_rational, q_shift_identity_check
+from .qpoly import _q_rational, _shift_identity_holds
 from .snake import Snake, _prefix_suffix_table, enumerate_matchings, snake_to_svg
 from .words import _decimal, _summary, check_word, theta
 
@@ -81,28 +88,41 @@ def _check_word_length(what, letters):
 
 def _parse_rational(text):
     """A positive rational whose word is at most MAX_WORD_LENGTH letters,
-    and its even-length expansion."""
+    as its reduced numerator and denominator p, q > 0, and its even-length
+    expansion.  It reads what `Fraction(_decimal(num), _decimal(den))`
+    reads: a sign on either part, and a 0 denominator refused."""
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            x = Fraction(_decimal(num), _decimal(den))
+            p, q = _decimal(num), _decimal(den)
         else:
-            x = Fraction(_decimal(text))
-    except (ValueError, ZeroDivisionError):
+            p, q = _decimal(text), 1
+    except ValueError:
+        q = 0  # refused as a 0 denominator is
+    if not q:
         raise ValueError("not a rational: %s" % _summary(text, "0123456789/"))
-    if x <= 0:
-        raise ValueError("need a positive rational, got %s" % ("0" if x == 0 else "a negative one"))
-    a = cf_even(x)
-    _check_word_length("the word of %s" % _rational_name(x), sum(a) - 1)
-    return x, a
+    if p == 0 or (p < 0) != (q < 0):
+        raise ValueError("need a positive rational, got %s" % ("0" if p == 0 else "a negative one"))
+    g = gcd(p, q)
+    p, q = abs(p) // g, abs(q) // g
+    a = _with_parity(_quotients(p, q), True)
+    letters = sum(a) - 1
+    if letters > MAX_WORD_LENGTH:  # the rational is named in a refusal alone
+        _check_word_length("the word of %s" % _rational_name(p, q), letters)
+    return p, q, a
 
 
-def _rational_name(x):
+def _rational_text(p, q):
+    """The reduced rational p/q as `str` writes its Fraction."""
+    return "%d/%d" % (p, q) if q != 1 else "%d" % p
+
+
+def _rational_name(p, q):
     """A rational parsed by `_parse_rational`, named in a message: in full up
     to 40 characters, else by the digit counts of its two parts."""
-    name = str(x)
+    name = _rational_text(p, q)
     if len(name) > 40:  # str() is safe: int() parsed each part from at most 4,300 digits
-        name = "a %d/%d-digit rational" % (len(str(x.numerator)), len(str(x.denominator)))
+        name = "a %d/%d-digit rational" % (len(str(p)), len(str(q)))
     return name
 
 
@@ -128,14 +148,15 @@ def _parse_digits(text):
 
 
 def _cmd_qrat(args):
-    x, a = _parse_rational(args.rational)
+    p, q, a = _parse_rational(args.rational)
     qx = _q_rational(a)
-    payload = {"x": str(x)}
+    x = _rational_text(p, q)
+    payload = {"x": x}
     payload.update(qx.to_json())
     lines = [qx.fraction_str()]
     if not args.shift_check:
         return payload, lines, None
-    payload["shift_check"] = q_shift_identity_check(x)
+    payload["shift_check"] = _shift_identity_holds(a)
     if not payload["shift_check"]:
         return payload, lines, "FAIL shift identity for %s" % x
     return payload, lines + ["shift-check ok"], None
@@ -214,7 +235,7 @@ def _enum_ideals(x, a, as_json):
     if not as_json:
         return lines
     lines[0] = "[]"  # the empty ideal, which comes first
-    return _listing_json("x", str(x), "ideals", lines)
+    return _listing_json("x", x, "ideals", lines)
 
 
 def _enum_matchings(x, a, as_json):
@@ -229,24 +250,25 @@ def _enum_matchings(x, a, as_json):
     listed = enumerate_matchings(g, area=True)
     edges = _joined([edge % (e[0] + e[1]) for e in g.edges], map(itemgetter(0), listed))
     lines = [row % (g.classify(m), area, text) for (m, area), text in zip(listed, edges)]
-    return _listing_json("x", str(x), "matchings", lines) if as_json else lines
+    return _listing_json("x", x, "matchings", lines) if as_json else lines
 
 
 def _cmd_enum(args):
-    x, a = _parse_rational(args.rational)
+    m, n, a = _parse_rational(args.rational)
     if args.count:
         # the counting theorem: each family of r/s splits as (r, s), which
         # verify holds against the scans
         first, second = ("perp", "par") if args.family == "matchings" else ("filled", "empty")
-        m, n = x.numerator, x.denominator
         return {first: m, second: n, "total": m + n}, ["%s=%d %s=%d total=%d" % (first, m, second, n, m + n)], None
-    objects, length = x.numerator + x.denominator, sum(a) + 1
+    objects, length = m + n, sum(a) + 1
     if objects * length > MAX_LISTED_ELEMENTS:
         raise ValueError(
             "enum %s %s would list %s objects of up to %d elements, over the "
             "limit of %d elements; use --count"
-            % (args.family, _rational_name(x), _integer(objects), length, MAX_LISTED_ELEMENTS)
+            % (args.family, _rational_name(m, n), _integer(objects), length, MAX_LISTED_ELEMENTS)
         )
+    x = _rational_text(m, n)
+    # each lister takes the rational's text, its expansion and the format
     handler = {
         "admissible": _enum_admissible,
         "ideals": _enum_ideals,
@@ -258,7 +280,7 @@ def _cmd_enum(args):
 
 
 def _cmd_render(args):
-    _, a = _parse_rational(args.rational)
+    a = _parse_rational(args.rational)[2]
     if args.shape == "fence":
         fence = Fence(word_of(a))
         return None, [fence_to_svg(fence) if args.format == "svg" else fence_to_dot(fence)], None
@@ -268,7 +290,7 @@ def _cmd_render(args):
 
 
 def _cmd_table(args):
-    _, a = _parse_rational(args.rational)
+    a = _parse_rational(args.rational)[2]
     table = _prefix_suffix_table(word_of(a))
     lines = ["word\t%s" % table["word"], "len\tprefix_perp\tprefix_par\tsuffix_perp\tsuffix_par"]
     lines += (
@@ -323,7 +345,7 @@ def _cmd_tree(args):
             "depth %d would build 2^%d rationals, over the limit of depth %d"
             % (args.depth, args.depth, MAX_TREE_DEPTH)
         )
-    level = [str(x) for x in (sb_level(args.depth) if args.kind == "sb" else cw_level(args.depth))]
+    level = [_rational_text(p, q) for p, q in (_sb_pairs if args.kind == "sb" else _cw_pairs)(args.depth)]
     return {"kind": args.kind, "depth": args.depth, "level": level}, [" ".join(level)], None
 
 
@@ -476,7 +498,8 @@ def _json(value, indent="\n"):
     bool and float.  On Python 3.11 `json.dumps` takes its pure-Python
     encoder whenever it indents; this writes the same text faster.
     `indent` is the newline and the spaces before `value`.  A list or
-    tuple of nothing but ints is written in one join."""
+    tuple of nothing but ints is written in one join.  Only a float,
+    which verify's payload alone holds, loads `json`."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -497,6 +520,10 @@ def _json(value, indent="\n"):
         inner = indent + "  "
         items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    import json
+
     return json.dumps(value)
 
 

@@ -36,7 +36,6 @@ every polynomial with one format string, the powers of q of its nonzero
 terms joined, then drops the "1" of each coefficient +-1.
 """
 
-from fractions import Fraction
 from itertools import compress, repeat
 from operator import add
 from struct import Struct, unpack
@@ -269,6 +268,8 @@ class QRational:
         return hash((self.num, self.den))
 
     def at_one(self):
+        from fractions import Fraction
+
         return Fraction(self.num.eval_at_one(), self.den.eval_at_one())
 
     def __str__(self):
@@ -325,7 +326,12 @@ def theorem_pair(a):
 
 def q_shift_identity_check(x):
     """True iff the pair of x+1 is exactly (q R + S, S) for the pair of x."""
-    x = Fraction(x)
-    lhs = q_rational(x + 1)
-    rhs = q_rational(x)
+    return _shift_identity_holds(_cf.cf_even(x))
+
+
+def _shift_identity_holds(a):
+    """`q_shift_identity_check` of the rational whose even-length expansion
+    is a: that of x + 1 is a with a_0 raised by one."""
+    lhs = _q_rational((a[0] + 1,) + a[1:])
+    rhs = _q_rational(a)
     return lhs.num == rhs.num.shift(1) + rhs.den and lhs.den == rhs.den

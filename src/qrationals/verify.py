@@ -12,7 +12,6 @@ The `desk` level covers every documented bound; `deep` raises them a
 notch for longer runs.
 """
 
-from fractions import Fraction
 from math import gcd
 from time import perf_counter
 
@@ -59,11 +58,11 @@ BOUNDS = {
 
 # fmt: off
 QRAT_GOLDENS = (
-    (Fraction(7, 2), "(q^4+q^3+2q^2+2q+1)/(q+1)"),
-    (Fraction(2, 7), "(q^4+q^3)/(q^4+2q^3+2q^2+q+1)"),
-    (Fraction(4, 5), "(q^4+q^3+q^2+q)/(q^4+q^3+q^2+q+1)"),
-    (Fraction(9, 2), "(q^5+q^4+2q^3+2q^2+2q+1)/(q+1)"),
-    (Fraction(2, 9), "(q^5+q^4)/(q^5+2q^4+2q^3+2q^2+q+1)"),
+    ((7, 2), "(q^4+q^3+2q^2+2q+1)/(q+1)"),
+    ((2, 7), "(q^4+q^3)/(q^4+2q^3+2q^2+q+1)"),
+    ((4, 5), "(q^4+q^3+q^2+q)/(q^4+q^3+q^2+q+1)"),
+    ((9, 2), "(q^5+q^4+2q^3+2q^2+2q+1)/(q+1)"),
+    ((2, 9), "(q^5+q^4)/(q^5+2q^4+2q^3+2q^2+q+1)"),
 )
 
 TABLE_222 = (
@@ -142,7 +141,10 @@ def check_qrational_goldens(level="desk"):
     and the same pairs from the Mat2 product.  9/2 = [4;2] and
     2/9 = [0;4,1,1] hold a power of four letters, past the stepped ones of
     the kernel, on the R side and on the L side."""
-    for x, expected in QRAT_GOLDENS:
+    from fractions import Fraction
+
+    for (r, s), expected in QRAT_GOLDENS:
+        x = Fraction(r, s)
         qx = _qp.q_rational(x)
         _expect("the q-analog golden", x, qx.fraction_str(), expected)
         _expect("the q-analog against the Mat2 product", x, qx, _oracle.matrix_q_rational(_cf.cf_even(x)))
@@ -282,6 +284,8 @@ def check_prefix_suffix(level="desk"):
     shares no code with it, on every small rational; the frozen 84/37 table,
     whose suffix column is the subtractive Euclid chain of 84/37 read up from
     (1, 1); prefixes meet the convergents."""
+    from fractions import Fraction
+
     for x in _cf.rationals_with_sum_upto(BOUNDS[level]["table_sum"]):
         table = _snake.prefix_suffix_table(x)
         w = table["word"]

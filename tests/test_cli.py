@@ -1,4 +1,6 @@
 import argparse
+import ast
+import builtins
 import contextlib
 import hashlib
 import io
@@ -275,35 +277,94 @@ def test_two_calls_build_one_parser(capsys, monkeypatch):
     assert one_tree > 0 and len(built) == one_tree
 
 
-def test_import_and_a_well_formed_call_load_no_argparse():
-    modules = ["qrationals." + m.name for m in pkgutil.iter_modules(qrationals.__path__)]
+# One well-formed argv per subcommand, `enum` family and format, but verify.
+ONE_SHOT_ARGVS = [
+    ["qrat", "7/2"],
+    ["qrat", "5/3", "--shift-check", "--format", "json"],
+    ["rep", "3", "--cf", "[2;2,2]"],
+    ["rep", "-8", "--cf", "[1;1,1,1,1,1]", "--format", "json"],
+    ["val", "2,2,1", "--cf", "[2;2,2]"],
+    ["val", "2,2,1", "--cf", "[2;2,2]", "--format", "json"],
+    *(["enum", family, "84/37"] for family in ("admissible", "ideals", "matchings")),
+    *(["enum", family, "84/37", "--format", "json"] for family in ("admissible", "ideals", "matchings")),
+    ["enum", "ideals", "84/37", "--count"],
+    ["enum", "matchings", "84/37", "--count", "--format", "json"],
+    ["render", "snake", "7/2"],
+    ["render", "fence", "7/2", "--format", "dot"],
+    ["table", "84/37"],
+    ["table", "84/37", "--format", "json"],
+    ["markoff", "--word", "00101", "--table"],
+    ["markoff", "--upto", "5000", "--format", "json"],
+    ["tree", "sb", "--depth", "3"],
+    ["tree", "cw", "--depth", "3", "--format", "json"],
+]
+
+# Modules that no one-shot command loads: argparse is left to refused
+# argv, and json, fractions (with decimal and numbers) to verify.
+UNLOADED = ("argparse", "json", "fractions", "decimal", "numbers")
+
+
+def _one_shot_runs(imports, watched):
+    """For each of ONE_SHOT_ARGVS in turn, run by `main` in one fresh
+    interpreter after `imports`: its exit code, its output and the
+    modules of `watched` loaded by then."""
     script = (
-        "import sys\n"
+        "import io, sys\n"
         "sys.path.insert(0, %r)\n"
         "for name in %r:\n"
         "    __import__(name)\n"
         "from qrationals.cli import main\n"
-        "code = main(['qrat', '7/2'])\n"
-        "print(code, 'argparse' in sys.modules)\n" % (os.path.dirname(os.path.dirname(qrationals.__file__)), modules)
+        "out = sys.stdout\n"
+        "for argv in %r:\n"
+        "    sys.stdout = io.StringIO()\n"
+        "    code = main(argv)\n"
+        "    text, sys.stdout = sys.stdout.getvalue(), out\n"
+        "    print(repr((code, text, [m for m in %r if m in sys.modules])))\n"
+        % (os.path.dirname(os.path.dirname(qrationals.__file__)), imports, ONE_SHOT_ARGVS, watched)
     )
-    proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"(q^4+q^3+2q^2+2q+1)/(q+1)\n0 False\n"
+    return [ast.literal_eval(line) for line in proc.stdout.splitlines()]
 
 
-def test_a_one_shot_command_loads_no_verify():
+def _in_process(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert err == ""
+    return code, out
+
+
+def test_import_and_a_well_formed_call_load_no_argparse(capsys):
+    modules = ["qrationals." + m.name for m in pkgutil.iter_modules(qrationals.__path__)]
+    runs = _one_shot_runs(modules, UNLOADED)
+    assert len(runs) == len(ONE_SHOT_ARGVS)
+    for argv, (code, out, loaded) in zip(ONE_SHOT_ARGVS, runs):
+        assert ((code, out), loaded) == (_in_process(capsys, argv), []), argv
+
+
+def test_a_one_shot_command_loads_no_verify(capsys):
     # verify and its oracles are imported by the verify subcommand alone
-    script = (
-        "import sys\n"
-        "sys.path.insert(0, %r)\n"
-        "import qrationals.cli\n"
-        "code = qrationals.cli.main(['qrat', '7/2'])\n"
-        "print(code, [m for m in ('qrationals.verify', 'qrationals._oracle') if m in sys.modules])\n"
-        % os.path.dirname(os.path.dirname(qrationals.__file__))
-    )
-    proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"(q^4+q^3+2q^2+2q+1)/(q+1)\n0 []\n"
+    runs = _one_shot_runs(["qrationals.cli"], UNLOADED + ("qrationals.verify", "qrationals._oracle"))
+    assert len(runs) == len(ONE_SHOT_ARGVS)
+    for argv, (code, out, loaded) in zip(ONE_SHOT_ARGVS, runs):
+        assert ((code, out), loaded) == (_in_process(capsys, argv), []), argv
+
+
+def test_library_paths_import_nothing(monkeypatch):
+    # a function-local import costs about a microsecond a call, so the
+    # paths a one-shot command runs import nothing, on an int or a Fraction
+    def refuse(name, *args, **kwargs):
+        raise AssertionError("imported %s" % name)
+
+    def paths(x):
+        a = cf_even(x)
+        return a, qpoly.q_rational(x), qpoly.theorem_pair(a), fence.rank_polynomials(x), snake.prefix_suffix_table(x)
+
+    for x in (5, Fraction(84, 37)):
+        expected = paths(x)
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "__import__", refuse)
+            got = paths(x)
+        assert got == expected
 
 
 def test_val_writes_a_value_of_4300_digits(capsys):
@@ -444,6 +505,17 @@ def test_reader_agrees_with_argparse(drawn):
 
 
 def test_shift_check(capsys):
+    code, out, _ = run(capsys, "qrat", "5/3", "--shift-check")
+    assert code == 0
+    assert out.splitlines() == ["(q^3+2q^2+q+1)/(q^2+q+1)", "shift-check ok"]
+
+
+def test_shift_check_expands_its_rational_once(capsys, monkeypatch):
+    # x + 1 is the expansion `_parse_rational` read with a_0 raised by one
+    def refuse(x):
+        raise AssertionError("cf_even was called")
+
+    monkeypatch.setattr(qrationals.cf, "cf_even", refuse)
     code, out, _ = run(capsys, "qrat", "5/3", "--shift-check")
     assert code == 0
     assert out.splitlines() == ["(q^3+2q^2+q+1)/(q^2+q+1)", "shift-check ok"]
@@ -878,6 +950,69 @@ def test_refused_int_arguments_of_at_most_40_characters_are_echoed(capsys, argv,
 def test_parse_rational_reads_ascii_digits_only(capsys, text, named):
     code, out, err = run(capsys, "qrat", text)
     assert (code, out, err) == (2, "", "error: not a rational: %s\n" % named)
+
+
+def _reading_by_fraction(text):
+    """What the CLI reads from a rational's text, by `Fraction` as it once
+    read it: the Fraction, or the message of its refusal."""
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            x = Fraction(words._decimal(num), words._decimal(den))
+        else:
+            x = Fraction(words._decimal(text))
+    except (ValueError, ZeroDivisionError):
+        return "not a rational: %s" % words._summary(text, "0123456789/")
+    if x <= 0:
+        return "need a positive rational, got %s" % ("0" if x == 0 else "a negative one")
+    letters = sum(cf_even(x)) - 1
+    if letters <= cli.MAX_WORD_LENGTH:
+        return x
+    name = str(x)
+    if len(name) > 40:
+        name = "a %d/%d-digit rational" % (len(str(x.numerator)), len(str(x.denominator)))
+    return "the word of %s has %s letters, over the limit of %d letters" % (
+        name,
+        letters if letters <= 10**9 else "more than 10^9",
+        cli.MAX_WORD_LENGTH,
+    )
+
+
+# A part of a rational's text: a sign or spaces, a run of digits under or
+# over 40 characters, and what int() alone would read in it.
+_rational_parts = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", "", "", "+", "-", " ", " -", "+ ", "--"]),
+        st.sampled_from(["", "", "0", "00"]),
+        st.one_of(st.text("0123456789", min_size=1, max_size=39), st.text("0123456789", min_size=41, max_size=80)),
+        st.sampled_from(["", "", "", "", "", " ", "_0", "\u0662", "\uff12", "x", "/"]),
+    ),
+)
+
+
+@given(
+    st.one_of(
+        _rational_parts,
+        st.builds("%s/%s".__mod__, st.tuples(_rational_parts, _rational_parts)),
+        st.sampled_from(["0/0", "3/0", "-3/-0", "0/-5", "-0", " 7 / 2 ", "-3/-2", "6/-4", "/", ""]),
+    )
+)
+@settings(max_examples=300)
+@example("6/4")
+@example("-3/-2")
+@example("1" * 2500 + "/" + "1" * 2499)
+def test_the_rational_reader_reads_what_fraction_read(text):
+    expected = _reading_by_fraction(text)
+    if isinstance(expected, str):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["qrat", "--", text])
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", "error: %s\n" % expected)
+        return
+    p, q, a = cli._parse_rational(text)
+    assert (p, q, cli._rational_text(p, q)) == (expected.numerator, expected.denominator, str(expected))
+    assert a == cf_even(expected)
 
 
 @pytest.mark.parametrize(
