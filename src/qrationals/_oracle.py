@@ -27,7 +27,7 @@ from math import gcd
 
 from .cf import check_cf
 from .numeration import _filled, enumerate_admissible
-from .polytope import _inequalities
+from .polytope import inequalities
 from .qpoly import ONE, Q, ZERO, Poly, QRational
 from .words import check_word
 
@@ -319,7 +319,7 @@ def box_scan_report(a, points):
     the row is tested as a separator against B, never trusted.  Any other
     point goes to Fourier-Motzkin."""
     a = check_cf(a)
-    rows = _inequalities(a)
+    rows = inequalities(a)
     hull = HullSystem(points)
     tops = _row_maxima(rows, hull)
     box = 0

@@ -197,8 +197,7 @@ def _expansion_of_word(w):
 
 
 def rational_of_word(w):
-    """Inverse of word_of_rational: the last pair of `_suffix_pairs`, by
-    `_last_suffix_pair`.
+    """Inverse of word_of_rational: the last pair of `_suffix_pairs`.
 
     >>> rational_of_word("")
     Fraction(1, 1)
@@ -208,7 +207,7 @@ def rational_of_word(w):
     from fractions import Fraction
 
     check_word(w)
-    return Fraction(*_last_suffix_pair(w))
+    return Fraction(*_suffix_pairs(w)[-1])
 
 
 def _suffix_pairs(w):
@@ -230,22 +229,6 @@ def _suffix_pairs(w):
     return pairs
 
 
-def _last_suffix_pair(w):
-    """`_suffix_pairs(w)[-1]`, the (r, s) of w's rational, by the same
-    recurrence keeping only the last pair.
-
-    >>> _last_suffix_pair("10")
-    (3, 2)
-    """
-    r = s = 1
-    for c in reversed(w):
-        if c == "1":
-            r += s
-        else:
-            s += r
-    return r, s
-
-
 def convergents(a):
     """Numerators and denominators p_i, q_i of the truncations of a.
 
@@ -255,11 +238,7 @@ def convergents(a):
     >>> convergents((2, 2, 2))[0]
     (1, 2, 5, 12)
     """
-    return _convergents(check_cf(a))
-
-
-def _convergents(a):
-    # convergents of an expansion check_cf has already checked
+    a = check_cf(a)
     p = [1, a[0]]
     q = [0, 1]
     for x in a[1:]:

@@ -156,7 +156,7 @@ def _cmd_qrat(args):
     lines = [qx.fraction_str()]
     if not args.shift_check:
         return payload, lines, None
-    payload["shift_check"] = _shift_identity_holds(a)
+    payload["shift_check"] = _shift_identity_holds(a, qx)
     if not payload["shift_check"]:
         return payload, lines, "FAIL shift identity for %s" % x
     return payload, lines + ["shift-check ok"], None

@@ -25,7 +25,7 @@ from functools import cache
 from itertools import accumulate
 from operator import concat
 
-from .cf import _expansion_of_word, cf_even, word_of_rational
+from .cf import _expansion_of_word, cf_even, check_cf, word_of_rational
 from .numeration import _admissible
 from .qpoly import theorem_pair
 from .words import check_word
@@ -184,8 +184,9 @@ def rank_polynomials(x):
     """Cardinality statistics of the ideals of the fence of x, split by
     whether the ideal contains the first element: the same pair as
     `ideal_statistics(fence_of_rational(x))`, `theorem_pair` of cf_even(x)
-    with no Fence built.  It is kept only because the benchmark
-    (`bench/workloads.py`) calls it by this module.
+    with no Fence built.  It is also the snake's `area_statistics`: the
+    snake of x has the word theta(W(x)), theta is an involution and area
+    is ideal size.  The benchmark (`bench/workloads.py`) calls both names.
 
     >>> from fractions import Fraction
     >>> tuple(str(p) for p in rank_polynomials(Fraction(4, 5)))
@@ -207,12 +208,19 @@ def chains(a):
 
 def psi(mask, a):
     """Digit vector of an ideal: count the ideal's elements per chain.
+    Refuses an a that is no expansion, and a mask that is negative or
+    holds an element past the sum(a) elements of the fence.
 
     >>> mask = sum(1 << i for i in (0, 1, 6, 7, 8, 9, 13, 14))
     >>> psi(mask, (3, 3, 2, 1, 3, 3))
     (2, 0, 2, 1, 1, 2)
     """
-    return tuple(sum(mask >> i & 1 for i in block) for block in chains(a))
+    a = check_cf(a)
+    if mask < 0:
+        raise ValueError("an ideal's mask is nonnegative, got a negative one")
+    if mask >> sum(a):
+        raise ValueError("the mask holds y_%d, past the %d elements of the fence" % (mask.bit_length() - 1, sum(a)))
+    return tuple((mask >> block.start & (1 << len(block)) - 1).bit_count() for block in chains(a))
 
 
 def psi_inverse(b, a):

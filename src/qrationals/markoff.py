@@ -13,7 +13,7 @@ polynomial of a snake graph.  That area theorem is a claim of
 `verify.check_markoff`; at q = 1 a row's number is its matching count.
 """
 
-from .cf import _convergents
+from .cf import convergents
 from .qpoly import Poly, _q_product_vector
 from .words import _gamma, check_word, is_christoffel
 
@@ -79,7 +79,7 @@ def mu(w):
     check_word(w)
     if not w:
         raise ValueError("empty word")
-    p, q = _convergents(_exponents(w))
+    p, q = convergents(_exponents(w))
     return (p[-1], p[-2]), (q[-1], q[-2])
 
 
@@ -92,7 +92,7 @@ def markoff_of(w):
     1
     """
     _check_domain(w)
-    return _convergents(_exponents(w))[0][-2]
+    return convergents(_exponents(w))[0][-2]
 
 
 def q_markoff(w):

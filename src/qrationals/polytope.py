@@ -14,7 +14,7 @@ arithmetic.
 
 from math import prod
 
-from .cf import _convergents, check_cf
+from .cf import check_cf, convergents
 from .numeration import _filled, _rule_holds
 
 __all__ = [
@@ -36,11 +36,7 @@ def inequalities(a):
     >>> inequalities((2, 2, 2))
     [((-1, 2, 0), 2), ((0, 1, -2), 0)]
     """
-    return _inequalities(check_cf(a))
-
-
-def _inequalities(a):
-    # the rows of an expansion check_cf has already checked
+    a = check_cf(a)
     rows = []
     for i in range(1, len(a)):
         y = [0] * len(a)
@@ -67,7 +63,7 @@ def convexity_report(a):
     {'dimension': 4, 'generators': 9, 'box': 16, 'violations': []}
     """
     a = check_cf(a)
-    for i, (y, t) in enumerate(_inequalities(a), 1):
+    for i, (y, t) in enumerate(inequalities(a), 1):
         for u in range(a[i - 1] + 1):
             for v in range(a[i] + 1):
                 if (y[i - 1] * u + y[i] * v <= t) != _rule_holds(i, u, v, a):
@@ -75,7 +71,7 @@ def convexity_report(a):
                         "inequality %d of %s disagrees with rule %d on the digit pair %s"
                         % (i, a, i, (u, v))
                     )
-    p, q = _convergents(a)
+    p, q = convergents(a)
     return {
         "dimension": len(a),
         "generators": p[-1] + q[-1],  # r_k
@@ -88,11 +84,7 @@ def halfspace(a):
     """(normal y, bound t) of the open half space {y.x < t} that holds
     the empty part of the partition: {x_0 < 1} when a_0 > 0, {x_1 < a_1}
     when a_0 = 0."""
-    return _halfspace(check_cf(a))
-
-
-def _halfspace(a):
-    # the half space of an expansion check_cf has already checked
+    a = check_cf(a)
     y = [0] * len(a)
     if a[0] > 0:
         y[0] = 1
@@ -125,7 +117,7 @@ def _halfspace_misses(a):
     no nonzero entry and the second is empty: the normal's entries past
     its first nonzero one, b_j's, and the values of b_j in 0..a_j that the
     cut puts on the wrong side."""
-    y, t = _halfspace(a)
+    y, t = halfspace(a)
     j = next(i for i, yi in enumerate(y) if yi)
     digits = [0] * len(a)
     wrong = []

@@ -326,12 +326,12 @@ def theorem_pair(a):
 
 def q_shift_identity_check(x):
     """True iff the pair of x+1 is exactly (q R + S, S) for the pair of x."""
-    return _shift_identity_holds(_cf.cf_even(x))
+    a = _cf.cf_even(x)
+    return _shift_identity_holds(a, _q_rational(a))
 
 
-def _shift_identity_holds(a):
-    """`q_shift_identity_check` of the rational whose even-length expansion
-    is a: that of x + 1 is a with a_0 raised by one."""
+def _shift_identity_holds(a, rhs):
+    """`q_shift_identity_check` of x from its even-length expansion a and
+    rhs = `_q_rational(a)`; that of x + 1 is a with a_0 raised by one."""
     lhs = _q_rational((a[0] + 1,) + a[1:])
-    rhs = _q_rational(a)
     return lhs.num == rhs.num.shift(1) + rhs.den and lhs.den == rhs.den

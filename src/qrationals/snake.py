@@ -29,7 +29,8 @@ for orientations of graphs", 2002).  So the snake runs the fence's scan
 (`fence._path_scan`) over theta(w): on edge masks, starting from the
 basic matching and twisting each cell it takes, it lists the matchings;
 on ints, the counts.  Area is size, so the area statistics are the
-fence's.  A matching is perpendicular iff its ideal holds y_0: iff it is
+fence's, and `area_statistics` is `fence.rank_polynomials` by a second
+name.  A matching is perpendicular iff its ideal holds y_0: iff it is
 off the basic one on edge 0.
 What keeps the snake honest shares no code with the scan: the backtracking
 matcher (`matchings_by_backtracking`), which checks the listing, the tally
@@ -45,8 +46,8 @@ from functools import cache, cached_property
 from itertools import compress
 from operator import add, concat
 
-from .cf import _expansion_of_word, _suffix_pairs, cf_even, word_of_rational
-from .fence import _path_scan
+from .cf import _expansion_of_word, _suffix_pairs, word_of_rational
+from .fence import _path_scan, rank_polynomials as area_statistics
 from .qpoly import theorem_pair
 from .words import check_word, theta
 
@@ -280,22 +281,6 @@ def matching_counts(w):
     (1, 1)
     """
     return tuple(_path_scan(theta(w), 1, lambda count, i: count, add))
-
-
-def area_statistics(x):
-    """Area statistics of the snake of x, split perpendicular/parallel:
-    the same pair as `matching_statistics(snake_of_rational(x))`.  Its word
-    is theta(W(x)) and theta is an involution, so the pair is that of
-    cf_even(x) itself, with no Snake built.  It is kept only because the
-    benchmark (`bench/workloads.py`) calls it by this module.
-
-    >>> from fractions import Fraction
-    >>> tuple(str(p) for p in area_statistics(Fraction(2, 7)))
-    ('q^5+q^4', 'q^4+2*q^3+2*q^2+q+1')
-    >>> tuple(str(p) for p in area_statistics(1))
-    ('q', '1')
-    """
-    return theorem_pair(cf_even(x))
 
 
 def matching_edges(g, mask):

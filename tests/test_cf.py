@@ -168,11 +168,6 @@ def test_expansion_of_word_is_the_expansion_of_its_rational():
         assert qrationals.cf._expansion_of_word(w) == cf_even(rational_of_word(w)), w
 
 
-def test_the_last_suffix_pair_is_the_last_of_the_suffix_pairs():
-    for w in all_words(12):
-        assert qrationals.cf._last_suffix_pair(w) == qrationals.cf._suffix_pairs(w)[-1], w
-
-
 @given(short_words)
 def test_word_codec_round_trip(w):
     assert word_of(cf_even(rational_of_word(w))) == w

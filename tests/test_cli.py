@@ -511,14 +511,26 @@ def test_shift_check(capsys):
 
 
 def test_shift_check_expands_its_rational_once(capsys, monkeypatch):
-    # x + 1 is the expansion `_parse_rational` read with a_0 raised by one
+    # x + 1 is the expansion `_parse_rational` read with a_0 raised by one,
+    # and the check reuses the q-rational of x that qrat prints: the kernel
+    # runs once for x and once for x + 1
     def refuse(x):
         raise AssertionError("cf_even was called")
 
+    expanded = []
+
+    def counted(a):
+        expanded.append(a)
+        return q_rational(a)
+
+    q_rational = qpoly._q_rational
     monkeypatch.setattr(qrationals.cf, "cf_even", refuse)
+    monkeypatch.setattr(qpoly, "_q_rational", counted)
+    monkeypatch.setattr(cli, "_q_rational", counted)
     code, out, _ = run(capsys, "qrat", "5/3", "--shift-check")
     assert code == 0
     assert out.splitlines() == ["(q^3+2q^2+q+1)/(q^2+q+1)", "shift-check ok"]
+    assert expanded == [(1, 1, 1, 1), (2, 1, 1, 1)]
 
 
 def test_enum_admissible_rows(capsys):

@@ -141,6 +141,42 @@ def test_verify_fails_through_one_helper():
     assert len(raises) == 1 and raises == helper, "AssertionError raised in %s at lines %s" % (path, raises)
 
 
+# Public functions whose private twin takes what a caller has already
+# checked, each kept for the reason given.
+TWINS = {
+    "qpoly.q_rational": "the CLI passes `_q_rational` the expansion it parsed",
+    "snake.prefix_suffix_table": "the CLI passes `_prefix_suffix_table` the word of the expansion it parsed",
+    "words.gamma": "the Markoff row checks its word once and calls `_gamma` on it",
+}
+
+
+def _top_level_functions(module):
+    tree = ast.parse(inspect.getsource(module), inspect.getsourcefile(module))
+    return [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+
+def test_no_function_has_a_private_twin():
+    # a check in front of an unchecked twin that does the work defines the
+    # quantity twice; fold the twin into its public name
+    found = []
+    for module in MODULES:
+        names = {node.name for node in _top_level_functions(module)}
+        found += ["%s.%s" % (module.__name__.split(".")[-1], name) for name in names if "_" + name in names]
+    assert sorted(found) == sorted(TWINS), "functions with a private twin: %s" % ", ".join(sorted(found))
+
+
+def test_no_two_functions_share_a_body():
+    # two definitions of one quantity drift apart; bind the second name instead
+    bodies = {}
+    for module in MODULES:
+        for node in _top_level_functions(module):
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            key = ast.dump(ast.Module(body=body, type_ignores=[]))
+            bodies.setdefault(key, []).append("%s.%s" % (module.__name__, node.name))
+    same = [names for names in bodies.values() if len(names) > 1]
+    assert not same, "functions with the same body: %s" % same
+
+
 # The fast paths that `verify` and the tests hold the references against.
 FAST_PATHS = (
     (qrationals.fence, "_path_scan"),
@@ -148,7 +184,6 @@ FAST_PATHS = (
     (qrationals.qpoly, "_q_product_vector"),
     (qrationals.qpoly, "_packed_times_q_integer"),
     (qrationals.cf, "_suffix_pairs"),
-    (qrationals.cf, "_last_suffix_pair"),
     (qrationals.numeration, "_digits"),
     (qrationals.numeration, "numeration_rows"),
     (qrationals.snake.Snake, "classify"),

@@ -139,6 +139,20 @@ def test_psi_inverse_refuses_digits_that_are_not_admissible(b, a, reason):
         psi_inverse(b, a)
 
 
+@pytest.mark.parametrize(
+    "mask, a, reason",
+    (
+        (1 << 20, (1, 1), "^the mask holds y_20, past the 2 elements of the fence$"),
+        (5, (2, -1, 1), "^invalid partial quotients: a_1 < 1 in an expansion of length 3$"),
+        (-1, (1, 1), "^an ideal's mask is nonnegative, got a negative one$"),
+    ),
+)
+def test_psi_refuses_what_is_no_ideal_of_a_fence(mask, a, reason):
+    # as psi_inverse refuses digits that are not admissible
+    with pytest.raises(ValueError, match=reason):
+        psi(mask, a)
+
+
 @given(rationals)
 def test_psi_is_a_statistic_preserving_bijection(x):
     # both expansions of x have the word of the fence, so psi serves both

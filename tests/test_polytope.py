@@ -109,9 +109,9 @@ def test_halfspace_split_lists_nothing(monkeypatch):
 
 @pytest.mark.parametrize("a", ((2, 2, 2), (0, 3, 1, 1)))
 def test_halfspace_split_refuses_a_shifted_cut(monkeypatch, a):
-    # the split takes its cut from the unchecked worker behind `halfspace`
-    cut = polytope._halfspace
-    monkeypatch.setattr(polytope, "_halfspace", lambda b: (cut(b)[0], cut(b)[1] + 1))
+    # the split takes its cut from `halfspace`
+    cut = polytope.halfspace
+    monkeypatch.setattr(polytope, "halfspace", lambda b: (cut(b)[0], cut(b)[1] + 1))
     assert not verify_halfspace_split(a)
 
 
@@ -128,8 +128,8 @@ def test_halfspace_split_refuses_a_shifted_cut(monkeypatch, a):
     ),
 )
 def test_half_space_claims_fail_by_values(monkeypatch, plant, message):
-    cut = polytope._halfspace
-    monkeypatch.setattr(polytope, "_halfspace", lambda a: plant(*cut(a)))
+    cut = polytope.halfspace
+    monkeypatch.setattr(polytope, "halfspace", lambda a: plant(*cut(a)))
     with pytest.raises(AssertionError) as failure:
         verify.check_polytope("desk")
     assert str(failure.value) == message
@@ -157,14 +157,14 @@ def test_report_equals_the_box_scan_oracle(a):
 def test_box_scan_tests_each_row_as_a_separator(monkeypatch, slack):
     # rows that every point or no point breaks change which points reach
     # Fourier-Motzkin, never the report
-    rows_of = _oracle._inequalities
-    monkeypatch.setattr(_oracle, "_inequalities", lambda a: [(y, t + slack) for y, t in rows_of(a)])
+    rows_of = _oracle.inequalities
+    monkeypatch.setattr(_oracle, "inequalities", lambda a: [(y, t + slack) for y, t in rows_of(a)])
     for a in ((2, 2, 2), (0, 1, 3, 1), (1, 2, 1, 2)):
         assert box_scan_report(a, enumerate_admissible(a)) == convexity_report(a)
 
 
 def test_box_scan_refuses_a_row_that_weighs_a_third_digit(monkeypatch):
-    rows_of = _oracle._inequalities
+    rows_of = _oracle.inequalities
 
     def widened(a):
         rows = rows_of(a)
@@ -172,7 +172,7 @@ def test_box_scan_refuses_a_row_that_weighs_a_third_digit(monkeypatch):
         rows[0] = (y[:2] + (1,) + y[3:], t)
         return rows
 
-    monkeypatch.setattr(_oracle, "_inequalities", widened)
+    monkeypatch.setattr(_oracle, "inequalities", widened)
     with pytest.raises(ValueError, match="row 0 weighs digits other than 0 and 1"):
         box_scan_report((2, 2, 2), enumerate_admissible((2, 2, 2)))
 
@@ -204,8 +204,8 @@ def test_report_lists_nothing_and_scans_no_box(monkeypatch):
 
 
 def test_broken_inequality_fails_the_check_naming_the_expansion(monkeypatch):
-    # convexity_report reads its rows from the unchecked worker behind `inequalities`
-    rows_of = polytope._inequalities
+    # convexity_report reads its rows from `inequalities`
+    rows_of = polytope.inequalities
 
     def broken(a):
         rows = rows_of(a)
@@ -214,7 +214,7 @@ def test_broken_inequality_fails_the_check_naming_the_expansion(monkeypatch):
             rows[-1] = (y, t + 1)  # now lets (1, 0) through at i = 2
         return rows
 
-    monkeypatch.setattr(polytope, "_inequalities", broken)
+    monkeypatch.setattr(polytope, "inequalities", broken)
     monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c[0] == "lattice convexity"])
     passed, rows = verify.run_checks("desk")
     assert passed is False
