@@ -23,7 +23,8 @@ term, so a product that q does not divide fails loudly.
 """
 
 from itertools import product
-from math import gcd
+from math import gcd, prod
+from operator import mul
 
 from .cf import check_cf
 from .numeration import _filled, enumerate_admissible
@@ -281,7 +282,7 @@ def in_hull(c, hull):
 
 
 def dot(y, x):
-    return sum(yi * xi for yi, xi in zip(y, x))
+    return sum(map(mul, y, x))
 
 
 def _first_broken(c, rows):
@@ -299,12 +300,13 @@ def _row_maxima(rows, hull):
     """max y.p over the generators p, for each row (y, t) of `inequalities`:
     row i must weigh digits i and i + 1 alone (ValueError otherwise), so
     its maximum is taken over the distinct digit pairs (p_i, p_{i+1}) of
-    the generators."""
+    the generators, read off their columns."""
+    columns = tuple(zip(*hull.points))
     tops = []
     for i, (y, _) in enumerate(rows):
         if any(y[:i]) or any(y[i + 2:]):
             raise ValueError("row %d weighs digits other than %d and %d: %s" % (i, i, i + 1, y))
-        tops.append(max(y[i] * u + y[i + 1] * v for u, v in {p[i:i + 2] for p in hull.points}))
+        tops.append(max(y[i] * u + y[i + 1] * v for u, v in set(zip(columns[i], columns[i + 1]))))
     return tops
 
 
@@ -317,25 +319,19 @@ def box_scan_report(a, points):
     `inequalities(a)` it breaks when y puts it strictly above every
     generator, that is above the row's maximum over the listed generators:
     the row is tested as a separator against B, never trusted.  Any other
-    point goes to Fourier-Motzkin."""
+    point goes to Fourier-Motzkin.  The box holds prod(a_i + 1) points."""
     a = check_cf(a)
     rows = inequalities(a)
     hull = HullSystem(points)
     tops = _row_maxima(rows, hull)
-    box = 0
     violations = []
-    for c in product(*(range(ai + 1) for ai in a)):
-        box += 1
-        if c in hull._point_set:
-            continue
+    for c in [c for c in product(*(range(ai + 1) for ai in a)) if c not in hull._point_set]:
         i, value = _first_broken(c, rows)
-        if i is not None and value > tops[i]:
-            continue
-        if in_hull(c, hull):
+        if (i is None or value <= tops[i]) and in_hull(c, hull):
             violations.append(c)
     return {
         "dimension": hull.dim,
         "generators": len(hull.points),
-        "box": box,
+        "box": prod(ai + 1 for ai in a),
         "violations": violations,
     }

@@ -103,9 +103,12 @@ class Snake:
     """Snake graph of a binary word, with edge-indexed matchings.
 
     `cells`, `edges`, `squares` (each cell's bottom, right, top and left
-    edge indices) and `basic_mask` are built with the snake.  Three more
-    tables are built on first use and kept: `_twists`, each cell's four
-    sides as one mask, which the listing XORs; `vertex_edges`, the
+    edge indices) and `basic_mask` are built with the snake.  Cell 0 has
+    edges 0-3.  Cell j >= 1 adds edges 3j + 1, 3j + 2 and 3j + 3: its
+    sides in order, less the side it is entered by, which is its
+    predecessor's right side after a 0 and its top side after a 1.  Three
+    more tables are built on first use and kept: `_twists`, each cell's
+    four sides as one mask, which the listing XORs; `vertex_edges`, the
     vertex-to-edges map of the backtracking matcher and the drawing; and
     the per-cell left sides that `enclosed_cells` walks.  The statistics
     and counts read none of them, only the word."""
@@ -113,21 +116,22 @@ class Snake:
     def __init__(self, word):
         check_word(word)
         self.word = word
+        cx = cy = 0
         cells = [(0, 0)]
         edges = list(_square_edges(0, 0))
         squares = [(0, 1, 2, 3)]
         for c in word:
-            # a cell is entered through the side its predecessor leaves by;
-            # its other three sides are new edges, appended in side order
-            cx, cy = cells[-1]
-            cx, cy = (cx + 1, cy) if c == "0" else (cx, cy + 1)
+            n = len(edges)  # 3j + 1 for cell j
+            _, right, top, _ = squares[-1]
+            if c == "0":
+                cx += 1
+                squares.append((n, n + 1, n + 2, right))
+            else:
+                cy += 1
+                squares.append((top, n, n + 1, n + 2))
+            sw, se, nw, ne = (cx, cy), (cx + 1, cy), (cx, cy + 1), (cx + 1, cy + 1)
+            edges += ((sw, se), (se, ne), (nw, ne)) if c == "0" else ((se, ne), (nw, ne), (sw, nw))
             cells.append((cx, cy))
-            entry = _ENTRY_SIDE[c]
-            square = [len(edges), len(edges) + 1, len(edges) + 2]
-            square.insert(entry, squares[-1][_EXIT_SIDE[c]])
-            squares.append(tuple(square))
-            sides = _square_edges(cx, cy)
-            edges += sides[:entry] + sides[entry + 1:]
         self.cells = cells
         self.edges = edges
         self.squares = squares
@@ -229,15 +233,18 @@ def enumerate_matchings(g, area=False):
 
 
 def matchings_by_backtracking(g):
-    """Independent oracle for `enumerate_matchings`: match the smallest
-    uncovered vertex each step.  It lives here, not in `_oracle`, because
-    the benchmark (`bench/workloads.py`) calls it by this module.
+    """Independent oracle for `enumerate_matchings`: match the first
+    uncovered vertex along the strip each step, by x + y, then by x.  It
+    lives here, not in `_oracle`, because the benchmark
+    (`bench/workloads.py`) calls it by this module.
 
     The completions of a covered-vertex set depend on that set alone, so
     each set's list is built once and shared by every branch reaching it.
-    The smallest uncovered vertex is the lowest set bit of covered + 1, and
-    each edge's branch ORs its bit into the shared list by `map`."""
-    verts = sorted(g.vertex_edges)
+    Along the strip the memo holds about one set per vertex, against two
+    in (x, y) order, which jumps across the strip.  The first uncovered
+    vertex is the lowest set bit of covered + 1, and each edge's branch
+    ORs its bit into the shared list by `map`."""
+    verts = sorted(g.vertex_edges, key=lambda v: (v[0] + v[1], v[0]))
     vid = {v: i for i, v in enumerate(verts)}
     incident = [g.vertex_edges[v] for v in verts]
     endpoints = [(vid[a], vid[b]) for a, b in g.edges]

@@ -226,14 +226,17 @@ def check_bijections(level="desk"):
             _check_orders(x, g, ideals, digits, matchings, popped)
 
 
-def _tally(rows):
-    """(sum over the first half, sum over the rest) of q^size, from rows of
-    (in the first half?, size), counted into one dense list per half."""
-    top = max((size for _, size in rows), default=-1)
-    halves = ([0] * (top + 1), [0] * (top + 1))
-    for first, size in rows:
-        halves[not first][size] += 1
-    return tuple(map(_qp.Poly, halves))
+def _tally(first, rest):
+    """(sum over the first half, sum over the rest) of q^size, from the
+    sizes in each half, counted into one dense list per half."""
+    halves = []
+    for sizes in first, rest:
+        sizes = list(sizes)
+        dense = [0] * (max(sizes, default=-1) + 1)
+        for size in sizes:
+            dense[size] += 1
+        halves.append(_qp.Poly(dense))
+    return tuple(halves)
 
 
 def check_three_statistics(level="desk"):
@@ -245,11 +248,16 @@ def check_three_statistics(level="desk"):
     for the digits, the fence's word read back, and theta of the snake's
     word.  The tallies share no code with the product: the digit descent
     of `enumerate_admissible`, split by `_oracle.partition`; the ideals
-    and matchings of the path scan, which the subset filter and the
-    backtracking matcher hold in `check_oracles`; each matching's area
-    by `enclosed_cells`, and its side by `_oracle.first_cell_perp` off
-    the first cell's bottom edge (the first step of `phi_by_pop`), not
-    off the basic matching that the listing starts from."""
+    and matchings of the path scan; each matching's area by
+    `enclosed_cells`, and its side by `_oracle.first_cell_perp` off the
+    first cell's bottom edge (the first step of `phi_by_pop`), not off the
+    basic matching that the listing starts from.  The listings have
+    references of their own: `check_oracles` holds the ideals against the
+    subset filter and the matchings against the backtracking matcher on
+    every word of up to `oracle_word_len` letters (12 at desk).  The words
+    here reach 28 letters at desk (x = 1/29), so the tests also hold the
+    matcher's listing on the snake of every rational with r + s <= 30, and
+    the subset filter's on one word of 17 letters."""
     b = BOUNDS[level]
     for x in _cf.rationals_with_sum_upto(b["stats_sum"]):
         a = _cf.cf_even(x)
@@ -258,21 +266,19 @@ def check_three_statistics(level="desk"):
         g = _snake.Snake(_words.theta(w))
         reference = _qp.theorem_pair(a)
         filled, empty = _oracle.partition(a)
-        matchings = _snake.enumerate_matchings(g)
+        ideals = _fence.enumerate_ideals(f)
         bottom = g.edges.index(((0, 0), (1, 0)))  # the first cell's bottom edge
+        areas = ([], [])  # of the matchings without, with that edge
+        for m in _snake.enumerate_matchings(g):
+            areas[m >> bottom & 1].append(g.area(m))
+        by_side = {_oracle.first_cell_perp(bool(held), g.word): areas[held] for held in (0, 1)}
         paths = {
-            "admissible vectors": (
-                _num.norm1_statistics(_cf.cf_odd(x)),
-                _tally([(True, sum(v)) for v in filled] + [(False, sum(v)) for v in empty]),
-            ),
+            "admissible vectors": (_num.norm1_statistics(_cf.cf_odd(x)), _tally(map(sum, filled), map(sum, empty))),
             "order ideals": (
                 _fence.ideal_statistics(f),
-                _tally([(bool(m & 1), m.bit_count()) for m in _fence.enumerate_ideals(f)]),
+                _tally([m.bit_count() for m in ideals if m & 1], [m.bit_count() for m in ideals if not m & 1]),
             ),
-            "matchings": (
-                _snake.matching_statistics(g),
-                _tally([(_oracle.first_cell_perp(m >> bottom & 1, g.word), g.area(m)) for m in matchings]),
-            ),
+            "matchings": (_snake.matching_statistics(g), _tally(by_side.get(True, []), by_side.get(False, []))),
         }
         for name, pairs in paths.items():
             for path, pair in zip(("the q-product", "enumeration"), pairs):

@@ -179,22 +179,25 @@ def christoffel_closure(max_length):
     """All Christoffel words of length <= max_length by the doubling rule.
 
     Brute-force fixpoint of: 0, 1, 01 are Christoffel words, and whenever
-    u, v and uv are all Christoffel words, so are uuv and uvv.  Used as an
+    u, v and uv are all Christoffel words, so are uuv and uvv.  Each round
+    reads every split u + v of every word uv of the closure.  Used as an
     oracle to validate `christoffel`/`is_christoffel`; it lives here, not
     in `_oracle`, because the benchmark (`bench/workloads.py`) calls it by
     this module.
     """
-    closure = {"0", "1", "01"}
-    closure = {w for w in closure if len(w) <= max_length}
+    closure = {w for w in ("0", "1", "01") if len(w) <= max_length}
     while True:
         fresh = set()
-        for u in closure:
-            for v in closure:
-                if u + v not in closure:
-                    continue
-                for w in (u + u + v, u + v + v):
-                    if len(w) <= max_length and w not in closure:
-                        fresh.add(w)
+        for uv in closure:
+            room = max_length - len(uv)
+            for i in range(1, len(uv)):
+                u, v = uv[:i], uv[i:]
+                if u in closure and v in closure:
+                    if len(u) <= room:
+                        fresh.add(u + uv)
+                    if len(v) <= room:
+                        fresh.add(uv + v)
+        fresh -= closure
         if not fresh:
             return closure
         closure |= fresh

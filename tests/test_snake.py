@@ -6,7 +6,7 @@ import pytest
 
 from qrationals import _oracle, verify
 from qrationals._oracle import phi_by_pop
-from qrationals.cf import cf_even, rational_of_word, word_of
+from qrationals.cf import cf_even, rational_of_word, rationals_with_sum_upto, word_of
 from qrationals.fence import Fence, enumerate_ideals, fence_of_rational, psi
 from qrationals.snake import (
     Snake,
@@ -84,12 +84,20 @@ def _dict_built_snake(w):
 
 
 def test_snake_structure_equals_the_dict_built_snake():
-    for w in all_words(8):
+    for w in all_words(10):
         g = Snake(w)
         got = (g.edges, g.squares, g.basic_mask, g.vertex_edges, {e: g.edges.index(e) for e in g.edges})
         want = _dict_built_snake(w)
         assert got == want
         assert [list(d.items()) for d in got[3:]] == [list(d.items()) for d in want[3:]]
+
+
+@given(st.text(alphabet="01", min_size=30, max_size=60))
+@settings(max_examples=40)
+def test_long_snake_squares_and_basic_mask_equal_the_dict_built_snake(w):
+    g = Snake(w)
+    _, squares, basic_mask, _, _ = _dict_built_snake(w)
+    assert (g.squares, g.basic_mask) == (squares, basic_mask)
 
 
 def test_cells_follow_the_staircase():
@@ -263,6 +271,15 @@ def test_matching_counts_split_as_the_fraction(x):
 def test_enumeration_agrees_with_backtracking(w):
     g = Snake(w)
     assert enumerate_matchings(g) == matchings_by_backtracking(g)
+
+
+def test_backtracking_lists_the_snake_of_every_rational_up_to_sum_30():
+    # the snakes of verify's three statistics at desk, up to 28 letters
+    # (x = 1/29), past the 12 letters of its check against the matcher
+    snakes = [snake_of_rational(x) for x in rationals_with_sum_upto(30)]
+    assert len(snakes) == 277 and max(len(g.word) for g in snakes) == 28
+    for g in snakes:
+        assert matchings_by_backtracking(g) == enumerate_matchings(g), g.word
 
 
 def test_matching_edges_are_the_snake_edges_in_index_order():

@@ -131,8 +131,8 @@ def test_christoffel_rejects_bad_parameters():
 
 
 def test_closure_matches_the_direct_construction():
-    direct = {w for w in all_words(9) if is_christoffel(w)}
-    assert christoffel_closure(9) == direct
+    direct = {w for w in all_words(12) if is_christoffel(w)}
+    assert christoffel_closure(12) == direct
 
 
 def test_non_christoffel_words():
