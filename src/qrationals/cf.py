@@ -49,10 +49,15 @@ def _integers(values, name):
 
 
 def check_cf(a):
-    a = _integers(a, "a")
+    # read once, checked by C-level passes ([*...] spares tuple() a resize); a refusal names its position
+    values = tuple(a)
+    try:
+        a = tuple([*map(index, values)])
+    except TypeError:
+        a = _integers(values, "a")
     if not a:
         raise ValueError("empty expansion")
-    if a[0] < 0 or any(x < 1 for x in a[1:]):
+    if a[0] < 0 or len(a) > 1 and min(a[1:]) < 1:
         i = next(i for i, x in enumerate(a) if x < min(i, 1))
         raise ValueError("invalid partial quotients: a_%d < %d in an expansion of length %d" % (i, min(i, 1), len(a)))
     if a == (0,):

@@ -30,15 +30,17 @@ therefore hold every coefficient, and no addition carries into the next
 one.
 
 The two stages after the product run as a few calls each rather than a
-Python step per coefficient: `Poly.from_packed` splits the bytes of the
-packing into its B-bit fields with one `struct` call, and `str` writes
-every polynomial with one format string, the powers of q of its nonzero
-terms joined, then drops the "1" of each coefficient +-1.
+Python step per coefficient.  `Poly.from_packed` reads the B-bit fields
+of the packing with one `struct` call, fields of 3, 5, 6 or 7 bytes first
+widened with zero bytes, and the tuple it reads is the `Poly`'s own.
+`str` writes every polynomial with one format string, "+%d" and the
+powers of q of its nonzero terms joined, then turns "+-" into "-" and
+drops the "1" of each coefficient +-1.
 """
 
 from itertools import compress, repeat
 from operator import add
-from struct import Struct, unpack
+from struct import Struct, calcsize, unpack
 
 from . import cf as _cf
 
@@ -81,8 +83,9 @@ class Poly:
         packing of `_q_product_vector` read back.  At width 8 the
         little-endian bytes of x are the coefficients; at 16, 32 and 64
         one standard-size `struct.unpack` reads them as unsigned fields;
-        at any other width they are split into fields by one `Struct`
-        call, each field read by `int.from_bytes`.
+        at 24, 40, 48 and 56 one `Struct` split and one join first widen
+        each field with zero bytes to 32 or 64 bits; wider fields are
+        split alike and each read by `int.from_bytes`.
 
         >>> Poly.from_packed(0x03_00_01, 8).dense
         (1, 0, 3)
@@ -95,11 +98,18 @@ class Poly:
         count = -(-x.bit_length() // width)
         data = x.to_bytes(count * size, "little")
         if size == 1:
-            return cls(data)
-        code = _FIELD_CODES.get(size)
-        if code:
-            return cls(unpack("<%d%s" % (count, code), data))
-        return cls(map(int.from_bytes, Struct("%ds" % size * count).unpack(data), repeat("little")))
+            dense = tuple(data)
+        elif size > 8:
+            dense = tuple(map(int.from_bytes, Struct("%ds" % size * count).unpack(data), repeat("little")))
+        else:
+            code, pad = _FIELD_CODES[size]
+            if pad and count:
+                data = pad.join(Struct("%ds" % size * count).unpack(data)) + pad
+            dense = unpack("<%d%s" % (count, code), data)
+        # the top field holds the top bit of x: no copy or strip to do
+        p = object.__new__(cls)
+        p.dense = dense
+        return p
 
     @property
     def coeffs(self):
@@ -136,9 +146,9 @@ class Poly:
         return self.dense[0] if self.dense else 0
 
     def _terms(self, star):
-        # One format for all terms, highest first: "%+d" and each term's
-        # power of q joined, filled with the nonzero coefficients; then
-        # each coefficient +-1 of a power of q loses its digit 1.
+        # One format for all terms, highest first: "+%d" (faster than "%+d")
+        # and each term's power of q joined, filled with the nonzero
+        # coefficients; then "+-" becomes "-", and "+1*q" "+q", "-1*q" "-q".
         dense = self.dense
         if not dense:
             return "0"
@@ -146,9 +156,9 @@ class Poly:
         if len(powers) < len(dense):
             powers += ["%sq^%d" % (star, e) for e in range(len(powers), len(dense))]
         exps = compress(range(len(dense) - 1, -1, -1), reversed(dense))
-        text = ("%+d" + "%+d".join(map(powers.__getitem__, exps))) % tuple(filter(None, reversed(dense)))
+        text = ("+%d" + "+%d".join(map(powers.__getitem__, exps))) % tuple(filter(None, reversed(dense)))
         plus_one, minus_one = _ONES[star]
-        return text.replace(plus_one, "+q").replace(minus_one, "-q").removeprefix("+")
+        return text.replace("+-", "-").replace(plus_one, "+q").replace(minus_one, "-q").removeprefix("+")
 
     def __str__(self):
         return self._terms("*")
@@ -169,8 +179,8 @@ class Poly:
 _POWERS = {"*": ["", "*q"], "": ["", "q"]}
 _ONES = {"*": ("+1*q", "-1*q"), "": ("+1q", "-1q")}
 
-# The standard-size unsigned struct codes of 2-, 4- and 8-byte fields.
-_FIELD_CODES = {2: "H", 4: "I", 8: "Q"}
+# Per field size of 2-8 bytes: the unsigned struct code that reads it, and the zero bytes that widen it to that code.
+_FIELD_CODES = {size: (code, bytes(calcsize("<" + code) - size)) for size, code in zip(range(2, 9), "HIIQQQQ")}
 
 ZERO = Poly()
 ONE = Poly((1,))
@@ -227,27 +237,30 @@ def _q_product_vector(a, v):
     shift or an addition of whole integers; `Poly.from_packed` unpacks
     the result."""
     x1, y1 = v
-    for i in range(len(a) - 1, -1, -1):
-        if i % 2:
-            y1 += a[i] * x1
+    power_of_l = len(a) % 2 == 0  # is the last factor a power of L_q?
+    for n in reversed(a):
+        if power_of_l:
+            y1 += n * x1
         else:
-            x1 += a[i] * y1
+            x1 += n * y1
+        power_of_l = not power_of_l
     width = (max(x1, y1).bit_length() + 7) // 8 * 8
     x, y = v
-    for i in range(len(a) - 1, -1, -1):
-        n = a[i]
+    power_of_l = len(a) % 2 == 0
+    for n in reversed(a):
         if n > _STEPPED:
-            if i % 2 == 0:
-                x = (x << n * width) + _packed_times_q_integer(y, n, width)
-            else:
+            if power_of_l:
                 x, y = x << n * width, (_packed_times_q_integer(x, n, width) << width) + y
-        elif i % 2 == 0:
-            for _ in range(n):
-                x = (x << width) + y
-        else:
+            else:
+                x = (x << n * width) + _packed_times_q_integer(y, n, width)
+        elif power_of_l:
             for _ in range(n):
                 x <<= width
                 y += x
+        else:
+            for _ in range(n):
+                x = (x << width) + y
+        power_of_l = not power_of_l
     return x, y, width
 
 

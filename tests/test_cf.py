@@ -84,12 +84,21 @@ def test_check_cf_rejects_malformed():
         (lambda: cf_str((2.5, 3)), "a_0 is not an integer"),
         (lambda: check_cf((1, "2")), "a_1 is not an integer"),
         (lambda: cf_value((1,) * 4999 + (1.0,)), "a_4999 is not an integer"),
+        # an iterator is read once, so its refusal counts from its first value
+        (lambda: check_cf(iter([1, 2, "x", 4])), "a_2 is not an integer"),
+        (lambda: check_cf(v for v in (3, 1, 2.5, 1)), "a_2 is not an integer"),
     ),
 )
 def test_check_cf_refuses_non_integer_quotients_by_position(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_check_cf_gives_one_tuple_of_ints_whatever_the_sequence():
+    assert check_cf([1, True]) == (1, 1)
+    assert all(type(x) is int for x in check_cf([1, True]))
+    assert check_cf([3, 4, 5]) == check_cf((3, 4, 5)) == check_cf(range(3, 6)) == check_cf(iter((3, 4, 5))) == (3, 4, 5)
 
 
 def test_convergents_and_r_sequence():

@@ -66,6 +66,23 @@ def test_poly_str_formats():
     assert str(Poly((0, 0, 3, 0))) == "3*q^2"
 
 
+@pytest.mark.parametrize(
+    "coefficients, text, compact",
+    (
+        ((-1,), "-1", "-1"),
+        ((0, -1), "-q", "-q"),
+        ((0, -12), "-12*q", "-12q"),
+        ((1, 0, -11), "-11*q^2+1", "-11q^2+1"),
+        ((-3, 1, -1), "-q^2+q-3", "-q^2+q-3"),
+    ),
+)
+def test_poly_str_writes_negative_coefficients(coefficients, text, compact):
+    # written by hand: a negative top term keeps its sign, a coefficient -1
+    # of a power of q loses its 1, and -11, -12 keep theirs
+    assert str(Poly(coefficients)) == text
+    assert Poly(coefficients).compact() == compact
+
+
 def test_trailing_zeros_are_stripped():
     assert Poly((1, 0, 0)) == Poly((1,)) and hash(Poly((1, 0, 0))) == hash(Poly((1,)))
     assert Poly((1, 0, 0)).dense == (1,)
@@ -145,11 +162,13 @@ def test_from_packed_is_a_divmod_unpack(packing):
     assert Poly.from_packed(x, width).dense == _unpack_by_divmod(x, width)
 
 
-@pytest.mark.parametrize("size", (1, 2, 3, 4, 5, 8, 9))
+@pytest.mark.parametrize("size", (1, 2, 3, 4, 5, 6, 7, 8, 9, 16))
 def test_from_packed_reads_every_field_size_at_its_extremes(size):
-    # one field size per branch of from_packed: bytes, a standard struct
-    # code (2, 4, 8) or a field read by int.from_bytes; each field is 0 or
-    # all ones, so a field read at the wrong offset or width shows
+    # each branch of from_packed: bytes, a standard struct code (2, 4, 8),
+    # a field widened with zero bytes to 4 or 8 (3, 5, 6, 7) or read by
+    # int.from_bytes (9, 16); each field is 0 or all ones, so a field read
+    # at the wrong offset or width shows, and count 0 is x = 0, which packs
+    # no field for any branch to split or widen
     width = 8 * size
     top = (1 << width) - 1
     for count in range(7):
